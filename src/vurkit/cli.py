@@ -105,7 +105,7 @@ def cmd_bound(args) -> int:
     observables = _resolve_observables(args.observables, tol)
     _require_equal_dims(observables)
     if args.auto_constant:
-        constant = entropic.best_entropic_constant(observables)
+        constant = entropic.best_entropic_constant(observables, tol.mub)
     else:
         constant = entropic.user_supplied(args.constant)
     if args.optimize:
@@ -113,9 +113,12 @@ def cmd_bound(args) -> int:
     else:
         report = engine.bound_at_alpha(observables, args.alpha, constant)
     lines = [_constant_line(constant), f"alpha = {report.alpha!r}"]
+    if args.optimize:
+        lines.append(f"alpha at search-range edge: {'yes' if report.at_range_edge else 'no'}")
     for k, r in enumerate(report.per_operator, start=1):
         lines.append(f"operator {k}: beta* = {r.beta_star:.9f}, M = {r.value:.9f}, "
-                     f"bracket [{r.bracket[0]:g}, {r.bracket[1]:g}]")
+                     f"bracket [{r.bracket[0]:g}, {r.bracket[1]:g}], "
+                     f"{r.modes} mode(s), {r.iterations} iteration(s)")
     lines.append(f"raw bound = {report.raw_bound:.9f}")
     lines.append(f"lower bound = {report.lower_bound:.9f} (clamped: {'yes' if report.clamped else 'no'})")
     run = io.RunReport(command=args.argv, seed=None,
@@ -144,7 +147,7 @@ def cmd_entropic(args) -> int:
             candidates.append(entropic.de_vicente_analytic(c))
     elif mub:
         candidates.append(entropic.wu_mub_bound(len(observables), dim))
-    selected = entropic.best_entropic_constant(observables)
+    selected = entropic.best_entropic_constant(observables, tol.mub)
 
     lines = [f"{len(observables)} observables, dimension {dim}"]
     lines.extend(f"overlap c({i},{j}) = {c:.9f}" for i, j, c in overlaps)
@@ -191,8 +194,8 @@ def cmd_lur(args) -> int:
     if args.u_a is not None and args.u_b is not None:
         report = lur_test(pairs, state, u_a=args.u_a, u_b=args.u_b)
     elif args.auto_constant:
-        c_a = entropic.best_entropic_constant([p.a_side for p in pairs])
-        c_b = entropic.best_entropic_constant([p.b_side for p in pairs])
+        c_a = entropic.best_entropic_constant([p.a_side for p in pairs], tol.mub)
+        c_b = entropic.best_entropic_constant([p.b_side for p in pairs], tol.mub)
         report = lur_test(pairs, state, c_a, c_b, u_a=args.u_a, u_b=args.u_b)
     elif args.c_a is not None and args.c_b is not None:
         report = lur_test(pairs, state, entropic.user_supplied(args.c_a),

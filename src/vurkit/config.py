@@ -23,9 +23,7 @@ class Tolerances:
     trace: float = 1e-10
     density_eigenvalue: float = 1e-9
     distribution_sum: float = 1e-8
-    doubly_stochastic: float = 1e-9
     mub: float = 1e-8
-    alpha_optimum: float = 1e-6
     lur_margin: float = 1e-9
     oracle_agreement: float = 1e-6
 

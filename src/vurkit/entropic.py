@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .config import DEFAULT_TOLERANCES
 from .core import SpectralObservable, is_mub, overlap_stats
 from .errors import DimensionMismatchError, RegimeError
 
@@ -129,13 +130,15 @@ def _greedy_pair_matching(observables: list[SpectralObservable]) -> EntropicCons
     return EntropicConstant(total, ConstantSource.PAIRWISE_MATCHING, digest)
 
 
-def best_entropic_constant(observables) -> EntropicConstant:
+def best_entropic_constant(observables,
+                           mub_tol: float = DEFAULT_TOLERANCES.mub) -> EntropicConstant:
     """Strongest applicable entropy-sum floor for a set of observables.
 
     Two observables: the better of the overlap bound and the analytic
     large-overlap bound (when its regime allows).  More than two: the
-    unbiased-bases floor when the eigenbases are mutually unbiased, otherwise
-    a greedy disjoint pairing scored by the overlap bound.
+    unbiased-bases floor when the eigenbases are mutually unbiased to within
+    ``mub_tol``, otherwise a greedy disjoint pairing scored by the overlap
+    bound.
     """
     obs = list(observables)
     if len(obs) < 2:
@@ -152,6 +155,6 @@ def best_entropic_constant(observables) -> EntropicConstant:
             if analytic.value > best.value:
                 best = analytic
         return best
-    if is_mub(obs):
+    if is_mub(obs, mub_tol):
         return wu_mub_bound(len(obs), n)
     return _greedy_pair_matching(obs)

@@ -177,12 +177,14 @@ def bound_report_payload(report: BoundReport) -> dict:
         "constant": constant_payload(report.constant),
         "per_operator": [
             {"beta_star": float(r.beta_star), "max_value": float(r.value),
-             "bracket": [float(r.bracket[0]), float(r.bracket[1])]}
+             "bracket": [float(r.bracket[0]), float(r.bracket[1])],
+             "iterations": int(r.iterations), "modes": int(r.modes)}
             for r in report.per_operator
         ],
         "raw_bound": float(report.raw_bound),
         "lower_bound": float(report.lower_bound),
         "clamped": bool(report.clamped),
+        "at_range_edge": bool(report.at_range_edge),
     }
 
 

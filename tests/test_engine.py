@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import dense_grid_max
-from vurkit import (InvalidAlphaError, QuantumState, best_entropic_constant,
+from vurkit import (InvalidAlphaError, QuantumState, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose,
                     gaussian_sum, inner_max, maassen_uffink,
                     measurement_distribution, optimize_alpha, overlap_stats,
@@ -25,6 +25,7 @@ INNER_PAULI_0597 = 1.126324340475696        # dense grid, step 2e-6
 BETA_PAULI_0597 = 0.6514825
 EXAMPLE1_BOUND = 1.724314500148838
 EXAMPLE2_BOUND = 0.908368013453724
+OPTIMIZED_PAULI = 1.7243150136795742       # optimize_alpha(pauli3, 2 ln 2)
 
 
 def test_gaussian_sum_examples():
@@ -56,6 +57,16 @@ def test_inner_max_bimodal_case():
     result = inner_max([-1.0, 1.0], 0.597)
     assert result.value == pytest.approx(INNER_PAULI_0597, abs=1e-9)
     assert abs(abs(result.beta_star) - BETA_PAULI_0597) <= 1e-4
+    assert result.modes == 2
+    assert 1 <= result.iterations < 50
+
+
+def test_inner_max_counts_modes():
+    # two modes merge into one as the Gaussians widen (alpha falls below 1/2
+    # for eigenvalues at +-1); well separated eigenvalues each carry a mode
+    assert inner_max([-1.0, 1.0], 0.1).modes == 1
+    assert inner_max([-1.0, 0.0, 1.0], 50.0).modes == 3
+    assert inner_max([0.7, 0.7, 0.7], 5.0).modes == 1
 
 
 def test_inner_max_single_eigenvalue():
@@ -182,6 +193,83 @@ def test_optimize_alpha_qutrit_quadruple():
 def test_optimize_alpha_single_observable_zero_constant():
     report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(0.0))
     assert report.lower_bound == 0.0
+
+
+def test_optimize_alpha_reports_range_edge():
+    assert not optimize_alpha(pauli3(), wu_full_mub(2)).at_range_edge
+    assert not bound_at_alpha(pauli3(), 0.597, wu_full_mub(2)).at_range_edge
+    # one observable with C > 0: the floor grows without bound as alpha -> 0
+    report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(1.0))
+    assert report.at_range_edge
+    assert report.alpha == pytest.approx(1e-3, rel=1e-9)
+
+
+def _scaled(observables, s, t=0.0):
+    return [SpectralObservable(s * o.eigenvalues + t, o.eigenvectors) for o in observables]
+
+
+@pytest.mark.parametrize("scale", [100.0, 0.01])
+def test_optimize_alpha_rescaled_pauli_triple(scale):
+    # a fixed alpha range gave 1386 at x100 and 0 at x0.01
+    report = optimize_alpha(_scaled(pauli3(), scale), wu_full_mub(2))
+    assert report.lower_bound == pytest.approx(scale ** 2 * OPTIMIZED_PAULI, rel=1e-9)
+    assert not report.at_range_edge
+
+
+def test_optimize_alpha_deduplicates_equal_spectra():
+    constant = wu_full_mub(3)
+    observables = qutrit4()
+    # the fixture's middle eigenvalues differ in the last bits, so no two
+    # spectra are deduplicated; an exact copy of one spectrum for all four is
+    report = optimize_alpha(observables, constant)
+    first = observables[0].eigenvalues
+    shared = [SpectralObservable(first.copy(), o.eigenvectors) for o in observables]
+    negzero = first.copy()
+    negzero[1] = -0.0
+    shared[1] = SpectralObservable(negzero, observables[1].eigenvectors)
+    deduped = optimize_alpha(shared, constant)
+    assert deduped.lower_bound == pytest.approx(report.lower_bound, rel=1e-12)
+    again = bound_at_alpha(shared, deduped.alpha, constant)
+    assert again.lower_bound == pytest.approx(deduped.lower_bound, rel=1e-12)
+
+
+def _random_set(spectra, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for evals in spectra:
+        evals = np.sort(np.asarray(evals, dtype=float))
+        basis = eigendecompose(random_hermitian(evals.size, rng)).eigenvectors
+        out.append(SpectralObservable(evals, basis))
+    return out
+
+
+_spectra = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n),
+                       min_size=2, max_size=3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_spectra, st.integers(0, 2**16), st.floats(min_value=1e-2, max_value=1e2))
+def test_optimize_alpha_scale_covariance(spectra, seed, s):
+    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
+    obs = _random_set(spectra, seed)
+    constant = best_entropic_constant(obs)
+    base = optimize_alpha(obs, constant)
+    scaled = optimize_alpha(_scaled(obs, s), constant)
+    assert scaled.raw_bound == pytest.approx(s * s * base.raw_bound, rel=1e-9)
+    assert scaled.lower_bound == pytest.approx(s * s * base.lower_bound, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_spectra, st.integers(0, 2**16), st.floats(min_value=-10.0, max_value=10.0))
+def test_optimize_alpha_shift_invariance(spectra, seed, t):
+    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
+    obs = _random_set(spectra, seed)
+    constant = best_entropic_constant(obs)
+    base = optimize_alpha(obs, constant)
+    shifted = optimize_alpha(_scaled(obs, 1.0, t), constant)
+    assert shifted.raw_bound == pytest.approx(base.raw_bound, rel=1e-9)
+    assert shifted.lower_bound == pytest.approx(base.lower_bound, rel=1e-9)
 
 
 def test_bound_never_exceeds_oracle_minimum():

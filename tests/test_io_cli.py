@@ -122,8 +122,12 @@ def test_cli_bound_auto_constant_json(capsys):
     assert payload["constant"]["source"] == "wu_mub"
     assert payload["constant"]["value"] == pytest.approx(4 * math.log(2), abs=1e-12)
     assert payload["lower_bound"] == pytest.approx(0.908368013, abs=1e-8)
-    assert {"alpha", "constant", "per_operator", "raw_bound", "lower_bound", "clamped"} <= set(payload)
-    assert {"beta_star", "max_value", "bracket"} == set(payload["per_operator"][0])
+    assert {"alpha", "constant", "per_operator", "raw_bound", "lower_bound", "clamped",
+            "at_range_edge"} <= set(payload)
+    assert ({"beta_star", "max_value", "bracket", "iterations", "modes"}
+            == set(payload["per_operator"][0]))
+    assert payload["at_range_edge"] is False
+    assert payload["per_operator"][0]["modes"] == 1
 
 
 def test_cli_bound_zero_constant(capsys):
@@ -138,6 +142,13 @@ def test_cli_bound_optimize(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert 1.7243 <= payload["lower_bound"] <= 2.0
+    assert payload["at_range_edge"] is False
+    assert [r["modes"] for r in payload["per_operator"]] == [2, 2, 2]
+
+    assert main(["bound", "pauli3", "--auto-C", "--optimize"]) == 0
+    out = capsys.readouterr().out
+    assert "alpha at search-range edge: no" in out
+    assert "2 mode(s)" in out and "iteration(s)" in out
 
 
 def test_cli_entropic(capsys):
@@ -152,6 +163,25 @@ def test_cli_entropic(capsys):
     assert main(["entropic", "sigma-z", "sigma-z"]) == 0
     out = capsys.readouterr().out
     assert "selected: C = 0.000000000" in out
+
+
+def test_cli_mub_tolerance_selects_constant(capsys):
+    argv = ["entropic", "sigma-x", "sigma-z", "sigma-z", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["mutually_unbiased"] is False
+    assert payload["selected"]["source"] == "pairwise_matching"
+
+    # sigma-z twice is unbiased to within 1 - 1/sqrt(2) only
+    assert main(argv + ["--tol", "mub=1"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["mutually_unbiased"] is True
+    assert [k["source"] for k in payload["candidates"]] == ["wu_mub"]
+    assert payload["selected"] == payload["candidates"][0]
+
+    assert main(["bound", "sigma-x", "sigma-z", "sigma-z", "--auto-C", "--alpha", "1",
+                 "--tol", "mub=1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["constant"]["source"] == "wu_mub"
 
 
 def test_cli_oracle(capsys):
