@@ -76,7 +76,8 @@ def gaussian_sum(eigenvalues, alpha: float, beta: float) -> float:
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
-    return float(np.exp(-a * (evals - beta) ** 2).sum())
+    with np.errstate(over="ignore"):  # -alpha d^2 = -inf has weight exp(-inf) = 0
+        return float(np.exp(-a * (evals - beta) ** 2).sum())
 
 
 def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
@@ -127,7 +128,7 @@ def _ascend(evals: np.ndarray, alphas: np.ndarray):
                 shift = np.add.reduce(w, axis=1) / s0
                 w *= d
                 # g'' / (2 alpha g) = 2 alpha <d^2>_w - 1
-                curv = 2.0 * a * np.add.reduce(w, axis=1) / s0 - 1.0
+                curv = 2.0 * (a * (np.add.reduce(w, axis=1) / s0)) - 1.0
                 del d, w
                 done = ~(lg - prev > tol)
                 if it == MAX_ASCENT_ITERS:

@@ -67,6 +67,7 @@ def test_inner_max_counts_modes():
     assert inner_max([-1.0, 1.0], 0.1).modes == 1
     assert inner_max([-1.0, 0.0, 1.0], 50.0).modes == 3
     assert inner_max([0.7, 0.7, 0.7], 5.0).modes == 1
+    assert inner_max([-1.0, 1.0], 1e308).modes == 2
 
 
 def test_inner_max_single_eigenvalue():
@@ -219,8 +220,9 @@ def test_optimize_alpha_rescaled_pauli_triple(scale):
 def test_optimize_alpha_deduplicates_equal_spectra():
     constant = wu_full_mub(3)
     observables = qutrit4()
-    # the fixture's middle eigenvalues differ in the last bits, so no two
-    # spectra are deduplicated; an exact copy of one spectrum for all four is
+    # the fixture's middle eigenvalues differ in the last bits, so three of
+    # its four spectra are distinct; one spectrum shared by all four (a -0.0
+    # against 0.0 still counts as equal) is maximized once
     report = optimize_alpha(observables, constant)
     first = observables[0].eigenvalues
     shared = [SpectralObservable(first.copy(), o.eigenvectors) for o in observables]
