@@ -11,8 +11,8 @@ from .engine import (BoundReport, InnerMaxResult, bound_at_alpha, continuous_pai
                      gaussian_sum, inner_max, optimize_alpha, shannon_variance_bound,
                      state_dependent_bound)
 from .entropic import (ConstantSource, EntropicConstant, best_entropic_constant,
-                       de_vicente_analytic, maassen_uffink, user_supplied,
-                       wu_full_mub, wu_mub_bound)
+                       de_vicente_analytic, entropic_candidates, maassen_uffink,
+                       user_supplied, wu_full_mub, wu_mub_bound)
 from .errors import (DimensionMismatchError, FileFormatError, InvalidAlphaError,
                      InvalidStateError, NotHermitianError, RegimeError, VurkitError)
 from .lur import (LocalObservablePair, LurReport, Verdict, lift_sum, lur_test,
@@ -30,9 +30,9 @@ __all__ = [
     "NotHermitianError", "OracleConfig", "OracleResult", "OverlapStats",
     "QuantumState", "RegimeError", "SpectralObservable", "Tolerances", "Verdict",
     "VurkitError", "best_entropic_constant", "bound_at_alpha", "continuous_pair_bound",
-    "de_vicente_analytic", "eigendecompose", "expectation", "gaussian_sum",
-    "inner_max", "is_mub", "lemma_sweep", "lift_sum", "lur_test", "maassen_uffink",
-    "measurement_distribution", "minimize_variance_sum", "optimize_alpha",
+    "de_vicente_analytic", "eigendecompose", "entropic_candidates", "expectation",
+    "gaussian_sum", "inner_max", "is_mub", "lemma_sweep", "lift_sum", "lur_test",
+    "maassen_uffink", "measurement_distribution", "minimize_variance_sum", "optimize_alpha",
     "overlap_stats", "random_hermitian", "robertson_bound", "sample_random_pure",
     "sample_random_separable", "shannon_entropy", "shannon_variance_bound",
     "state_dependent_bound", "user_supplied", "validate_hermitian", "variance",

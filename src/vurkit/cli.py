@@ -139,14 +139,7 @@ def cmd_entropic(args) -> int:
         for j in range(i + 1, len(observables)):
             overlaps.append((i + 1, j + 1, overlap_stats(observables[i], observables[j]).c))
     mub = is_mub(observables, tol.mub)
-    candidates = []
-    if len(observables) == 2:
-        c = min(overlaps[0][2], 1.0)
-        candidates.append(entropic.maassen_uffink(c))
-        if c >= entropic.DE_VICENTE_DEFAULT_MIN_C:
-            candidates.append(entropic.de_vicente_analytic(c))
-    elif mub:
-        candidates.append(entropic.wu_mub_bound(len(observables), dim))
+    candidates = entropic.entropic_candidates(observables, tol.mub)
     selected = entropic.best_entropic_constant(observables, tol.mub)
 
     lines = [f"{len(observables)} observables, dimension {dim}"]
@@ -171,11 +164,13 @@ def cmd_oracle(args) -> int:
     observables = _resolve_observables(args.observables, tol)
     _require_equal_dims(observables)
     config = OracleConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    result = minimize_variance_sum(observables, config)
+    result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)
     amplitudes = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in result.argmin_state.vector)
     lines = [
         f"minimum variance sum = {result.minimum:.9f}",
         f"restarts agreeing = {result.restarts_agreeing}/{config.restarts}",
+        "restart stops: " + ", ".join(f"{n} {reason}" for reason, n in result.stops.items()),
+        f"iterations (slowest restart) = {result.iterations}",
         f"argmin state = [{amplitudes}]",
         f"seed = {config.seed}",
     ]
@@ -192,16 +187,15 @@ def cmd_lur(args) -> int:
     state = _resolve_state(args.state, tol)
     pairs = _resolve_pairs(args.pairs, tol)
     if args.u_a is not None and args.u_b is not None:
-        report = lur_test(pairs, state, u_a=args.u_a, u_b=args.u_b)
+        c_a = c_b = None
     elif args.auto_constant:
         c_a = entropic.best_entropic_constant([p.a_side for p in pairs], tol.mub)
         c_b = entropic.best_entropic_constant([p.b_side for p in pairs], tol.mub)
-        report = lur_test(pairs, state, c_a, c_b, u_a=args.u_a, u_b=args.u_b)
     elif args.c_a is not None and args.c_b is not None:
-        report = lur_test(pairs, state, entropic.user_supplied(args.c_a),
-                          entropic.user_supplied(args.c_b), u_a=args.u_a, u_b=args.u_b)
+        c_a, c_b = entropic.user_supplied(args.c_a), entropic.user_supplied(args.c_b)
     else:
         raise FileFormatError("lur needs --auto-C, or --C-a and --C-b, or --u-a and --u-b")
+    report = lur_test(pairs, state, c_a, c_b, u_a=args.u_a, u_b=args.u_b, margin_tol=tol.lur_margin)
     lines = [
         f"lhs (variance sum of lifted pairs) = {report.lhs:.9f}",
         f"U_A = {report.u_a:.9f}",
@@ -232,6 +226,7 @@ def cmd_continuous(args) -> int:
 
 def cmd_demo(args) -> int:
     """Run the built-in showcases end to end with one seed."""
+    tol = _parse_tolerances(args)
     two_ln2 = entropic.wu_full_mub(2)
     four_ln2 = entropic.wu_full_mub(3)
     pauli = fixtures.pauli3()
@@ -243,8 +238,8 @@ def cmd_demo(args) -> int:
     qutrit_opt = engine.optimize_alpha(qutrit, four_ln2)
 
     config = OracleConfig(restarts=args.restarts, seed=args.seed)
-    pauli_min = minimize_variance_sum(pauli, config)
-    qutrit_min = minimize_variance_sum(qutrit, config)
+    pauli_min = minimize_variance_sum(pauli, config, agreement_tol=tol.oracle_agreement)
+    qutrit_min = minimize_variance_sum(qutrit, config, agreement_tol=tol.oracle_agreement)
 
     c_cont = 1.0 + math.log(math.pi)
     alpha_star, cont_auto = engine.continuous_pair_bound(c_cont)
@@ -252,7 +247,8 @@ def cmd_demo(args) -> int:
 
     pairs = fixtures.pauli_pairs()
     u = pauli_opt.lower_bound
-    lur_reports = {name: lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u)
+    lur_reports = {name: lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u,
+                                  margin_tol=tol.lur_margin)
                    for name in ("singlet", "ket00", "mixed2")}
 
     lines = [

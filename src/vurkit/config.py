@@ -1,8 +1,7 @@
-"""Central tolerance record and thread configuration."""
+"""Central tolerance record."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 TOOL_VERSION = "0.1.0"
@@ -22,7 +21,6 @@ class Tolerances:
     unit_norm: float = 1e-10
     trace: float = 1e-10
     density_eigenvalue: float = 1e-9
-    distribution_sum: float = 1e-8
     mub: float = 1e-8
     lur_margin: float = 1e-9
     oracle_agreement: float = 1e-6
@@ -38,16 +36,3 @@ def with_overrides(base: Tolerances, overrides: dict[str, float]) -> Tolerances:
         raise ValueError(f"unknown tolerance name(s): {', '.join(unknown)}")
     return replace(base, **{k: float(v) for k, v in overrides.items()})
 
-
-def thread_count() -> int:
-    """Worker cap from the VURKIT_THREADS environment variable (0 or unset = auto)."""
-    raw = os.environ.get("VURKIT_THREADS", "0").strip() or "0"
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"VURKIT_THREADS must be a nonnegative integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"VURKIT_THREADS must be a nonnegative integer, got {raw!r}")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value

@@ -15,6 +15,9 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, InvalidStateError, NotHermitianError
 
+# how far a probability vector handed to shannon_entropy may sum away from 1
+_DISTRIBUTION_SUM_TOL = 1e-8
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -215,7 +218,7 @@ def shannon_entropy(p) -> float:
     if np.any(arr < 0):
         raise ValueError(f"probabilities must be nonnegative, got min {arr.min()!r}")
     total = float(arr.sum())
-    if abs(total - 1.0) > DEFAULT_TOLERANCES.distribution_sum:
+    if abs(total - 1.0) > _DISTRIBUTION_SUM_TOL:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
     positive = arr[arr > 0]
     return max(0.0, float(-(positive * np.log(positive)).sum()))

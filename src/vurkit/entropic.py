@@ -130,15 +130,14 @@ def _greedy_pair_matching(observables: list[SpectralObservable]) -> EntropicCons
     return EntropicConstant(total, ConstantSource.PAIRWISE_MATCHING, digest)
 
 
-def best_entropic_constant(observables,
-                           mub_tol: float = DEFAULT_TOLERANCES.mub) -> EntropicConstant:
-    """Strongest applicable entropy-sum floor for a set of observables.
+def entropic_candidates(observables,
+                        mub_tol: float = DEFAULT_TOLERANCES.mub) -> list[EntropicConstant]:
+    """Every entropy-sum floor the selector weighs for a set of observables.
 
-    Two observables: the better of the overlap bound and the analytic
-    large-overlap bound (when its regime allows).  More than two: the
-    unbiased-bases floor when the eigenbases are mutually unbiased to within
-    ``mub_tol``, otherwise a greedy disjoint pairing scored by the overlap
-    bound.
+    Two observables: the overlap bound, then the analytic large-overlap bound
+    when its regime allows.  More than two: the unbiased-bases floor when the
+    eigenbases are mutually unbiased to within ``mub_tol``, otherwise a greedy
+    disjoint pairing scored by the overlap bound.
     """
     obs = list(observables)
     if len(obs) < 2:
@@ -146,15 +145,17 @@ def best_entropic_constant(observables,
     for o in obs[1:]:
         if o.dim != obs[0].dim:
             raise DimensionMismatchError(f"observables have mismatched dimensions {obs[0].dim} and {o.dim}")
-    n = obs[0].dim
     if len(obs) == 2:
         c = min(overlap_stats(obs[0], obs[1]).c, 1.0)
-        best = maassen_uffink(c)
         if c >= DE_VICENTE_DEFAULT_MIN_C:
-            analytic = de_vicente_analytic(c)
-            if analytic.value > best.value:
-                best = analytic
-        return best
+            return [maassen_uffink(c), de_vicente_analytic(c)]
+        return [maassen_uffink(c)]
     if is_mub(obs, mub_tol):
-        return wu_mub_bound(len(obs), n)
-    return _greedy_pair_matching(obs)
+        return [wu_mub_bound(len(obs), obs[0].dim)]
+    return [_greedy_pair_matching(obs)]
+
+
+def best_entropic_constant(observables,
+                           mub_tol: float = DEFAULT_TOLERANCES.mub) -> EntropicConstant:
+    """Strongest of ``entropic_candidates``, the first one on ties."""
+    return max(entropic_candidates(observables, mub_tol), key=lambda k: k.value)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QuantumState, SpectralObservable, eigendecompose, is_mub, validate_hermitian
+from .core import QuantumState, SpectralObservable, eigendecompose
 from .lur import LocalObservablePair
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -13,8 +13,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _QUTRIT_DIAG = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex)
 
-# Integer multiples of pi collapse to exact signs, so the first cyclic matrix
-# is (i/sqrt 3) times an integer antisymmetric pattern.
+# The first cyclic matrix has integer multiples of pi for phases, which
+# collapse to exact signs: (i/sqrt 3) times an integer antisymmetric pattern.
+# (Reading its phases as pi/3 multiples, like the other two, gives a matrix
+# that is not Hermitian.)
 _QUTRIT_CYCLIC_INT = (1j / np.sqrt(3.0)) * np.array(
     [[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=complex)
 
@@ -28,41 +30,21 @@ def _cyclic_phase_matrix(prefactor_angle: float, unit_angle: float) -> np.ndarra
     return (np.exp(1j * prefactor_angle) / np.sqrt(3.0)) * mat
 
 
-def qutrit4_matrices(reading: str = "literal") -> list[np.ndarray]:
-    """The four 3x3 matrices of the built-in qutrit set.
-
-    ``literal`` uses integer-pi phases for the first cyclic matrix (exact
-    signs); ``third-pi`` replaces them by pi/3 multiples to match the pattern
-    of the other two cyclic matrices.  The third-pi variant turns out to be
-    non-Hermitian, which is why ``qutrit4`` selects literal at runtime.
-    """
+def qutrit4_matrices() -> list[np.ndarray]:
+    """The four 3x3 matrices of the built-in qutrit set: a diagonal matrix and
+    three cyclic phase matrices with mutually unbiased eigenbases."""
     pi = np.pi
-    if reading == "literal":
-        first_cyclic = _QUTRIT_CYCLIC_INT
-    elif reading == "third-pi":
-        first_cyclic = _cyclic_phase_matrix(pi / 2, pi / 3)
-    else:
-        raise ValueError(f"unknown reading {reading!r}; expected 'literal' or 'third-pi'")
     return [
         _QUTRIT_DIAG.copy(),
-        first_cyclic.copy(),
+        _QUTRIT_CYCLIC_INT.copy(),
         _cyclic_phase_matrix(pi / 6, pi / 3),
         _cyclic_phase_matrix(-pi / 6, -pi / 3),
     ]
 
 
-def qutrit4(reading: str | None = None) -> list[SpectralObservable]:
-    """The built-in qutrit quadruple, asserting the mutually-unbiased property
-    on whichever phase reading is selected."""
-    candidates = [reading] if reading is not None else ["literal", "third-pi"]
-    for r in candidates:
-        mats = qutrit4_matrices(r)
-        if not all(validate_hermitian(m) for m in mats):
-            continue
-        obs = [eigendecompose(m) for m in mats]
-        if is_mub(obs):
-            return obs
-    raise ValueError("no qutrit phase reading yields Hermitian matrices with mutually unbiased eigenbases")
+def qutrit4() -> list[SpectralObservable]:
+    """The built-in qutrit quadruple."""
+    return [eigendecompose(m) for m in qutrit4_matrices()]
 
 
 def pauli3() -> list[SpectralObservable]:
@@ -96,7 +78,6 @@ def pauli_pairs() -> list[LocalObservablePair]:
 OBSERVABLE_SETS = {
     "pauli3": pauli3,
     "qutrit4": qutrit4,
-    "qutrit4-literal": lambda: qutrit4("literal"),
 }
 
 SINGLE_OBSERVABLES = {

@@ -193,6 +193,8 @@ def oracle_result_payload(result: OracleResult, restarts: int) -> dict:
         "minimum": float(result.minimum),
         "restarts": int(restarts),
         "restarts_agreeing": int(result.restarts_agreeing),
+        "stops": {reason: int(n) for reason, n in result.stops.items()},
+        "iterations": int(result.iterations),
         "argmin_state": serialize_state(result.argmin_state),
     }
 

@@ -63,12 +63,14 @@ class LurReport:
 
 def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
              c_b: EntropicConstant | None = None, *,
-             u_a: float | None = None, u_b: float | None = None) -> LurReport:
+             u_a: float | None = None, u_b: float | None = None,
+             margin_tol: float = DEFAULT_TOLERANCES.lur_margin) -> LurReport:
     """Evaluate the separability inequality on a bipartite state.
 
     U_A and U_B default to the alpha-optimized variance floors of the local
     observable sets; pass ``u_a``/``u_b`` to supply precomputed or
     hand-derived values instead (the entropy constants are then unused).
+    The verdict is Entangled when the margin is below ``-margin_tol``.
     """
     pair_list = list(pairs)
     if not pair_list:
@@ -91,7 +93,7 @@ def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
         u_b = optimize_alpha([p.b_side for p in pair_list], c_b).lower_bound
     lhs = sum(variance(lift_sum(p), rho) for p in pair_list)
     margin = lhs - (u_a + u_b)
-    verdict = Verdict.ENTANGLED if margin < -DEFAULT_TOLERANCES.lur_margin else Verdict.NOT_DETECTED
+    verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED
     return LurReport(lhs=lhs, u_a=float(u_a), u_b=float(u_b), margin=margin, verdict=verdict)
 
 

@@ -2,18 +2,17 @@
 randomized sweeps that back the property suites.
 
 All sampling goes through per-task seed streams derived from one root seed,
-so results are bit-identical at any parallelism degree.
+so a seed fixes every start point and every result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, thread_count
+from .config import DEFAULT_TOLERANCES
 from .core import (QuantumState, SpectralObservable, eigendecompose,
                    measurement_distribution, phase_fix_columns, shannon_entropy, variance)
 from .engine import gaussian_sum
@@ -23,18 +22,21 @@ from .errors import DimensionMismatchError
 # and backtracking finds the interior step instead
 _ARMIJO = 0.25
 _GRAD_TOL = 1e-12
+_STEP_TOL = 1e-12
+
+# why a restart stopped, in the order of OracleResult.stops
+STOP_REASONS = ("gradient", "step_underflow", "max_iters")
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 64
     max_iters: int = 2000
-    step_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.step_tol <= 0:
-            raise ValueError("restarts, max_iters, and step_tol must be positive")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class OracleResult:
     minimum: float
     argmin_state: QuantumState
     restarts_agreeing: int
+    stops: dict[str, int]
+    iterations: int
 
 
 def sample_random_pure(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -61,35 +65,28 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (z + z.conj().T)
 
 
-def _operator_matrices(observables) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    mats, squares = [], []
-    for o in observables:
-        v = o.eigenvectors
-        mats.append((v * o.eigenvalues) @ v.conj().T)
-        squares.append((v * o.eigenvalues ** 2) @ v.conj().T)
-    return mats, squares
+def _operator_matrices(observables) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n, n) stacks of the observables and of their squares."""
+    v = np.stack([o.eigenvectors for o in observables])
+    lam = np.stack([o.eigenvalues for o in observables])[:, None, :]
+    vh = v.conj().transpose(0, 2, 1)
+    return (v * lam) @ vh, (v * lam ** 2) @ vh
 
 
-def _ambient_value(mats, squares, x: np.ndarray) -> float:
-    nsq = float(np.real(np.vdot(x, x)))
-    total = 0.0
-    for m, s in zip(mats, squares):
-        e = float(np.real(np.vdot(x, m @ x))) / nsq
-        total += float(np.real(np.vdot(x, s @ x))) / nsq - e * e
-    return total
-
-
-def _ambient_grad(mats, squares, x: np.ndarray) -> np.ndarray:
-    """Wirtinger derivative d/d(conj x) of the normalized variance sum."""
-    nsq = float(np.real(np.vdot(x, x)))
-    g = np.zeros_like(x)
-    for m, s in zip(mats, squares):
-        mx = m @ x
-        sx = s @ x
-        e = float(np.real(np.vdot(x, mx))) / nsq
-        sv = float(np.real(np.vdot(x, sx))) / nsq
-        g += (sx - sv * x - 2.0 * e * (mx - e * x)) / nsq
-    return g
+def _evaluate(mats, squares, x: np.ndarray, grad: bool = False):
+    """Normalized variance sum of each row of the (R, n) block ``x`` and, with
+    ``grad``, its Wirtinger derivative d/d(conj x), row by row."""
+    nsq = np.einsum("ri,ri->r", x.conj(), x).real
+    mx = np.einsum("kij,rj->kri", mats, x)
+    sx = np.einsum("kij,rj->kri", squares, x)
+    e = np.einsum("ri,kri->kr", x.conj(), mx).real / nsq
+    sv = np.einsum("ri,kri->kr", x.conj(), sx).real / nsq
+    value = (sv - e * e).sum(axis=0)
+    if not grad:
+        return value
+    e, sv = e[..., None], sv[..., None]
+    g = (sx - sv * x - 2.0 * e * (mx - e * x)).sum(axis=0) / nsq[:, None]
+    return value, g
 
 
 def variance_sum(observables, state: QuantumState) -> float:
@@ -99,52 +96,72 @@ def variance_sum(observables, state: QuantumState) -> float:
 
 def ambient_variance_sum(observables, x) -> float:
     """Variance sum of the normalized version of an arbitrary nonzero vector."""
-    mats, squares = _operator_matrices(observables)
-    return _ambient_value(mats, squares, np.asarray(x, dtype=complex))
+    x = np.asarray(x, dtype=complex)[None, :]
+    return float(_evaluate(*_operator_matrices(observables), x)[0])
 
 
 def ambient_variance_sum_gradient(observables, x) -> np.ndarray:
     """Gradient of ``ambient_variance_sum`` with respect to the stacked
     (real, imaginary) coordinates of the vector."""
-    mats, squares = _operator_matrices(observables)
-    g = _ambient_grad(mats, squares, np.asarray(x, dtype=complex))
+    x = np.asarray(x, dtype=complex)[None, :]
+    g = _evaluate(*_operator_matrices(observables), x, grad=True)[1][0]
     return np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
 
-def _descend(mats, squares, x0: np.ndarray, max_iters: int, step_tol: float) -> tuple[float, np.ndarray]:
-    """Projected gradient descent on the unit sphere with backtracking;
-    the objective never increases on an accepted step."""
-    x = x0 / np.linalg.norm(x0)
-    f = _ambient_value(mats, squares, x)
-    step = 0.5
-    for _ in range(max_iters):
-        g = _ambient_grad(mats, squares, x)
-        g = g - x * np.real(np.vdot(x, g))
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= _GRAD_TOL:
-            break
-        accepted = False
-        while step >= step_tol:
-            cand = x - step * g
-            cand /= np.linalg.norm(cand)
-            fc = _ambient_value(mats, squares, cand)
-            if fc <= f - _ARMIJO * step * gnorm * gnorm:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        x, f = cand, fc
-        step = min(2.0 * step, 1.0)
-    return f, x
+def _descend(mats, squares, x0: np.ndarray, max_iters: int):
+    """Projected gradient descent on the unit sphere for every row of ``x0`` at
+    once, each row with its own step size and Armijo backtracking; no row's
+    objective increases on an accepted step.
+
+    A row leaves the block when its projected gradient norm is at most
+    ``_GRAD_TOL``, when its step falls below ``_STEP_TOL`` without an
+    accepted step, or after ``max_iters`` accepted steps.  Returns the final
+    values, the final unit rows, each row's index into ``STOP_REASONS`` and
+    its number of accepted steps.
+    """
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    f = _evaluate(mats, squares, x)
+    step = np.full(len(x), 0.5)
+    iters = np.zeros(len(x), dtype=int)
+    stop = np.full(len(x), STOP_REASONS.index("max_iters"))
+    live = np.arange(len(x))
+    while live.size:
+        xl = x[live]
+        g = _evaluate(mats, squares, xl, grad=True)[1]
+        g -= xl * np.einsum("ri,ri->r", xl.conj(), g).real[:, None]
+        gnorm = np.linalg.norm(g, axis=1)
+        flat = gnorm <= _GRAD_TOL
+        stop[live[flat]] = STOP_REASONS.index("gradient")
+        moved = np.zeros(len(x), dtype=bool)
+        trial = np.flatnonzero(~flat)
+        while trial.size:
+            rows = live[trial]
+            cand = x[rows] - step[rows, None] * g[trial]
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            fc = _evaluate(mats, squares, cand)
+            ok = fc <= f[rows] - _ARMIJO * step[rows] * gnorm[trial] * gnorm[trial]
+            x[rows[ok]], f[rows[ok]] = cand[ok], fc[ok]
+            moved[rows[ok]] = True
+            rejected = rows[~ok]
+            step[rejected] *= 0.5
+            underflow = step[rejected] < _STEP_TOL
+            stop[rejected[underflow]] = STOP_REASONS.index("step_underflow")
+            trial = trial[~ok][~underflow]
+        live = live[moved[live]]
+        iters[live] += 1
+        step[live] = np.minimum(2.0 * step[live], 1.0)
+        live = live[iters[live] < max_iters]
+    return f, x, stop, iters
 
 
-def minimize_variance_sum(observables, config: OracleConfig = OracleConfig()) -> OracleResult:
+def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
+                          agreement_tol: float = DEFAULT_TOLERANCES.oracle_agreement) -> OracleResult:
     """Minimum of the variance sum over pure states by multi-start descent.
 
-    Restarts are independent tasks on derived seed streams, merged by minimum
-    with the lowest restart index breaking ties, so the result is reproducible
-    at any thread count.
+    Every restart starts from its own derived seed stream, and all restarts
+    descend together as one block; the minimum goes to the lowest restart
+    index on ties, so the result is reproducible.  Restarts ending within
+    ``agreement_tol`` of the minimum count as agreeing.
     """
     obs = list(observables)
     if not obs:
@@ -153,26 +170,19 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig()) ->
         if o.dim != obs[0].dim:
             raise DimensionMismatchError(f"observables have mismatched dimensions {obs[0].dim} and {o.dim}")
     dim = obs[0].dim
-    mats, squares = _operator_matrices(obs)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
+    x0 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
+    f, x, stop, iters = _descend(*_operator_matrices(obs), x0, config.max_iters)
 
-    def run(seed_seq) -> tuple[float, np.ndarray]:
-        rng = np.random.default_rng(seed_seq)
-        x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return _descend(mats, squares, x0, config.max_iters, config.step_tol)
-
-    workers = thread_count()
-    if workers > 1 and config.restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
-
-    best = min(range(len(results)), key=lambda i: (results[i][0], i))
-    minimum, xbest = results[best]
-    agreeing = sum(1 for f, _ in results if f <= minimum + DEFAULT_TOLERANCES.oracle_agreement)
-    argmin = QuantumState.pure(phase_fix_columns(xbest[:, None])[:, 0])
-    return OracleResult(minimum=minimum, argmin_state=argmin, restarts_agreeing=agreeing)
+    best = int(np.argmin(f))
+    minimum = float(f[best])
+    counts = np.bincount(stop, minlength=len(STOP_REASONS))
+    return OracleResult(
+        minimum=minimum,
+        argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]),
+        restarts_agreeing=int(np.count_nonzero(f <= minimum + agreement_tol)),
+        stops={reason: int(c) for reason, c in zip(STOP_REASONS, counts)},
+        iterations=int(iters.max()))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ MIXED_QUBIT = QuantumState.density(np.eye(2) / 2)
 def test_validate_hermitian_examples():
     assert validate_hermitian(PAULI_Z)
     assert not validate_hermitian(np.array([[0, 1j], [1j, 0]]))
-    assert validate_hermitian(qutrit4_matrices("literal")[1])
+    assert validate_hermitian(qutrit4_matrices()[1])
 
 
 def test_validate_hermitian_rejects_nonsquare():
@@ -28,9 +28,13 @@ def test_validate_hermitian_rejects_nonsquare():
 
 
 def test_third_pi_reading_of_first_cyclic_matrix_is_not_hermitian():
-    # the alternate phase reading fails Hermiticity outright, which is why the
-    # fixture loader always lands on the literal reading
-    assert not validate_hermitian(qutrit4_matrices("third-pi")[1])
+    # reading the first cyclic matrix's phases as pi/3 multiples, like those of
+    # the other two, fails Hermiticity outright; the fixture uses pi multiples
+    def e(k):
+        return np.exp(1j * k * np.pi / 3)
+
+    third_pi = (1j / math.sqrt(3.0)) * np.array([[0, e(5), e(4)], [1, 0, e(3)], [e(1), e(2), 0]])
+    assert not validate_hermitian(third_pi)
 
 
 def test_eigendecompose_diagonal():
@@ -48,7 +52,7 @@ def test_eigendecompose_sigma_x():
 
 
 def test_eigendecompose_qutrit_cyclic():
-    obs = eigendecompose(qutrit4_matrices("literal")[1])
+    obs = eigendecompose(qutrit4_matrices()[1])
     assert np.allclose(obs.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-10)
 
 

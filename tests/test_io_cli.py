@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from vurkit import (FileFormatError, InvalidStateError, eigendecompose)
+from vurkit import FileFormatError, InvalidStateError, Tolerances, eigendecompose
 from vurkit.cli import main
 from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
                              qutrit4, singlet)
 from vurkit.io import (load_observable, parse_observable, parse_state,
                        serialize_observable, serialize_state)
+from vurkit.oracle import random_hermitian
 
 
 def _matrix_doc(m):
     return {"matrix": [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]}
+
+
+def _density_doc(rho):
+    return {"density": [[[z.real, z.imag] for z in row] for row in np.asarray(rho, complex)]}
 
 
 # --- documents ---------------------------------------------------------------
@@ -184,6 +189,15 @@ def test_cli_mub_tolerance_selects_constant(capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["constant"]["source"] == "wu_mub"
 
 
+@pytest.mark.parametrize("observables", [
+    ["sigma-z", "sigma-x"], ["sigma-z", "sigma-z"], ["pauli3"], ["qutrit4"],
+    ["sigma-z", "sigma-x", "sigma-z"], ["sigma-x", "sigma-z", "sigma-z", "--tol", "mub=1"]])
+def test_cli_entropic_lists_the_selected_candidate(capsys, observables):
+    assert main(["entropic", *observables, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["selected"] in payload["candidates"]
+
+
 def test_cli_oracle(capsys):
     code = main(["oracle", "pauli3", "--restarts", "8", "--seed", "0", "--json"])
     assert code == 0
@@ -191,7 +205,14 @@ def test_cli_oracle(capsys):
     assert doc["seed"] == 0
     assert doc["payload"]["minimum"] == pytest.approx(2.0, abs=1e-6)
     assert doc["payload"]["restarts_agreeing"] == 8
+    assert doc["payload"]["stops"] == {"gradient": 8, "step_underflow": 0, "max_iters": 0}
+    assert doc["payload"]["iterations"] == 0
     assert "pure" in doc["payload"]["argmin_state"]
+
+    assert main(["oracle", "qutrit4", "--restarts", "4", "--max-iters", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "restart stops: 0 gradient, 0 step_underflow, 4 max_iters" in out
+    assert "iterations (slowest restart) = 5" in out
 
 
 def test_cli_lur_fixture_state(capsys):
@@ -294,6 +315,58 @@ def test_cli_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bound", str(path), "--C", "1", "--alpha", "1",
                  "--tol", "bogus=1"]) == 2
+
+
+def _tolerance_cases(tmp_path):
+    """For each tolerance: an input file, a command reading it, and a value of
+    the tolerance extreme enough to change that command's outcome."""
+    near_x = np.array(PAULI_X, dtype=complex)
+    near_x[0, 1] += 1e-7
+    skewed = serialize_observable(eigendecompose(PAULI_X))
+    skewed["spectral"]["eigenvectors"][0][0][0] += 1e-7
+    generic = random_hermitian(3, np.random.default_rng(7))
+    docs = {
+        "near_x": _matrix_doc(near_x),
+        "skewed": skewed,
+        "generic": _matrix_doc(generic),
+        "long": {"pure": [[1.0 + 1e-7, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        "heavy": _density_doc(np.diag([0.5 + 1e-7, 0.5, 0.0, 0.0])),
+        "negative": _density_doc(np.diag([1.0 + 1e-7, -1e-7, 0.0, 0.0])),
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    def bound(name):
+        return ["bound", str(tmp_path / f"{name}.json"), "--C", "1", "--alpha", "1", "--json"]
+
+    def lur(name):
+        return ["lur", "--state", str(tmp_path / f"{name}.json"), "--pairs", "pauli-pairs",
+                "--u-a", "1", "--u-b", "1", "--json"]
+
+    return {
+        "hermiticity": (bound("near_x"), 1e-3),
+        "orthonormality": (bound("skewed"), 1e-3),
+        "reconstruction": (bound("generic"), 0.0),
+        "unit_norm": (lur("long"), 1e-3),
+        "trace": (lur("heavy"), 1e-3),
+        "density_eigenvalue": (lur("negative"), 1e-3),
+        "mub": (["entropic", "sigma-x", "sigma-z", "sigma-z", "--json"], 1.0),
+        "lur_margin": (["lur", "--state", "singlet", "--pairs", "pauli-pairs",
+                        "--u-a", "1e-3", "--u-b", "1e-3", "--json"], 1.0),
+        "oracle_agreement": (["oracle", "qutrit4", "--restarts", "16", "--json"], 10.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(Tolerances.__dataclass_fields__))
+def test_cli_every_tolerance_takes_effect(tmp_path, capsys, name):
+    argv, value = _tolerance_cases(tmp_path)[name]
+
+    def outcome(args):
+        code = main(args)
+        out = capsys.readouterr().out
+        return code, json.loads(out)["payload"] if out else None
+
+    assert outcome(argv) != outcome(argv + ["--tol", f"{name}={value!r}"])
 
 
 def test_cli_json_repeatable_in_process(capsys):
