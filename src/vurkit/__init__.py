@@ -15,8 +15,7 @@ from .entropic import (ConstantSource, EntropicConstant, best_entropic_constant,
                        user_supplied, wu_full_mub, wu_mub_bound)
 from .errors import (DimensionMismatchError, FileFormatError, InvalidAlphaError,
                      InvalidStateError, NotHermitianError, RegimeError, VurkitError)
-from .lur import (LocalObservablePair, LurReport, Verdict, lift_sum, lur_test,
-                  sample_random_separable)
+from .lur import LocalObservablePair, LurReport, Verdict, lur_test, sample_random_separable
 from .oracle import (LemmaSweepReport, OracleConfig, OracleResult, lemma_sweep,
                      minimize_variance_sum, random_hermitian, sample_random_pure,
                      variance_sum)
@@ -31,7 +30,7 @@ __all__ = [
     "QuantumState", "RegimeError", "SpectralObservable", "Tolerances", "Verdict",
     "VurkitError", "best_entropic_constant", "bound_at_alpha", "continuous_pair_bound",
     "de_vicente_analytic", "eigendecompose", "entropic_candidates", "expectation",
-    "gaussian_sum", "inner_max", "is_mub", "lemma_sweep", "lift_sum", "lur_test",
+    "gaussian_sum", "inner_max", "is_mub", "lemma_sweep", "lur_test",
     "maassen_uffink", "measurement_distribution", "minimize_variance_sum", "optimize_alpha",
     "overlap_stats", "random_hermitian", "robertson_bound", "sample_random_pure",
     "sample_random_separable", "shannon_entropy", "shannon_variance_bound",

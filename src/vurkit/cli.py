@@ -197,7 +197,8 @@ def cmd_lur(args) -> int:
         raise FileFormatError("lur needs --auto-C, or --C-a and --C-b, or --u-a and --u-b")
     report = lur_test(pairs, state, c_a, c_b, u_a=args.u_a, u_b=args.u_b, margin_tol=tol.lur_margin)
     lines = [
-        f"lhs (variance sum of lifted pairs) = {report.lhs:.9f}",
+        f"lhs (variance sum of the pair operators) = {report.lhs:.9f}",
+        *(f"pair {k}: variance = {v:.9f}" for k, v in enumerate(report.pair_variances, start=1)),
         f"U_A = {report.u_a:.9f}",
         f"U_B = {report.u_b:.9f}",
         f"margin = {report.margin:.9f}",

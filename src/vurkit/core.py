@@ -109,10 +109,6 @@ class SpectralObservable:
         gram = self.eigenvectors.conj().T @ self.eigenvectors
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
-    @classmethod
-    def from_matrix(cls, m, tol: Tolerances = DEFAULT_TOLERANCES) -> "SpectralObservable":
-        return eigendecompose(m, tol)
-
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
     """Spectral decomposition of a Hermitian matrix with ascending eigenvalues

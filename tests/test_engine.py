@@ -12,7 +12,7 @@ from vurkit import (InvalidAlphaError, QuantumState, SpectralObservable, best_en
                     measurement_distribution, optimize_alpha, overlap_stats,
                     shannon_entropy, shannon_variance_bound, state_dependent_bound,
                     user_supplied, variance, wu_full_mub)
-from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3, qutrit4
+from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
 
@@ -219,16 +219,16 @@ def test_optimize_alpha_rescaled_pauli_triple(scale):
 
 def test_optimize_alpha_deduplicates_equal_spectra():
     constant = wu_full_mub(3)
-    observables = qutrit4()
-    # the fixture's middle eigenvalues differ in the last bits, so three of
-    # its four spectra are distinct; one spectrum shared by all four (a -0.0
-    # against 0.0 still counts as equal) is maximized once
+    # the solver's middle eigenvalues differ in the last bits, so three of
+    # these four spectra are distinct; the fixture's one exact spectrum,
+    # shared by all four (a -0.0 against 0.0 still counts as equal), is
+    # maximized once
+    observables = [eigendecompose(m) for m in qutrit4_matrices()]
     report = optimize_alpha(observables, constant)
-    first = observables[0].eigenvalues
-    shared = [SpectralObservable(first.copy(), o.eigenvectors) for o in observables]
-    negzero = first.copy()
+    shared = qutrit4()
+    negzero = shared[1].eigenvalues.copy()
     negzero[1] = -0.0
-    shared[1] = SpectralObservable(negzero, observables[1].eigenvectors)
+    shared[1] = SpectralObservable(negzero, shared[1].eigenvectors)
     deduped = optimize_alpha(shared, constant)
     assert deduped.lower_bound == pytest.approx(report.lower_bound, rel=1e-12)
     again = bound_at_alpha(shared, deduped.alpha, constant)

@@ -220,12 +220,15 @@ def test_cli_lur_fixture_state(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict: Entangled" in out
+    assert "lhs (variance sum of the pair operators) = 0.000000000" in out
+    assert "pair 3: variance = 0.000000000" in out
 
     code = main(["lur", "--state", "ket00", "--pairs", "pauli-pairs", "--auto-C", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"]["verdict"] == "NotDetected"
     assert doc["payload"]["lhs"] == pytest.approx(4.0, abs=1e-9)
+    assert doc["payload"]["pair_variances"] == pytest.approx([2.0, 2.0, 0.0], abs=1e-12)
 
 
 def test_cli_lur_explicit_floors(capsys):

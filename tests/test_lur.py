@@ -1,50 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import moment_expectation, moment_variance
+from reference import moment_variance
 from vurkit import (DimensionMismatchError, LocalObservablePair, QuantumState,
-                    Verdict, eigendecompose, lift_sum, lur_test,
-                    sample_random_separable, variance, wu_full_mub)
-from vurkit.fixtures import (PAULI_X, PAULI_Z, ket00, maximally_mixed,
-                             pauli_pairs, singlet)
+                    Verdict, eigendecompose, lur_test, sample_random_separable,
+                    wu_full_mub)
+from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli_pairs, singlet
 from vurkit.oracle import random_hermitian, sample_random_pure
 
 
-def test_lift_sum_spectrum_same_observable():
-    sz = eigendecompose(PAULI_Z)
-    lifted = lift_sum(LocalObservablePair(sz, sz))
-    assert np.allclose(lifted.eigenvalues, [-2.0, 0.0, 0.0, 2.0])
+def test_pair_variances_product_state():
+    # on |00> X and Y vary by 1 on each qubit, and Z (x) I + I (x) Z is sharp
+    report = lur_test(pauli_pairs(), ket00(), u_a=1.0, u_b=1.0)
+    assert report.pair_variances == pytest.approx((2.0, 2.0, 0.0), abs=1e-12)
+    assert report.lhs == sum(report.pair_variances)
 
 
-def test_lift_sum_spectrum_negated_partner():
-    sz = eigendecompose(PAULI_Z)
-    neg = eigendecompose(-PAULI_Z)
-    lifted = lift_sum(LocalObservablePair(sz, neg))
-    assert np.allclose(lifted.eigenvalues, [-2.0, 0.0, 0.0, 2.0])
+def test_pair_variances_vanish_on_singlet():
+    # S (x) I + I (x) S annihilates the singlet for every spin axis S
+    report = lur_test(pauli_pairs(), singlet(), u_a=1.0, u_b=1.0)
+    assert report.pair_variances == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
-def test_lift_sum_reconstructs_kron_sum():
-    rng = np.random.default_rng(6)
-    for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
-        a = eigendecompose(random_hermitian(dim_a, rng))
-        b = eigendecompose(random_hermitian(dim_b, rng))
-        lifted = lift_sum(LocalObservablePair(a, b))
-        direct = np.kron(a.matrix, np.eye(dim_b)) + np.kron(np.eye(dim_a), b.matrix)
-        assert np.max(np.abs(lifted.matrix - direct)) <= 1e-9
-        assert np.allclose(lifted.eigenvalues, np.sort(np.linalg.eigvalsh(direct)), atol=1e-9)
-        assert lifted.orthonormality_defect() <= 1e-10
+def test_pair_variances_follow_pair_order():
+    pairs = pauli_pairs()
+    forward = lur_test(pairs, ket00(), u_a=1.0, u_b=1.0).pair_variances
+    backward = lur_test(pairs[::-1], ket00(), u_a=1.0, u_b=1.0).pair_variances
+    assert backward == forward[::-1]
 
 
-def test_lift_sum_dimension_guard():
-    big = eigendecompose(np.diag(np.arange(70, dtype=float)))
-    with pytest.raises(DimensionMismatchError):
-        lift_sum(LocalObservablePair(big, big))
-
-
-def test_lifted_x_pair_annihilates_singlet():
-    sx = eigendecompose(PAULI_X)
-    lifted = lift_sum(LocalObservablePair(sx, sx))
-    assert moment_expectation(lifted.matrix, singlet().density_matrix()) == pytest.approx(0.0, abs=1e-12)
+def test_pair_variances_ignore_local_shifts():
+    # A + s and B + t shift the joint operator by s + t, which no variance sees
+    rng = np.random.default_rng(8)
+    a, b = random_hermitian(3, rng), random_hermitian(2, rng)
+    rho = sample_random_separable(3, 2, rng)
+    base = lur_test([LocalObservablePair(eigendecompose(a), eigendecompose(b))],
+                    rho, u_a=0.0, u_b=0.0).pair_variances[0]
+    shifted = LocalObservablePair(eigendecompose(a + 1e3 * np.eye(3)),
+                                  eigendecompose(b - 1e3 * np.eye(2)))
+    again = lur_test([shifted], rho, u_a=0.0, u_b=0.0).pair_variances[0]
+    assert again == pytest.approx(base, rel=1e-9)
 
 
 def test_lur_singlet_detected():
@@ -88,21 +85,21 @@ def test_lur_dimension_checks():
         lur_test(mixed_pairs, maximally_mixed(4), u_a=1.0, u_b=1.0)
 
 
-def test_lhs_spectral_path_matches_matrix_moments():
-    rng = np.random.default_rng(14)
-    pairs = pauli_pairs()
-    for _ in range(25):
-        rho = sample_random_separable(2, 2, rng)
-        for pair in pairs:
-            lifted = lift_sum(pair)
-            spectral = variance(lifted, rho)
-            direct = moment_variance(lifted.matrix, rho.density_matrix())
-            assert spectral == pytest.approx(direct, abs=1e-9)
-    psi = sample_random_pure(4, rng)
-    for pair in pairs:
-        lifted = lift_sum(pair)
-        assert variance(lifted, psi) == pytest.approx(
-            moment_variance(lifted.matrix, psi.density_matrix()), abs=1e-9)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_pair_variances_match_dense_moments(n_a, n_b, count, pure, seed):
+    rng = np.random.default_rng(seed)
+    mats = [(random_hermitian(n_a, rng), random_hermitian(n_b, rng)) for _ in range(count)]
+    pairs = [LocalObservablePair(eigendecompose(a), eigendecompose(b)) for a, b in mats]
+    rho = (sample_random_pure(n_a * n_b, rng) if pure
+           else sample_random_separable(n_a, n_b, rng))
+    report = lur_test(pairs, rho, u_a=0.0, u_b=0.0)
+    assert len(report.pair_variances) == count
+    for (a, b), got in zip(mats, report.pair_variances):
+        joint = np.kron(a, np.eye(n_b)) + np.kron(np.eye(n_a), b)
+        want = moment_variance(joint, rho.density_matrix())
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_no_false_positives_on_separable_mixtures():
