@@ -18,7 +18,7 @@ def test_pair_variances_product_state():
     assert report.lhs == sum(report.pair_variances)
 
 
-def test_pair_variances_vanish_on_singlet():
+def test_lifted_x_pair_annihilates_singlet():
     # S (x) I + I (x) S annihilates the singlet for every spin axis S
     report = lur_test(pauli_pairs(), singlet(), u_a=1.0, u_b=1.0)
     assert report.pair_variances == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
@@ -88,7 +88,7 @@ def test_lur_dimension_checks():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_pair_variances_match_dense_moments(n_a, n_b, count, pure, seed):
+def test_lhs_spectral_path_matches_matrix_moments(n_a, n_b, count, pure, seed):
     rng = np.random.default_rng(seed)
     mats = [(random_hermitian(n_a, rng), random_hermitian(n_b, rng)) for _ in range(count)]
     pairs = [LocalObservablePair(eigendecompose(a), eigendecompose(b)) for a, b in mats]
