@@ -171,6 +171,8 @@ def cmd_oracle(args) -> int:
         f"restarts agreeing = {result.restarts_agreeing}/{config.restarts}",
         "restart stops: " + ", ".join(f"{n} {reason}" for reason, n in result.stops.items()),
         f"iterations (slowest restart) = {result.iterations}",
+        f"gradient norm = {result.gradient_norms[result.argmin_restart]:.3e} at the argmin restart "
+        f"({result.argmin_restart}), {max(result.gradient_norms):.3e} at most",
         f"argmin state = [{amplitudes}]",
         f"seed = {config.seed}",
     ]

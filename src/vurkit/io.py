@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -41,17 +42,35 @@ def _complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _pairs_to_array(items: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Nested lists of [re, im] pairs as a complex array of ``shape`` in one
+    numpy call, or None when an entry needs the per-entry checks."""
+    try:
+        out = np.array(items, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    numbers = chain.from_iterable(chain.from_iterable(items) if len(shape) == 2 else items)
+    # numpy would silently read bools and numeric strings as numbers, and tuples as lists
+    if (out.shape != (*shape, 2) or not np.isfinite(out).all()
+            or not all(type(item) is list for item in items)
+            or not set(map(type, numbers)) <= {int, float}):
+        return None
+    return out.view(complex)[..., 0]
+
+
 def _parse_complex_matrix(rows, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{what} must be a nonempty list of rows")
     n = len(rows)
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise FileFormatError(f"{what} must be square; row {i} has length "
-                                  f"{len(row) if isinstance(row, list) else 'N/A'}, expected {n}")
-        for j, entry in enumerate(row):
-            out[i, j] = _pair_to_complex(entry, f"{what}[{i}][{j}]")
+    out = _pairs_to_array(rows, (n, n))
+    if out is None:
+        out = np.empty((n, n), dtype=complex)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise FileFormatError(f"{what} must be square; row {i} has length "
+                                      f"{len(row) if isinstance(row, list) else 'N/A'}, expected {n}")
+            for j, entry in enumerate(row):
+                out[i, j] = _pair_to_complex(entry, f"{what}[{i}][{j}]")
     return out
 
 
@@ -81,12 +100,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
         raise FileFormatError("eigenvalues must be in ascending order")
     if not isinstance(raw_cols, list) or len(raw_cols) != n:
         raise FileFormatError(f"'eigenvectors' must hold {n} columns")
-    vecs = np.empty((n, n), dtype=complex)
-    for j, col in enumerate(raw_cols):
-        if not isinstance(col, list) or len(col) != n:
-            raise FileFormatError(f"eigenvector column {j} must hold {n} [re, im] pairs")
-        for i, entry in enumerate(col):
-            vecs[i, j] = _pair_to_complex(entry, f"eigenvectors[{j}][{i}]")
+    vecs = _parse_complex_matrix(raw_cols, "eigenvectors").T
     obs = SpectralObservable(evals, vecs)
     defect = obs.orthonormality_defect()
     if defect > tol.orthonormality:
@@ -115,7 +129,9 @@ def parse_state(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
         amp = doc["pure"]
         if not isinstance(amp, list) or not amp:
             raise FileFormatError("'pure' must be a nonempty list of [re, im] pairs")
-        vec = np.array([_pair_to_complex(a, f"pure[{i}]") for i, a in enumerate(amp)])
+        vec = _pairs_to_array(amp, (len(amp),))
+        if vec is None:
+            vec = np.array([_pair_to_complex(a, f"pure[{i}]") for i, a in enumerate(amp)])
         return QuantumState.pure(vec, tol)
     return QuantumState.density(_parse_complex_matrix(doc["density"], "density"), tol)
 
@@ -195,6 +211,8 @@ def oracle_result_payload(result: OracleResult, restarts: int) -> dict:
         "restarts_agreeing": int(result.restarts_agreeing),
         "stops": {reason: int(n) for reason, n in result.stops.items()},
         "iterations": int(result.iterations),
+        "argmin_restart": int(result.argmin_restart),
+        "gradient_norms": [float(g) for g in result.gradient_norms],
         "argmin_state": serialize_state(result.argmin_state),
     }
 

@@ -18,11 +18,11 @@ from .core import (QuantumState, SpectralObservable, eigendecompose,
 from .engine import gaussian_sum
 from .errors import DimensionMismatchError
 
-# strong enough that a step oscillating across a quadratic valley is rejected
-# and backtracking finds the interior step instead
+# share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _ARMIJO = 0.25
 _GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 # why a restart stopped, in the order of OracleResult.stops
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")
@@ -43,9 +43,11 @@ class OracleConfig:
 class OracleResult:
     minimum: float
     argmin_state: QuantumState
+    argmin_restart: int
     restarts_agreeing: int
     stops: dict[str, int]
     iterations: int
+    gradient_norms: tuple[float, ...]
 
 
 def sample_random_pure(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -66,27 +68,42 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _operator_matrices(observables) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n, n) stacks of the observables and of their squares."""
+    """(k, 2n, 2n) real forms with x^H A x = z^T A z for z = [Re x, Im x], one
+    per observable, and the (2n, 2n) form S of the sum of their squares."""
     v = np.stack([o.eigenvectors for o in observables])
     lam = np.stack([o.eigenvalues for o in observables])[:, None, :]
     vh = v.conj().transpose(0, 2, 1)
-    return (v * lam) @ vh, (v * lam ** 2) @ vh
+    mats = (v * lam) @ vh
+    squares = ((v * lam ** 2) @ vh).sum(axis=0)
+    return (np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]),
+            np.block([[squares.real, -squares.imag], [squares.imag, squares.real]]))
 
 
-def _evaluate(mats, squares, x: np.ndarray, grad: bool = False):
-    """Normalized variance sum of each row of the (R, n) block ``x`` and, with
-    ``grad``, its Wirtinger derivative d/d(conj x), row by row."""
-    nsq = np.einsum("ri,ri->r", x.conj(), x).real
-    mx = np.einsum("kij,rj->kri", mats, x)
-    sx = np.einsum("kij,rj->kri", squares, x)
-    e = np.einsum("ri,kri->kr", x.conj(), mx).real / nsq
-    sv = np.einsum("ri,kri->kr", x.conj(), sx).real / nsq
-    value = (sv - e * e).sum(axis=0)
-    if not grad:
+def _real(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x.real, x.imag], axis=-1)
+
+
+def _evaluate(forms, s, z: np.ndarray, derivatives: bool = False):
+    """Variance sum f(w) = w^T S w - sum_k (w^T A_k w)^2 at the unit rows
+    w = z / |z| of the real (R, 2n) block ``z``; with ``derivatives`` also the
+    gradient of f(z / |z|) in z and the Riemannian Hessian
+    P (grad^2 f - (w^T grad f) I) P at w.  P projects out w and the phase
+    direction Jw (i x), along which f is constant."""
+    nz = np.linalg.norm(z, axis=1, keepdims=True)
+    w = z / nz
+    aw = np.einsum("kij,rj->rki", forms, w)
+    q = np.einsum("ri,rki->rk", w, aw)
+    sw = w @ s
+    value = np.einsum("ri,ri->r", w, sw) - np.einsum("rk,rk->r", q, q)
+    if not derivatives:
         return value
-    e, sv = e[..., None], sv[..., None]
-    g = (sx - sv * x - 2.0 * e * (mx - e * x)).sum(axis=0) / nsq[:, None]
-    return value, g
+    n = z.shape[1] // 2
+    df = 2.0 * sw - 4.0 * np.einsum("rk,rki->ri", q, aw)
+    basis = np.stack([w, np.concatenate([-w[:, n:], w[:, :n]], axis=1)], axis=2)
+    proj = np.eye(2 * n) - basis @ basis.transpose(0, 2, 1)
+    h = 2.0 * s - 8.0 * np.einsum("rki,rkj->rij", aw, aw) - 4.0 * np.einsum("rk,kij->rij", q, forms)
+    h -= np.einsum("ri,ri->r", w, df)[:, None, None] * np.eye(2 * n)
+    return value, np.einsum("rij,rj->ri", proj, df) / nz, proj @ h @ proj
 
 
 def variance_sum(observables, state: QuantumState) -> float:
@@ -96,67 +113,66 @@ def variance_sum(observables, state: QuantumState) -> float:
 
 def ambient_variance_sum(observables, x) -> float:
     """Variance sum of the normalized version of an arbitrary nonzero vector."""
-    x = np.asarray(x, dtype=complex)[None, :]
-    return float(_evaluate(*_operator_matrices(observables), x)[0])
+    return float(_evaluate(*_operator_matrices(observables), _real(np.asarray(x, dtype=complex))[None])[0])
 
 
 def ambient_variance_sum_gradient(observables, x) -> np.ndarray:
     """Gradient of ``ambient_variance_sum`` with respect to the stacked
     (real, imaginary) coordinates of the vector."""
-    x = np.asarray(x, dtype=complex)[None, :]
-    g = _evaluate(*_operator_matrices(observables), x, grad=True)[1][0]
-    return np.concatenate([2.0 * g.real, 2.0 * g.imag])
+    z = _real(np.asarray(x, dtype=complex))[None, :]
+    return _evaluate(*_operator_matrices(observables), z, derivatives=True)[1][0]
 
 
-def _descend(mats, squares, x0: np.ndarray, max_iters: int):
-    """Projected gradient descent on the unit sphere for every row of ``x0`` at
-    once, each row with its own step size and Armijo backtracking; no row's
-    objective increases on an accepted step.
-
-    A row leaves the block when its projected gradient norm is at most
-    ``_GRAD_TOL``, when its step falls below ``_STEP_TOL`` without an
-    accepted step, or after ``max_iters`` accepted steps.  Returns the final
-    values, the final unit rows, each row's index into ``STOP_REASONS`` and
-    its number of accepted steps.
-    """
-    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    f = _evaluate(mats, squares, x)
-    step = np.full(len(x), 0.5)
-    iters = np.zeros(len(x), dtype=int)
-    stop = np.full(len(x), STOP_REASONS.index("max_iters"))
-    live = np.arange(len(x))
+def _descend(forms, s, x0: np.ndarray, max_iters: int):
+    """Saddle-free Riemannian Newton descent (Dauphin et al., NeurIPS 2014;
+    Absil, Mahony and Sepulchre, 2008) on the unit sphere for every row of
+    ``x0`` at once.  With the Hessian's eigenvalues replaced by max(|lambda|,
+    |g|) the step descends at negative curvature, stays bounded where the
+    curvature vanishes and tends to Newton's as g goes to zero; each row
+    backtracks from step 1 (Armijo) and is retracted by normalizing, so its f
+    never increases.  A row stops on ``gradient`` (|g| <= ``_GRAD_TOL`` or a
+    Newton decrement below the rounding of f), on ``step_underflow`` or after
+    ``max_iters`` accepted steps.  Returns the final values and unit rows, each
+    row's index into ``STOP_REASONS`` and its number of accepted steps."""
+    n = x0.shape[1]
+    z = _real(x0)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    f = _evaluate(forms, s, z)
+    iters = np.zeros(len(z), dtype=int)
+    stop = np.full(len(z), STOP_REASONS.index("max_iters"))
+    live = np.arange(len(z))
     while live.size:
-        xl = x[live]
-        g = _evaluate(mats, squares, xl, grad=True)[1]
-        g -= xl * np.einsum("ri,ri->r", xl.conj(), g).real[:, None]
+        _, g, h = _evaluate(forms, s, z[live], derivatives=True)
+        lam, u = np.linalg.eigh(h)
         gnorm = np.linalg.norm(g, axis=1)
-        flat = gnorm <= _GRAD_TOL
+        coef = np.einsum("rij,ri->rj", u, g) / np.maximum(np.abs(lam), gnorm[:, None])
+        d = -np.einsum("rij,rj->ri", u, coef)
+        decrement = -np.einsum("ri,ri->r", g, d)
+        flat = (gnorm <= _GRAD_TOL) | (decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live])))
         stop[live[flat]] = STOP_REASONS.index("gradient")
-        moved = np.zeros(len(x), dtype=bool)
+        step = np.ones(len(live))
         trial = np.flatnonzero(~flat)
         while trial.size:
             rows = live[trial]
-            cand = x[rows] - step[rows, None] * g[trial]
+            cand = z[rows] + step[trial, None] * d[trial]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = _evaluate(mats, squares, cand)
-            ok = fc <= f[rows] - _ARMIJO * step[rows] * gnorm[trial] * gnorm[trial]
-            x[rows[ok]], f[rows[ok]] = cand[ok], fc[ok]
-            moved[rows[ok]] = True
-            rejected = rows[~ok]
+            fc = _evaluate(forms, s, cand)
+            ok = fc <= f[rows] - _ARMIJO * step[trial] * decrement[trial]
+            z[rows[ok]], f[rows[ok]] = cand[ok], fc[ok]
+            rejected = trial[~ok]
             step[rejected] *= 0.5
             underflow = step[rejected] < _STEP_TOL
-            stop[rejected[underflow]] = STOP_REASONS.index("step_underflow")
-            trial = trial[~ok][~underflow]
-        live = live[moved[live]]
+            stop[live[rejected[underflow]]] = STOP_REASONS.index("step_underflow")
+            trial = rejected[~underflow]
+        live = live[stop[live] == STOP_REASONS.index("max_iters")]  # rows that took a step
         iters[live] += 1
-        step[live] = np.minimum(2.0 * step[live], 1.0)
         live = live[iters[live] < max_iters]
-    return f, x, stop, iters
+    return f, z[:, :n] + 1j * z[:, n:], stop, iters
 
 
 def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
                           agreement_tol: float = DEFAULT_TOLERANCES.oracle_agreement) -> OracleResult:
-    """Minimum of the variance sum over pure states by multi-start descent.
+    """Minimum of the variance sum over pure states by multi-start Newton descent.
 
     Every restart starts from its own derived seed stream, and all restarts
     descend together as one block; the minimum goes to the lowest restart
@@ -172,7 +188,9 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     dim = obs[0].dim
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
     x0 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
-    f, x, stop, iters = _descend(*_operator_matrices(obs), x0, config.max_iters)
+    forms = _operator_matrices(obs)
+    f, x, stop, iters = _descend(*forms, x0, config.max_iters)
+    gnorm = np.linalg.norm(_evaluate(*forms, _real(x), derivatives=True)[1], axis=1)
 
     best = int(np.argmin(f))
     minimum = float(f[best])
@@ -180,9 +198,11 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     return OracleResult(
         minimum=minimum,
         argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]),
+        argmin_restart=best,
         restarts_agreeing=int(np.count_nonzero(f <= minimum + agreement_tol)),
         stops={reason: int(c) for reason, c in zip(STOP_REASONS, counts)},
-        iterations=int(iters.max()))
+        iterations=int(iters.max()),
+        gradient_norms=tuple(float(v) for v in gnorm))
 
 
 @dataclass(frozen=True)

@@ -40,46 +40,53 @@ def moment_expectation(matrix, rho):
 
 
 def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_tol=1e-12):
-    """One restart of projected gradient descent on the unit sphere with
-    Armijo backtracking, written as a plain loop over dense matrices and their
-    raw moments.  Returns the final variance sum."""
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    """One restart of saddle-free Riemannian Newton descent on the unit sphere,
+    written as a plain loop over dense matrices in the real coordinates
+    z = [Re x, Im x], with each square taken as a dense product.  Returns the
+    final variance sum."""
+    n = len(x0)
+    eye = np.eye(2 * n)
+    forms = []
+    for m in matrices:
+        m = np.asarray(m, dtype=complex)
+        a = np.block([[m.real, -m.imag], [m.imag, m.real]])
+        forms.append((a, a @ a))
 
-    def moments(x):
-        nsq = float(np.real(np.vdot(x, x)))
-        out = []
-        for m in mats:
-            mx = m @ x
-            mmx = m @ mx
-            out.append((mx, mmx, float(np.real(np.vdot(x, mx))) / nsq,
-                        float(np.real(np.vdot(x, mmx))) / nsq))
-        return nsq, out
+    def value(z):
+        return sum(z @ a2 @ z - (z @ a @ z) ** 2 for a, a2 in forms)
 
-    def value(x):
-        return sum(sv - e * e for _, _, e, sv in moments(x)[1])
+    def gradient_and_step(z):
+        grad = np.zeros(2 * n)
+        hess = np.zeros((2 * n, 2 * n))
+        for a, a2 in forms:
+            az = a @ z
+            q = z @ az
+            grad += 2.0 * a2 @ z - 4.0 * q * az
+            hess += 2.0 * a2 - 8.0 * np.outer(az, az) - 4.0 * q * a
+        hess -= (z @ grad) * eye
+        jz = np.concatenate([-z[n:], z[:n]])
+        proj = eye - np.outer(z, z) - np.outer(jz, jz)
+        g = proj @ grad
+        lam, u = np.linalg.eigh(proj @ hess @ proj)
+        return g, -u @ ((u.T @ g) / np.maximum(np.abs(lam), np.linalg.norm(g)))
 
-    def grad(x):
-        nsq, ms = moments(x)
-        return sum((mmx - sv * x - 2.0 * e * (mx - e * x)) / nsq for mx, mmx, e, sv in ms)
-
-    x = np.asarray(x0, dtype=complex) / np.linalg.norm(x0)
-    f = value(x)
-    step = 0.5
+    z = np.concatenate([np.real(x0), np.imag(x0)])
+    z = z / np.linalg.norm(z)
+    f = value(z)
     for _ in range(max_iters):
-        g = grad(x)
-        g = g - x * np.real(np.vdot(x, g))
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
+        g, d = gradient_and_step(z)
+        decrement = -(g @ d)
+        if np.linalg.norm(g) <= grad_tol or decrement <= 4.0 * np.finfo(float).eps * max(1.0, abs(f)):
             break
+        step = 1.0
         while step >= step_tol:
-            cand = x - step * g
+            cand = z + step * d
             cand /= np.linalg.norm(cand)
             fc = value(cand)
-            if fc <= f - armijo * step * gnorm * gnorm:
+            if fc <= f - armijo * step * decrement:
                 break
             step *= 0.5
         else:
             break
-        x, f = cand, fc
-        step = min(2.0 * step, 1.0)
+        z, f = cand, fc
     return f

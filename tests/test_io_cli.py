@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,43 @@ def test_parse_rejects_malformed_matrices():
     with pytest.raises(FileFormatError):
         parse_observable({"matrix": [[["x", 0.0], [0.0, 0.0]],
                                      [[0.0, 0.0], [0.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (True, "a number, got True"),
+    ("0.5", "a number, got '0.5'"),
+    (None, "a number, got None"),
+    (math.nan, "finite"),
+    (-math.inf, "finite"),
+])
+@pytest.mark.parametrize("kind", ["matrix", "density", "eigenvectors"])
+def test_parse_names_the_first_bad_entry(kind, bad, reason):
+    # numpy alone would read True and "0.5" as numbers and None as nan
+    rows = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    rows[1][0][0] = bad
+    rows[1][1][1] = "later"
+    doc = {"matrix": {"matrix": rows},
+           "density": {"density": rows},
+           "eigenvectors": {"spectral": {"eigenvalues": [0.0, 1.0], "eigenvectors": rows}}}[kind]
+    parse = parse_state if kind == "density" else parse_observable
+    with pytest.raises(FileFormatError, match=re.escape(f"{kind}[1][0] must be {reason}")):
+        parse(doc)
+    with pytest.raises(FileFormatError, match=re.escape(f"pure[1] must be {reason}")):
+        parse_state({"pure": [[1.0, 0.0], [bad, 0.0]]})
+
+
+def test_parse_rejects_bad_pairs_and_shapes():
+    with pytest.raises(FileFormatError, match=r"density\[0\]\[1\] must be a \[re, im\] pair"):
+        parse_state({"density": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+    with pytest.raises(FileFormatError, match=r"pure\[0\] must be a \[re, im\] pair"):
+        parse_state({"pure": [[1.0, 0.0, 0.0]]})
+    with pytest.raises(FileFormatError, match="square; row 1 has length 1"):
+        parse_state({"density": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]})
+    with pytest.raises(FileFormatError, match="square; row 0 has length 1"):
+        parse_observable({"matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]})
+    with pytest.raises(FileFormatError, match="eigenvectors must be square; row 1 has length 1"):
+        parse_observable({"spectral": {"eigenvalues": [0.0, 1.0],
+                                       "eigenvectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}})
 
 
 def test_parse_spectral_document_checks():
@@ -207,12 +245,16 @@ def test_cli_oracle(capsys):
     assert doc["payload"]["restarts_agreeing"] == 8
     assert doc["payload"]["stops"] == {"gradient": 8, "step_underflow": 0, "max_iters": 0}
     assert doc["payload"]["iterations"] == 0
+    assert 0 <= doc["payload"]["argmin_restart"] < 8
+    assert len(doc["payload"]["gradient_norms"]) == 8
+    assert max(doc["payload"]["gradient_norms"]) <= 1e-12
     assert "pure" in doc["payload"]["argmin_state"]
 
     assert main(["oracle", "qutrit4", "--restarts", "4", "--max-iters", "5"]) == 0
     out = capsys.readouterr().out
     assert "restart stops: 0 gradient, 0 step_underflow, 4 max_iters" in out
     assert "iterations (slowest restart) = 5" in out
+    assert re.search(r"gradient norm = \S+ at the argmin restart \(\d\), \S+ at most", out)
 
 
 def test_cli_lur_fixture_state(capsys):
@@ -356,7 +398,7 @@ def _tolerance_cases(tmp_path):
         "mub": (["entropic", "sigma-x", "sigma-z", "sigma-z", "--json"], 1.0),
         "lur_margin": (["lur", "--state", "singlet", "--pairs", "pauli-pairs",
                         "--u-a", "1e-3", "--u-b", "1e-3", "--json"], 1.0),
-        "oracle_agreement": (["oracle", "qutrit4", "--restarts", "16", "--json"], 10.0),
+        "oracle_agreement": (["oracle", "qutrit4", "--restarts", "64", "--json"], 10.0),
     }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import scalar_descent
-from vurkit import (OracleConfig, QuantumState, eigendecompose, expectation,
+from vurkit import (DEFAULT_TOLERANCES, OracleConfig, QuantumState, eigendecompose, expectation,
                     gaussian_sum, lemma_sweep, measurement_distribution,
                     minimize_variance_sum, sample_random_pure, shannon_entropy,
                     variance, variance_sum)
@@ -142,10 +142,71 @@ def test_batched_descent_matches_scalar_reference():
     for n, k in ((3, 2), (4, 3), (8, 2)):
         obs = [eigendecompose(random_hermitian(n, rng)) for _ in range(k)]
         x0 = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        for max_iters in (20, 250):  # mid-descent, and past convergence
+        for max_iters in (5, 100):  # mid-descent, and past convergence
             final = _descend(*_operator_matrices(obs), x0, max_iters)[0]
             expected = [scalar_descent([o.matrix for o in obs], row, max_iters) for row in x0]
             assert final == pytest.approx(expected, rel=1e-12)
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    # on the horizontal space (orthogonal to z and to the phase direction Jz)
+    # the Riemannian Hessian is the Jacobian of the ambient gradient at unit z
+    from vurkit.oracle import _evaluate, _operator_matrices
+    rng = np.random.default_rng(31)
+    h = 1e-5
+    for trial in range(40):
+        dim = (2, 3, 4, 5)[trial % 4]
+        obs = [eigendecompose(random_hermitian(dim, rng))
+               for _ in range(int(rng.integers(1, 4)))]
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        z = np.concatenate([x.real, x.imag]) / np.linalg.norm(x)
+        jz = np.concatenate([-z[dim:], z[:dim]])
+        hess = _evaluate(*_operator_matrices(obs), z[None, :], derivatives=True)[2][0]
+        assert np.abs(hess @ np.column_stack([z, jz])).max() <= 1e-12 * max(1.0, np.abs(hess).max())
+
+        frame = np.column_stack([z, jz, rng.standard_normal((2 * dim, 2 * dim - 2))])
+        horizontal = np.linalg.qr(frame)[0][:, 2:]
+        columns = []
+        for u in horizontal.T:
+            zp, zm = z + h * u, z - h * u
+            columns.append((ambient_variance_sum_gradient(obs, zp[:dim] + 1j * zp[dim:])
+                            - ambient_variance_sum_gradient(obs, zm[:dim] + 1j * zm[dim:])) / (2 * h))
+        numeric = horizontal.T @ np.column_stack(columns)
+        analytic = horizontal.T @ hess @ horizontal
+        assert np.linalg.norm(analytic - numeric) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
+
+
+def test_qutrit4_restarts_that_miss_end_at_local_minima():
+    # the restarts that do not reach 1 stop at f = 1.75, where the horizontal
+    # Hessian has no negative eigenvalue: weakly curved local minima, not saddles
+    from vurkit.oracle import _descend, _evaluate, _operator_matrices, _real
+    result = minimize_variance_sum(qutrit4(), OracleConfig(restarts=64, seed=0))
+    # without the Newton-decrement test some restarts end on step_underflow
+    assert result.stops == {"gradient": 64, "step_underflow": 0, "max_iters": 0}
+    assert result.iterations <= 40
+    assert result.minimum == pytest.approx(1.0, abs=1e-12)
+
+    # the oracle's start rows at seed 0, one seed stream per restart
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(64)]
+    x0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3) for rng in rngs])
+    forms = _operator_matrices(qutrit4())
+    final, x = _descend(*forms, x0, 2000)[:2]
+    assert final.min() == result.minimum
+    missed = final > result.minimum + DEFAULT_TOLERANCES.oracle_agreement
+    assert 0 < np.count_nonzero(missed) == 64 - result.restarts_agreeing
+    assert np.abs(final[missed] - 1.75).max() <= 1e-9
+    hess = _evaluate(*forms, _real(x[missed]), derivatives=True)[2]
+    assert np.linalg.eigvalsh(hess).min() >= -1e-8
+
+
+def test_gradient_norms_follow_restart_order():
+    result = minimize_variance_sum(qutrit4(), OracleConfig(restarts=8, seed=0))
+    assert len(result.gradient_norms) == 8
+    assert max(result.gradient_norms) <= 1e-6
+    capped = minimize_variance_sum(qutrit4(), OracleConfig(restarts=8, max_iters=2, seed=0))
+    assert capped.gradient_norms[:4] == pytest.approx(minimize_variance_sum(
+        qutrit4(), OracleConfig(restarts=4, max_iters=2, seed=0)).gradient_norms, rel=1e-9)
+    assert min(capped.gradient_norms) > 1e-6
 
 
 def test_lemma_sweep_no_violations():
