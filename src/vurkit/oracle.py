@@ -18,14 +18,12 @@ from .core import (QuantumState, SpectralObservable, eigendecompose,
 from .engine import gaussian_sum
 from .errors import DimensionMismatchError
 
-# share of the Newton decrement a step must gain; below 1/2, so full steps pass
-_ARMIJO = 0.25
+_ARMIJO = 0.25  # share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
-# why a restart stopped, in the order of OracleResult.stops
-STOP_REASONS = ("gradient", "step_underflow", "max_iters")
+STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,11 @@ def _real(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag], axis=-1)
 
 
-def _evaluate(forms, s, z: np.ndarray, derivatives: bool = False):
+def _evaluate(forms, s, z: np.ndarray, order: int = 0):
     """Variance sum f(w) = w^T S w - sum_k (w^T A_k w)^2 at the unit rows
-    w = z / |z| of the real (R, 2n) block ``z``; with ``derivatives`` also the
-    gradient of f(z / |z|) in z and the Riemannian Hessian
-    P (grad^2 f - (w^T grad f) I) P at w.  P projects out w and the phase
+    w = z / |z| of the real (R, 2n) block ``z``; from ``order`` 1 on also the
+    gradient of f(z / |z|) in z, at ``order`` 2 also the Riemannian Hessian
+    P (grad^2 f - (w^T grad f) I) P, with P projecting out w and the phase
     direction Jw (i x), along which f is constant."""
     nz = np.linalg.norm(z, axis=1, keepdims=True)
     w = z / nz
@@ -95,15 +93,20 @@ def _evaluate(forms, s, z: np.ndarray, derivatives: bool = False):
     q = np.einsum("ri,rki->rk", w, aw)
     sw = w @ s
     value = np.einsum("ri,ri->r", w, sw) - np.einsum("rk,rk->r", q, q)
-    if not derivatives:
+    if not order:
         return value
-    n = z.shape[1] // 2
+    m = z.shape[1]
     df = 2.0 * sw - 4.0 * np.einsum("rk,rki->ri", q, aw)
-    basis = np.stack([w, np.concatenate([-w[:, n:], w[:, :n]], axis=1)], axis=2)
-    proj = np.eye(2 * n) - basis @ basis.transpose(0, 2, 1)
-    h = 2.0 * s - 8.0 * np.einsum("rki,rkj->rij", aw, aw) - 4.0 * np.einsum("rk,kij->rij", q, forms)
-    h -= np.einsum("ri,ri->r", w, df)[:, None, None] * np.eye(2 * n)
-    return value, np.einsum("rij,rj->ri", proj, df) / nz, proj @ h @ proj
+    basis = np.stack([w, np.concatenate([-w[:, m // 2:], w[:, :m // 2]], axis=1)], axis=2)
+    grad = (df - np.einsum("rij,rj->ri", basis, np.einsum("rij,ri->rj", basis, df))) / nz
+    if order == 1:
+        return value, grad
+    h = 2.0 * s - 8.0 * aw.transpose(0, 2, 1) @ aw - 4.0 * np.einsum("rk,kij->rij", q, forms)
+    h -= np.einsum("ri,ri->r", w, df)[:, None, None] * np.eye(m)
+    # P h P = h - B C^T - C B^T with C = h B - B (B^T h B) / 2, a rank-2 update
+    c = h @ basis - 0.5 * basis @ (basis.transpose(0, 2, 1) @ h @ basis)
+    h -= basis @ c.transpose(0, 2, 1) + c @ basis.transpose(0, 2, 1)
+    return value, grad, h
 
 
 def variance_sum(observables, state: QuantumState) -> float:
@@ -120,33 +123,31 @@ def ambient_variance_sum_gradient(observables, x) -> np.ndarray:
     """Gradient of ``ambient_variance_sum`` with respect to the stacked
     (real, imaginary) coordinates of the vector."""
     z = _real(np.asarray(x, dtype=complex))[None, :]
-    return _evaluate(*_operator_matrices(observables), z, derivatives=True)[1][0]
+    return _evaluate(*_operator_matrices(observables), z, order=1)[1][0]
 
 
 def _descend(forms, s, x0: np.ndarray, max_iters: int):
-    """Saddle-free Riemannian Newton descent (Dauphin et al., NeurIPS 2014;
-    Absil, Mahony and Sepulchre, 2008) on the unit sphere for every row of
-    ``x0`` at once.  With the Hessian's eigenvalues replaced by max(|lambda|,
-    |g|) the step descends at negative curvature, stays bounded where the
-    curvature vanishes and tends to Newton's as g goes to zero; each row
-    backtracks from step 1 (Armijo) and is retracted by normalizing, so its f
-    never increases.  A row stops on ``gradient`` (|g| <= ``_GRAD_TOL`` or a
-    Newton decrement below the rounding of f), on ``step_underflow`` or after
-    ``max_iters`` accepted steps.  Returns the final values and unit rows, each
-    row's index into ``STOP_REASONS`` and its number of accepted steps."""
+    """Saddle-free Riemannian Newton descent (Dauphin et al., 2014; Absil,
+    Mahony and Sepulchre, 2008) on the unit sphere for all rows of ``x0``:
+    step along -U diag(1 / max(|lambda|, |g|)) U^T g, which descends at
+    negative curvature, stays bounded where it vanishes and tends to Newton's
+    as g -> 0; backtrack from step 1 (Armijo) and normalize.  A row stops on
+    ``gradient`` (|g| <= ``_GRAD_TOL`` or a Newton decrement below rounding),
+    ``step_underflow`` or ``max_iters``.  Returns values, rows, stops, steps."""
     n = x0.shape[1]
-    z = _real(x0)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = _real(x0) / np.linalg.norm(x0, axis=1, keepdims=True)
     f = _evaluate(forms, s, z)
-    iters = np.zeros(len(z), dtype=int)
-    stop = np.full(len(z), STOP_REASONS.index("max_iters"))
+    iters, stop = np.zeros(len(z), dtype=int), np.full(len(z), STOP_REASONS.index("max_iters"))
     live = np.arange(len(z))
+    block = max(1, (1 << 18) // (2 * n) ** 2)  # rows per Hessian stack: no (rows, 2n, 2n) array over 2 MB
     while live.size:
-        _, g, h = _evaluate(forms, s, z[live], derivatives=True)
-        lam, u = np.linalg.eigh(h)
+        g, d = np.empty((live.size, 2 * n)), np.empty((live.size, 2 * n))
+        for i in range(0, live.size, block):
+            _, g[i:i + block], h = _evaluate(forms, s, z[live[i:i + block]], order=2)
+            lam, u = np.linalg.eigh(h)
+            floor = np.maximum(np.abs(lam), np.linalg.norm(g[i:i + block], axis=1)[:, None])
+            d[i:i + block] = -np.einsum("rij,rj->ri", u, np.einsum("rij,ri->rj", u, g[i:i + block]) / floor)
         gnorm = np.linalg.norm(g, axis=1)
-        coef = np.einsum("rij,ri->rj", u, g) / np.maximum(np.abs(lam), gnorm[:, None])
-        d = -np.einsum("rij,rj->ri", u, coef)
         decrement = -np.einsum("ri,ri->r", g, d)
         flat = (gnorm <= _GRAD_TOL) | (decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live])))
         stop[live[flat]] = STOP_REASONS.index("gradient")
@@ -190,7 +191,6 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     x0 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
     forms = _operator_matrices(obs)
     f, x, stop, iters = _descend(*forms, x0, config.max_iters)
-    gnorm = np.linalg.norm(_evaluate(*forms, _real(x), derivatives=True)[1], axis=1)
 
     best = int(np.argmin(f))
     minimum = float(f[best])
@@ -202,7 +202,7 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
         restarts_agreeing=int(np.count_nonzero(f <= minimum + agreement_tol)),
         stops={reason: int(c) for reason, c in zip(STOP_REASONS, counts)},
         iterations=int(iters.max()),
-        gradient_norms=tuple(float(v) for v in gnorm))
+        gradient_norms=tuple(np.linalg.norm(_evaluate(*forms, _real(x), order=1)[1], axis=1).tolist()))
 
 
 @dataclass(frozen=True)
