@@ -82,21 +82,21 @@ def _real(x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(forms, s, z: np.ndarray, order: int = 0):
-    """Variance sum f(w) = w^T S w - sum_k (w^T A_k w)^2 at the unit rows
-    w = z / |z| of the real (R, 2n) block ``z``; from ``order`` 1 on also the
-    gradient of f(z / |z|) in z, at ``order`` 2 also the Riemannian Hessian
-    P (grad^2 f - (w^T grad f) I) P, with P projecting out w and the phase
-    direction Jw (i x), along which f is constant."""
+    """Variance sum f(w) = sum_k |(A_k - q_k) w|^2, q_k = w^T A_k w (a sum of
+    squares: no cancellation), at the unit rows w = z / |z| of the real (R, 2n)
+    block ``z``; from ``order`` 1 on also the gradient of f(z / |z|) in z, at
+    ``order`` 2 also the Riemannian Hessian P (grad^2 f - (w^T grad f) I) P, with
+    P projecting out w and the phase direction Jw (i x), along which f is constant."""
     nz = np.linalg.norm(z, axis=1, keepdims=True)
     w = z / nz
     aw = np.einsum("kij,rj->rki", forms, w)
     q = np.einsum("ri,rki->rk", w, aw)
-    sw = w @ s
-    value = np.einsum("ri,ri->r", w, sw) - np.einsum("rk,rk->r", q, q)
+    spread = aw - q[:, :, None] * w[:, None, :]
+    value = np.einsum("rki,rki->r", spread, spread)
     if not order:
         return value
     m = z.shape[1]
-    df = 2.0 * sw - 4.0 * np.einsum("rk,rki->ri", q, aw)
+    df = 2.0 * (w @ s) - 4.0 * np.einsum("rk,rki->ri", q, aw)
     basis = np.stack([w, np.concatenate([-w[:, m // 2:], w[:, :m // 2]], axis=1)], axis=2)
     grad = (df - np.einsum("rij,rj->ri", basis, np.einsum("rij,ri->rj", basis, df))) / nz
     if order == 1:
@@ -131,9 +131,10 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
     Mahony and Sepulchre, 2008) on the unit sphere for all rows of ``x0``:
     step along -U diag(1 / max(|lambda|, |g|)) U^T g, which descends at
     negative curvature, stays bounded where it vanishes and tends to Newton's
-    as g -> 0; backtrack from step 1 (Armijo) and normalize.  A row stops on
-    ``gradient`` (|g| <= ``_GRAD_TOL`` or a Newton decrement below rounding),
-    ``step_underflow`` or ``max_iters``.  Returns values, rows, stops, steps."""
+    as g -> 0, less its parts along z and Jz, where the two null eigenvalues
+    would blow up g's rounding; backtrack from step 1 (Armijo, f falling) and
+    normalize.  A row stops on ``gradient`` (|g| <= ``_GRAD_TOL`` or a Newton decrement
+    below rounding), ``step_underflow`` or ``max_iters``.  Returns values, rows, stops, steps."""
     n = x0.shape[1]
     z = _real(x0) / np.linalg.norm(x0, axis=1, keepdims=True)
     f = _evaluate(forms, s, z)
@@ -147,9 +148,11 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
             lam, u = np.linalg.eigh(h)
             floor = np.maximum(np.abs(lam), np.linalg.norm(g[i:i + block], axis=1)[:, None])
             d[i:i + block] = -np.einsum("rij,rj->ri", u, np.einsum("rij,ri->rj", u, g[i:i + block]) / floor)
-        gnorm = np.linalg.norm(g, axis=1)
+        for v in (z[live], np.concatenate([-z[live, n:], z[live, :n]], axis=1)):
+            d -= np.einsum("ri,ri->r", d, v)[:, None] * v
         decrement = -np.einsum("ri,ri->r", g, d)
-        flat = (gnorm <= _GRAD_TOL) | (decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live])))
+        flat = decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live]))
+        flat |= np.linalg.norm(g, axis=1) <= _GRAD_TOL
         stop[live[flat]] = STOP_REASONS.index("gradient")
         step = np.ones(len(live))
         trial = np.flatnonzero(~flat)
@@ -158,7 +161,7 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
             cand = z[rows] + step[trial, None] * d[trial]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             fc = _evaluate(forms, s, cand)
-            ok = fc <= f[rows] - _ARMIJO * step[trial] * decrement[trial]
+            ok = (fc <= f[rows] - _ARMIJO * step[trial] * decrement[trial]) & (fc < f[rows])
             z[rows[ok]], f[rows[ok]] = cand[ok], fc[ok]
             rejected = trial[~ok]
             step[rejected] *= 0.5
@@ -194,13 +197,12 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
 
     best = int(np.argmin(f))
     minimum = float(f[best])
-    counts = np.bincount(stop, minlength=len(STOP_REASONS))
     return OracleResult(
         minimum=minimum,
         argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]),
         argmin_restart=best,
         restarts_agreeing=int(np.count_nonzero(f <= minimum + agreement_tol)),
-        stops={reason: int(c) for reason, c in zip(STOP_REASONS, counts)},
+        stops=dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS)).tolist())),
         iterations=int(iters.max()),
         gradient_norms=tuple(np.linalg.norm(_evaluate(*forms, _real(x), order=1)[1], axis=1).tolist()))
 
@@ -228,9 +230,7 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0,
         raise ValueError("need at least one sample")
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    max_violation = -math.inf
-    violations = 0
-    worst = None
+    max_violation, violations, worst = -math.inf, 0, None
     for i in range(n_samples):
         n = dims[i % len(dims)]
         obs = eigendecompose(random_hermitian(n, rng))

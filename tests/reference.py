@@ -53,7 +53,7 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
         forms.append((a, a @ a))
 
     def value(z):
-        return sum(z @ a2 @ z - (z @ a @ z) ** 2 for a, a2 in forms)
+        return sum(np.sum((a @ z - (z @ a @ z) * z) ** 2) for a, _ in forms)
 
     def gradient_and_step(z):
         grad = np.zeros(2 * n)
@@ -68,7 +68,7 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
         proj = eye - np.outer(z, z) - np.outer(jz, jz)
         g = proj @ grad
         lam, u = np.linalg.eigh(proj @ hess @ proj)
-        return g, -u @ ((u.T @ g) / np.maximum(np.abs(lam), np.linalg.norm(g)))
+        return g, -proj @ u @ ((u.T @ g) / np.maximum(np.abs(lam), np.linalg.norm(g)))
 
     z = np.concatenate([np.real(x0), np.imag(x0)])
     z = z / np.linalg.norm(z)
@@ -83,7 +83,7 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
             cand = z + step * d
             cand /= np.linalg.norm(cand)
             fc = value(cand)
-            if fc <= f - armijo * step * decrement:
+            if fc <= f - armijo * step * decrement and fc < f:
                 break
             step *= 0.5
         else:

@@ -215,6 +215,21 @@ def test_row_stationary_to_rounding_stops_without_a_step():
     assert f[0] == pytest.approx(f0[0], abs=1e-15)
 
 
+def test_rows_at_rounding_stop_instead_of_running_to_the_cap():
+    # at these starts one row of the block reaches its minimum with parts of g
+    # along z and Jz at the rounding of the unprojected gradient; divided by the
+    # Hessian's two null eigenvalues they gave a decrement above the stop test
+    # and steps that left f as it was, so the row ran to the cap
+    from vurkit.oracle import _descend, _operator_matrices
+    for seed in (224, 732, 770, 1234):
+        rng = np.random.default_rng(seed)
+        obs = [eigendecompose(random_hermitian(4, rng)) for _ in range(3)]
+        x0 = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        stop, iters = _descend(*_operator_matrices(obs), x0, 250)[2:]
+        assert STOP_REASONS.index("max_iters") not in stop
+        assert iters.max() <= 40
+
+
 def test_gradient_norms_follow_restart_order():
     result = minimize_variance_sum(qutrit4(), OracleConfig(restarts=8, seed=0))
     assert len(result.gradient_norms) == 8
