@@ -6,7 +6,7 @@ oracle, and a local-uncertainty separability test for bipartite states.
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
 from .core import (OverlapStats, QuantumState, SpectralObservable, eigendecompose,
                    expectation, is_mub, measurement_distribution, overlap_stats,
-                   robertson_bound, shannon_entropy, validate_hermitian, variance)
+                   shannon_entropy, variance)
 from .engine import (BoundReport, InnerMaxResult, bound_at_alpha, continuous_pair_bound,
                      gaussian_sum, inner_max, optimize_alpha, shannon_variance_bound,
                      state_dependent_bound)
@@ -17,8 +17,7 @@ from .errors import (DimensionMismatchError, FileFormatError, InvalidAlphaError,
                      InvalidStateError, NotHermitianError, RegimeError, VurkitError)
 from .lur import LocalObservablePair, LurReport, Verdict, lur_test, sample_random_separable
 from .oracle import (LemmaSweepReport, OracleConfig, OracleResult, lemma_sweep,
-                     minimize_variance_sum, random_hermitian, sample_random_pure,
-                     variance_sum)
+                     minimize_variance_sum, random_hermitian, sample_random_pure)
 
 __version__ = TOOL_VERSION
 
@@ -32,8 +31,7 @@ __all__ = [
     "de_vicente_analytic", "eigendecompose", "entropic_candidates", "expectation",
     "gaussian_sum", "inner_max", "is_mub", "lemma_sweep", "lur_test",
     "maassen_uffink", "measurement_distribution", "minimize_variance_sum", "optimize_alpha",
-    "overlap_stats", "random_hermitian", "robertson_bound", "sample_random_pure",
-    "sample_random_separable", "shannon_entropy", "shannon_variance_bound",
-    "state_dependent_bound", "user_supplied", "validate_hermitian", "variance",
-    "variance_sum", "wu_full_mub", "wu_mub_bound",
+    "overlap_stats", "random_hermitian", "sample_random_pure", "sample_random_separable",
+    "shannon_entropy", "shannon_variance_bound", "state_dependent_bound", "user_supplied",
+    "variance", "wu_full_mub", "wu_mub_bound",
 ]

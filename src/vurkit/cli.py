@@ -9,6 +9,7 @@ Exit codes: 2 parse failure, 3 dimension mismatch, 4 non-Hermitian input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -115,6 +116,7 @@ def cmd_bound(args) -> int:
     lines = [_constant_line(constant), f"alpha = {report.alpha!r}"]
     if args.optimize:
         lines.append(f"alpha at search-range edge: {'yes' if report.at_range_edge else 'no'}")
+        lines.append(f"refine steps after the grid: {report.refine_steps}")
     for k, r in enumerate(report.per_operator, start=1):
         lines.append(f"operator {k}: beta* = {r.beta_star:.9f}, M = {r.value:.9f}, "
                      f"bracket [{r.bracket[0]:g}, {r.bracket[1]:g}], "
@@ -287,6 +289,7 @@ def cmd_demo(args) -> int:
     return _emit(args, run, lines)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vurkit",

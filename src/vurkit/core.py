@@ -39,16 +39,6 @@ def as_square_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m) -> float:
-    """Max entrywise deviation of a matrix from its conjugate transpose."""
-    arr = as_square_matrix(m)
-    return float(np.max(np.abs(arr - arr.conj().T)))
-
-
-def validate_hermitian(m, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    return hermiticity_defect(m) <= tol.hermiticity
-
-
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first non-negligible component is real positive."""
     idx = np.flatnonzero(np.abs(vec) > 1e-12)
@@ -253,15 +243,3 @@ def is_mub(bases, tol: float | None = None) -> bool:
             if float(np.max(np.abs(overlaps - target))) > tol:
                 return False
     return True
-
-
-def robertson_bound(a: SpectralObservable, b: SpectralObservable, state: QuantumState) -> float:
-    """Half the modulus of the commutator expectation (the classic product-form floor)."""
-    _require_same_dim(a.dim, b.dim, "observables")
-    _require_same_dim(a.dim, state.dim, "observable and state")
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    if state.is_pure:
-        value = complex(np.vdot(state.vector, comm @ state.vector))
-    else:
-        value = complex(np.trace(state.matrix @ comm))
-    return 0.5 * abs(value)

@@ -16,8 +16,8 @@ quadratic model's minimum lies behind) where g is convex, scaled by a trust
 factor that doubles when a step is taken and shrinks when one is refused; a
 step is taken only if it raises g, and a mean-shift step, which never lowers
 g, is taken otherwise.  ``inner_max`` runs the ascent at one width;
-``optimize_alpha`` runs it over a log-spaced width grid and zooms in on every
-grid-local maximum of the floor.
+``optimize_alpha`` runs it over a log-spaced width grid, then takes Newton
+steps on the floor's exact derivative from every grid-local maximum.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -34,15 +34,13 @@ import numpy as np
 
 from .core import QuantumState, expectation
 from .entropic import EntropicConstant
-from .errors import InvalidAlphaError
+from .errors import DimensionMismatchError, InvalidAlphaError
 
 # alpha h^2 range searched by optimize_alpha, and the log-spaced grid on it
 ALPHA_RANGE = (1e-3, 1e3)
 GRID_POINTS = 200
-# zoom: each round samples ZOOM points on each side of the best ln alpha so
-# far, one ZOOM-th of the bracket apart, and shrinks the bracket ZOOM-fold,
-# down to LOG_ALPHA_TOL
-ZOOM = 8
+# optimize_alpha refines each grid peak until its bracket, or a Newton step,
+# is this short in ln alpha
 LOG_ALPHA_TOL = 1e-8
 # rows x eigenvalues per ascent block: bounds the scratch arrays' memory
 BLOCK_ELEMENTS = 1 << 13
@@ -94,42 +92,43 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     return np.log(s0) - m, d, w, s0
 
 
-def _ascend(evals: np.ndarray, alphas: np.ndarray):
-    """Climb g from every eigenvalue and adjacent midpoint, for every alpha.
+def _ascend(spectra: np.ndarray, alphas: np.ndarray):
+    """Climb g from every eigenvalue and adjacent midpoint, for every row of the
+    (S, n) stack of ascending spectra and every alpha.
 
-    Returns arrays of shape (len(alphas), starts): the final beta, ln g there,
-    the iterations run, and whether the end point is a maximum (g'' <= 0)
-    rather than a minimum that a symmetric start sat on.  A row whose weights
-    overflow (alpha near the float limit, far from every eigenvalue) ends at
-    once with ln g = -inf; the eigenvalue starts never do.
+    Returns arrays of shape (S, len(alphas), 2n - 1): the final beta, ln g
+    there, the iterations run, whether the end point is a maximum (g'' <= 0)
+    rather than a minimum that a symmetric start sat on, and one of shape
+    (3, S, len(alphas), 2n - 1): the weighted moments mu_j = <(a - beta)^j>_w,
+    j = 2, 3, 4, at the end point.  A row whose weights overflow (alpha near
+    the float limit, far from every eigenvalue) ends at once with ln g = -inf;
+    the eigenvalue starts never do.
     """
-    starts = np.unique(np.concatenate([evals, 0.5 * (evals[1:] + evals[:-1])]))
-    shape = (alphas.size, starts.size)
-    alpha_rows = np.repeat(alphas, starts.size)
-    beta = np.tile(starts, alphas.size)
-    log_g = np.empty(beta.size)
-    concave = np.empty(beta.size, dtype=bool)
-    iters = np.empty(beta.size, dtype=int)
-    lo, hi = evals[0], evals[-1]
-    tol = VALUE_TOL * max(1.0, math.log(evals.size))
-    block = max(1, BLOCK_ELEMENTS // evals.size)
+    starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
+    shape = (spectra.shape[0], alphas.size, starts.shape[1])
+    beta = np.repeat(starts[:, None, :], alphas.size, axis=1).ravel()
+    log_g, moments = np.empty(beta.size), np.empty((3, beta.size))
+    concave, iters = np.empty(beta.size, dtype=bool), np.empty(beta.size, dtype=int)
+    tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
+    block = max(1, BLOCK_ELEMENTS // spectra.shape[1])
     # alpha d^2 overflows only far from every eigenvalue at alpha near the
     # float limit; such rows end as NaN at once
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, beta.size, block):
             rows = np.arange(first, min(first + block, beta.size))
-            a, b = alpha_rows[rows], beta[rows]
+            # each row carries its spectrum, its alpha and its beta
+            e, a, b = spectra[rows // (shape[1] * shape[2])], alphas[rows // shape[2] % shape[1]], beta[rows]
             prev = np.full(rows.size, -np.inf)
             gain = np.ones(rows.size)
             for it in range(1, MAX_ASCENT_ITERS + 1):
-                lg, d, w, s0 = _log_gaussian_sum(evals, a, b)
-                # in place, so that a block holds at most two (rows, n) arrays
+                lg, d, w, s0 = _log_gaussian_sum(e, a, b)
+                # in place, so that a block holds at most three (rows, n) arrays
                 w *= d
                 shift = np.add.reduce(w, axis=1) / s0
                 w *= d
+                mu2 = np.add.reduce(w, axis=1) / s0
                 # g'' / (2 alpha g) = 2 alpha <d^2>_w - 1
-                curv = 2.0 * (a * (np.add.reduce(w, axis=1) / s0)) - 1.0
-                del d, w
+                curv = 2.0 * (a * mu2) - 1.0
                 done = ~(lg - prev > tol)
                 if it == MAX_ASCENT_ITERS:
                     done[:] = True
@@ -137,21 +136,26 @@ def _ascend(evals: np.ndarray, alphas: np.ndarray):
                     fin = rows[done]
                     beta[fin], log_g[fin], iters[fin] = b[done], lg[done], it
                     concave[fin] = curv[done] <= 0.0
+                    # two more reductions, only on the rows that finish
+                    w, d, s0 = w[done] * d[done], d[done], s0[done]
+                    moments[:, fin] = mu2[done], np.add.reduce(w, axis=1) / s0, np.add.reduce(w * d, axis=1) / s0
                     live = ~done
                     if not live.any():
                         break
-                    rows, a, b, lg, shift, curv, gain = (x[live] for x in (rows, a, b, lg, shift, curv, gain))
+                    rows, e, a, b, lg, shift, curv, gain = (x[live] for x in (rows, e, a, b, lg, shift, curv, gain))
+                del d, w
                 # g' / |g''| = shift / |curv|: the Newton step where g is concave
                 # (never past it: the factor is at most 1 there), its mirror image
                 # where convex; where |curv| > 1 the mean-shift step is longer
                 factor = np.where(curv < 0.0, np.minimum(gain, 1.0), gain)
-                trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), lo), hi)
-                rises = _log_gaussian_sum(evals, a, trial)[0] > lg
+                trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), e[:, 0]), e[:, -1])
+                rises = _log_gaussian_sum(e, a, trial)[0] > lg
                 b = np.where(rises, trial, b + shift)
                 gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
                 prev = lg
     log_g = np.fmax(log_g, -np.inf)  # NaN -> -inf
-    return beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape)
+    return (beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape),
+            moments.reshape((3, *shape)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     a = _check_alpha(alpha)
     evals = _ascending_eigenvalues(eigenvalues)
     lo, hi = float(evals[0]), float(evals[-1])
-    beta, log_g, iters, concave = (x[0] for x in _ascend(evals, np.array([a])))
+    beta, log_g, iters, concave = (x[0, 0] for x in _ascend(evals[None], np.array([a]))[:4])
     best = float(beta[int(np.argmax(log_g))])
     # end points closer than a thousandth of the Gaussian width are one mode:
     # where two modes merge, starts on either side stop that far apart
@@ -210,7 +214,8 @@ class BoundReport:
 
     ``at_range_edge`` is set by ``optimize_alpha`` when the optimum lies
     within one grid step of either end of its search range, where the true
-    optimum may lie outside it.
+    optimum may lie outside it; ``refine_steps`` counts its kernel calls
+    between the grid and the final evaluation.
     """
 
     alpha: float
@@ -220,6 +225,7 @@ class BoundReport:
     lower_bound: float
     clamped: bool
     at_range_edge: bool = False
+    refine_steps: int = 0
 
 
 def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> BoundReport:
@@ -238,54 +244,73 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
                        raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
 
 
+def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray):
+    """Raw floor (C - sum_k c_k ln M_k) / alpha at each t = ln alpha in ``logs``
+    (spectrum k counted c_k times), its slope D = d raw / dt and D' = dD / dt,
+    exact from the moments at each argmax: d ln M / d alpha = -mu2 (envelope
+    theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1)."""
+    alphas = np.exp(logs)
+    _, log_g, _, _, moments = _ascend(spectra, alphas)
+    pick = np.argmax(log_g, axis=2)[..., None]
+    log_m = np.take_along_axis(log_g, pick, axis=2)[..., 0]
+    mu2, mu3, mu4 = np.take_along_axis(moments, pick[None], axis=3)[..., 0]
+    raw = (c - counts @ log_m) / alphas
+    slope = counts @ mu2 - raw
+    with np.errstate(divide="ignore", invalid="ignore"):  # 2 alpha mu2 = 1 where modes merge
+        dmu2 = mu2 * mu2 - mu4 + 2.0 * alphas * mu3 * mu3 / (2.0 * alphas * mu2 - 1.0)
+    return raw, slope, alphas * (counts @ dmu2) - slope
+
+
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     """Best variance-sum floor over the width parameter.
 
     Scans alpha h^2 over ``ALPHA_RANGE`` on a log grid (h the largest
-    half-spread of the spectra, 1 if all are degenerate), then zooms in on
-    every grid-local maximum of the floor to ``LOG_ALPHA_TOL`` in ln alpha.
-    Equal spectra are maximized once.
+    half-spread of the spectra, 1 if all are degenerate), then refines every
+    grid-local maximum of the floor to ``LOG_ALPHA_TOL`` in ln alpha by
+    Newton steps on the exact slope, bisecting where a step leaves the
+    bracket or the slope is not decreasing (the argmax can switch modes at
+    the optimum, and there only bisection converges).  Equal spectra are
+    maximized once, and all distinct spectra in one kernel call per step.
     """
     obs = list(observables)
     if not obs:
         raise ValueError("need at least one observable")
-    spectra: list[np.ndarray] = []
-    counts: list[int] = []
-    for o in obs:
-        evals = _ascending_eigenvalues(o.eigenvalues)
-        for k, seen in enumerate(spectra):
-            if np.array_equal(seen, evals):
-                counts[k] += 1
-                break
-        else:
-            spectra.append(evals)
-            counts.append(1)
-    h = max(0.5 * (s[-1] - s[0]) for s in spectra) or 1.0
+    spectra = [_ascending_eigenvalues(o.eigenvalues) for o in obs]
+    if len({s.size for s in spectra}) > 1:
+        raise DimensionMismatchError(f"observables have mixed dimensions {sorted({s.size for s in spectra})}")
+    stack, counts = np.unique(np.stack(spectra), axis=0, return_counts=True)  # -0.0 equals 0.0 here
+    h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
-
-    def raw(logs: np.ndarray) -> np.ndarray:
-        alphas = np.exp(logs.ravel())
-        total = sum(c * _ascend(s, alphas)[1].max(axis=1) for s, c in zip(spectra, counts))
-        return ((constant.value - total) / alphas).reshape(logs.shape)
 
     logs = np.linspace(lo, hi, GRID_POINTS)
     step = logs[1] - logs[0]
-    vals = raw(logs)
+    vals, slope, curv = _floor_slopes(stack, counts, constant.value, logs)
     padded = np.concatenate([[-np.inf], vals, [-np.inf]])
     peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
-    centers, best = logs[peaks], vals[peaks]
-    offsets = np.arange(-ZOOM, ZOOM + 1) / ZOOM
-    rows = np.arange(peaks.size)
-    width = step
-    while width > LOG_ALPHA_TOL:
-        trial = np.clip(centers[:, None] + width * offsets, lo, hi)
-        trial_vals = raw(trial)
-        pick = np.argmax(trial_vals, axis=1)
-        centers, best = trial[rows, pick], trial_vals[rows, pick]
-        width /= ZOOM
-    t = float(centers[int(np.argmax(best))])
-    report = bound_at_alpha(obs, math.exp(t), constant)
-    return replace(report, at_range_edge=bool(t - lo <= step or hi - t <= step))
+    t, at, slope, curv, best = logs[peaks], logs[peaks], slope[peaks], curv[peaks], vals[peaks]
+    # each peak's maximum lies between it and the grid neighbour its slope points to
+    left = np.where(slope > 0.0, t, np.maximum(t - step, lo))
+    right = np.where(slope < 0.0, t, np.minimum(t + step, hi))
+    live = (right - left > LOG_ALPHA_TOL) & (slope != 0.0)
+    refine_steps = 0
+    while True:
+        newton = t - slope / np.where(curv < 0.0, curv, -np.inf)
+        use = (curv < 0.0) & (newton > left) & (newton < right)
+        # a short Newton step has converged; a bisection step never counts
+        live &= ~(use & (np.abs(newton - t) <= LOG_ALPHA_TOL))
+        if not live.any():
+            break
+        k = np.flatnonzero(live)
+        t[k] = np.where(use, newton, 0.5 * (left + right))[k]
+        v, slope[k], curv[k] = _floor_slopes(stack, counts, constant.value, t[k])
+        refine_steps += 1
+        at[k], best[k] = np.where(v > best[k], (t[k], v), (at[k], best[k]))
+        left[k], right[k] = np.where(slope[k] > 0.0, (t[k], right[k]), (left[k], t[k]))
+        live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0)
+    t_best = float(at[int(np.argmax(best))])
+    report = bound_at_alpha(obs, math.exp(t_best), constant)
+    return replace(report, at_range_edge=bool(t_best - lo <= step or hi - t_best <= step),
+                   refine_steps=refine_steps)
 
 
 def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -> tuple[float, float]:

@@ -201,6 +201,7 @@ def bound_report_payload(report: BoundReport) -> dict:
         "lower_bound": float(report.lower_bound),
         "clamped": bool(report.clamped),
         "at_range_edge": bool(report.at_range_edge),
+        "refine_steps": int(report.refine_steps),
     }
 
 

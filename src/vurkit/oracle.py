@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import (QuantumState, SpectralObservable, eigendecompose,
-                   measurement_distribution, phase_fix_columns, shannon_entropy, variance)
+                   measurement_distribution, phase_fix_columns, shannon_entropy)
 from .engine import gaussian_sum
 from .errors import DimensionMismatchError
 
@@ -107,11 +107,6 @@ def _evaluate(forms, s, z: np.ndarray, order: int = 0):
     c = h @ basis - 0.5 * basis @ (basis.transpose(0, 2, 1) @ h @ basis)
     h -= basis @ c.transpose(0, 2, 1) + c @ basis.transpose(0, 2, 1)
     return value, grad, h
-
-
-def variance_sum(observables, state: QuantumState) -> float:
-    """Objective the oracle minimizes: sum of variances on one state."""
-    return sum(variance(o, state) for o in observables)
 
 
 def ambient_variance_sum(observables, x) -> float:

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: dense grids instead of
-golden-section refinement, raw matrix moments instead of spectral
-distributions.
+the mode search, raw matrix moments instead of spectral distributions.  The
+Hermiticity check and the Robertson floor live here because only the tests
+use them.
 """
 
 import numpy as np
+
+from vurkit import DEFAULT_TOLERANCES, DimensionMismatchError
 
 
 def dense_grid_max(eigenvalues, alpha, points=1_000_001, chunk=250_000):
@@ -37,6 +40,31 @@ def moment_variance(matrix, rho):
 
 def moment_expectation(matrix, rho):
     return float(np.real(np.trace(np.asarray(rho, complex) @ np.asarray(matrix, complex))))
+
+
+def variance_sum(observables, state):
+    """Sum of the observables' variances on one state, from dense moments."""
+    rho = state.density_matrix()
+    return sum(moment_variance(o.matrix, rho) for o in observables)
+
+
+def hermiticity_defect(m):
+    """Max entrywise deviation of a square matrix from its conjugate transpose."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
+    return float(np.max(np.abs(arr - arr.conj().T)))
+
+
+def validate_hermitian(m, tol=DEFAULT_TOLERANCES):
+    return hermiticity_defect(m) <= tol.hermiticity
+
+
+def robertson_bound(a, b, state):
+    """Half the modulus of the commutator expectation (the classic product-form
+    floor), from dense matrices."""
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    return 0.5 * abs(complex(np.trace(state.density_matrix() @ comm)))
 
 
 def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_tol=1e-12):

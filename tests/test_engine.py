@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import dense_grid_max
-from vurkit import (InvalidAlphaError, QuantumState, SpectralObservable, best_entropic_constant,
+from vurkit import (DimensionMismatchError, InvalidAlphaError, QuantumState, SpectralObservable,
+                    best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose,
                     gaussian_sum, inner_max, maassen_uffink,
                     measurement_distribution, optimize_alpha, overlap_stats,
                     shannon_entropy, shannon_variance_bound, state_dependent_bound,
                     user_supplied, variance, wu_full_mub)
+from vurkit.engine import ALPHA_RANGE, GRID_POINTS, _floor_slopes
 from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
@@ -203,6 +205,84 @@ def test_optimize_alpha_reports_range_edge():
     report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(1.0))
     assert report.at_range_edge
     assert report.alpha == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_optimize_alpha_refines_fixtures_in_few_steps():
+    assert 1 <= optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps <= 8
+    assert 1 <= optimize_alpha(qutrit4(), wu_full_mub(3)).refine_steps <= 8
+
+
+def test_optimize_alpha_rejects_mixed_lengths():
+    with pytest.raises(DimensionMismatchError):
+        optimize_alpha([eigendecompose(PAULI_Z), qutrit4()[0]], user_supplied(1.0))
+
+
+@pytest.mark.parametrize("spectra", [
+    [[-1.0, 1.0]],
+    [[-1.0, 0.2, 1.0], [-0.6, -0.5, 0.9]],
+    [[-0.7, -0.3, 0.0, 0.6, 0.8], [-1.0, -1.0, 0.4, 0.5, 2.0]],
+])
+def test_floor_slopes_match_central_differences(spectra):
+    # D = d raw / d ln alpha and D' = dD / d ln alpha at points where the
+    # argmax stays on one mode
+    stack = np.array(spectra)
+    counts = np.ones(len(spectra))
+    logs = np.log([0.3, 0.597, 1.7, 4.0, 11.0])
+    raw, slope, curv = _floor_slopes(stack, counts, 1.2, logs)
+
+    def central(h):
+        up, down = (_floor_slopes(stack, counts, 1.2, logs + s) for s in (h, -h))
+        return (up[0] - down[0]) / (2 * h), (up[1] - down[1]) / (2 * h)
+
+    # Richardson-extrapolated, with steps large enough that the argmax's
+    # rounding (~1e-9 in D where two modes are about to merge) stays small
+    (d1, dd1), (d2, dd2) = central(2e-3), central(1e-3)
+    np.testing.assert_allclose(slope, (4 * d2 - d1) / 3, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(curv, (4 * dd2 - dd1) / 3, rtol=2e-5, atol=1e-8)
+
+
+def _dense_scan_gain(observables, constant, report):
+    """How far the best raw floor on a log alpha scan 20 times denser than
+    the optimizer's grid lies above the optimized one, relative to the size
+    of the floor's terms."""
+    stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
+    h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
+    logs = np.linspace(*(math.log(r / (h * h)) for r in ALPHA_RANGE), 20 * GRID_POINTS)
+    best = float(np.max(_floor_slopes(stack, counts, constant.value, logs)[0]))
+    terms = abs(constant.value) + sum(math.log(r.value) for r in report.per_operator)
+    return (best - report.raw_bound) / (abs(report.raw_bound) + terms / report.alpha)
+
+
+_eigenvalue = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+_stacks = st.integers(min_value=2, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(_eigenvalue, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_stacks, st.floats(min_value=0.05, max_value=3.0))
+def test_optimize_alpha_beats_a_dense_scan(spectra, c):
+    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
+    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
+    constant = user_supplied(c)
+    report = optimize_alpha(obs, constant)
+    assert _dense_scan_gain(obs, constant, report) <= 1e-12
+
+
+def test_optimize_alpha_at_a_mode_switch():
+    # the argmax jumps from one mode to another at the optimum, so the slope
+    # jumps from + to - there and only bisection converges
+    obs = [SpectralObservable(np.array([-0.7, -0.3, 0.0, 0.6, 0.8]), np.eye(5))]
+    constant = user_supplied(0.85)
+    report = optimize_alpha(obs, constant)
+    t = math.log(report.alpha)
+    _, slope, _ = _floor_slopes(np.array([obs[0].eigenvalues]), np.ones(1), 0.85,
+                                np.array([t - 1e-6, t + 1e-6]))
+    assert slope[0] > 1e-3 * report.raw_bound and slope[1] < -1e-3 * report.raw_bound
+    assert _dense_scan_gain(obs, constant, report) <= 1e-12
+    # nothing within a few bracket widths of the optimum is higher either
+    near = [bound_at_alpha(obs, report.alpha * math.exp(d), constant).raw_bound
+            for d in np.linspace(-3e-7, 3e-7, 61)]
+    assert max(near) <= report.raw_bound * (1 + 1e-8)
 
 
 def _scaled(observables, s, t=0.0):

@@ -187,11 +187,16 @@ def test_cli_bound_optimize(capsys):
     assert 1.7243 <= payload["lower_bound"] <= 2.0
     assert payload["at_range_edge"] is False
     assert [r["modes"] for r in payload["per_operator"]] == [2, 2, 2]
+    assert 1 <= payload["refine_steps"] <= 8
 
     assert main(["bound", "pauli3", "--auto-C", "--optimize"]) == 0
     out = capsys.readouterr().out
     assert "alpha at search-range edge: no" in out
+    assert f"refine steps after the grid: {payload['refine_steps']}" in out
     assert "2 mode(s)" in out and "iteration(s)" in out
+
+    assert main(["bound", "pauli3", "--auto-C", "--alpha", "0.597", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["refine_steps"] == 0
 
 
 def test_cli_entropic(capsys):
@@ -412,6 +417,18 @@ def test_cli_every_tolerance_takes_effect(tmp_path, capsys, name):
         return code, json.loads(out)["payload"] if out else None
 
     assert outcome(argv) != outcome(argv + ["--tol", f"{name}={value!r}"])
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; an option given to one call
+    # must not carry over to the next
+    argv = ["entropic", "sigma-x", "sigma-z", "sigma-z", "--json"]
+    assert main(argv + ["--tol", "mub=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["mutually_unbiased"] is True
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == argv
+    assert doc["payload"]["mutually_unbiased"] is False
 
 
 def test_cli_json_repeatable_in_process(capsys):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import scalar_descent
+from reference import scalar_descent, variance_sum
 from vurkit import (DEFAULT_TOLERANCES, OracleConfig, QuantumState, eigendecompose, expectation,
                     gaussian_sum, lemma_sweep, measurement_distribution,
-                    minimize_variance_sum, sample_random_pure, shannon_entropy,
-                    variance, variance_sum)
+                    minimize_variance_sum, sample_random_pure, shannon_entropy, variance)
 from vurkit.fixtures import PAULI_Z, pauli3, qutrit4
 from vurkit.oracle import (STOP_REASONS, ambient_variance_sum,
                            ambient_variance_sum_gradient, random_hermitian)
