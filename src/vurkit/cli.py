@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
-from .core import SpectralObservable, is_mub, overlap_stats
-from .errors import DimensionMismatchError, FileFormatError, VurkitError
+from .core import SpectralObservable, common_dim, is_mub, overlap_stats
+from .errors import FileFormatError, VurkitError
 from .lur import LocalObservablePair, lur_test
 from .oracle import OracleConfig, minimize_variance_sum
 
@@ -54,13 +54,6 @@ def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
     for token in tokens:
         out.extend(_resolve_observable_token(token, tol))
     return out
-
-
-def _require_equal_dims(observables) -> int:
-    dims = sorted({o.dim for o in observables})
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"observables have mixed dimensions {dims}")
-    return dims[0]
 
 
 def _resolve_state(token: str, tol: Tolerances):
@@ -104,7 +97,6 @@ def _constant_line(constant: entropic.EntropicConstant) -> str:
 def cmd_bound(args) -> int:
     tol = _parse_tolerances(args)
     observables = _resolve_observables(args.observables, tol)
-    _require_equal_dims(observables)
     if args.auto_constant:
         constant = entropic.best_entropic_constant(observables, tol.mub)
     else:
@@ -135,7 +127,7 @@ def cmd_entropic(args) -> int:
     observables = _resolve_observables(args.observables, tol)
     if len(observables) < 2:
         raise FileFormatError("entropic needs at least two observables")
-    dim = _require_equal_dims(observables)
+    dim = common_dim(observables)
     overlaps = []
     for i in range(len(observables)):
         for j in range(i + 1, len(observables)):
@@ -164,7 +156,6 @@ def cmd_entropic(args) -> int:
 def cmd_oracle(args) -> int:
     tol = _parse_tolerances(args)
     observables = _resolve_observables(args.observables, tol)
-    _require_equal_dims(observables)
     config = OracleConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)
     amplitudes = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in result.argmin_state.vector)

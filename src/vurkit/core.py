@@ -24,9 +24,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require_same_dim(a: int, b: int, what: str = "operands") -> None:
-    if a != b:
-        raise DimensionMismatchError(f"{what} have mismatched dimensions {a} and {b}")
+def common_dim(observables) -> int:
+    """The dimension shared by a nonempty sequence of observables: every
+    quantity defined on a set of observables acts on one Hilbert space."""
+    dims = sorted({o.dim for o in observables})
+    if not dims:
+        raise ValueError("need at least one observable")
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"observables have mixed dimensions {dims}")
+    return dims[0]
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -39,21 +45,14 @@ def as_square_matrix(m) -> np.ndarray:
     return arr
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first non-negligible component is real positive."""
-    idx = np.flatnonzero(np.abs(vec) > 1e-12)
-    if idx.size == 0:
-        return vec
-    pivot = vec[idx[0]]
-    return vec * (abs(pivot) / pivot)
-
-
 def phase_fix_columns(vectors: np.ndarray) -> np.ndarray:
-    """Apply the deterministic phase convention to every column."""
+    """Rotate every column so its first component of modulus above 1e-12 is
+    real positive; a column with no such component is left as it is."""
     fixed = np.array(vectors, dtype=complex)
-    for j in range(fixed.shape[1]):
-        fixed[:, j] = _phase_fix(fixed[:, j])
-    return fixed
+    big = np.abs(fixed) > 1e-12
+    pivot = fixed[np.argmax(big, axis=0), np.arange(fixed.shape[1])]
+    pivot[~big.any(axis=0)] = 1.0
+    return fixed * (np.abs(pivot) / pivot)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,8 @@ class QuantumState:
 
 def measurement_distribution(obs: SpectralObservable, state: QuantumState) -> np.ndarray:
     """Outcome probabilities in ascending-eigenvalue order."""
-    _require_same_dim(obs.dim, state.dim, "observable and state")
+    if obs.dim != state.dim:
+        raise DimensionMismatchError(f"observable and state have mismatched dimensions {obs.dim} and {state.dim}")
     v = obs.eigenvectors
     if state.is_pure:
         p = np.abs(v.conj().T @ state.vector) ** 2
@@ -222,7 +222,7 @@ class OverlapStats:
 
 
 def overlap_stats(a: SpectralObservable, b: SpectralObservable) -> OverlapStats:
-    _require_same_dim(a.dim, b.dim, "observables")
+    common_dim((a, b))
     overlaps = np.abs(a.eigenvectors.conj().T @ b.eigenvectors)
     return OverlapStats(c=float(overlaps.max()), overlap_matrix=overlaps)
 
@@ -232,11 +232,9 @@ def is_mub(bases, tol: float | None = None) -> bool:
     obs = list(bases)
     if len(obs) < 2:
         raise ValueError("need at least two observables")
-    for o in obs[1:]:
-        _require_same_dim(obs[0].dim, o.dim, "observables")
     if tol is None:
         tol = DEFAULT_TOLERANCES.mub
-    target = 1.0 / math.sqrt(obs[0].dim)
+    target = 1.0 / math.sqrt(common_dim(obs))
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
             overlaps = overlap_stats(obs[i], obs[j]).overlap_matrix

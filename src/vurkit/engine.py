@@ -15,9 +15,11 @@ a Newton step where g is concave, or its mirror image (as far ahead as the
 quadratic model's minimum lies behind) where g is convex, scaled by a trust
 factor that doubles when a step is taken and shrinks when one is refused; a
 step is taken only if it raises g, and a mean-shift step, which never lowers
-g, is taken otherwise.  ``inner_max`` runs the ascent at one width;
-``optimize_alpha`` runs it over a log-spaced width grid, then takes Newton
-steps on the floor's exact derivative from every grid-local maximum.
+g, is taken otherwise.  ``_maxima`` reduces the end points to each
+spectrum's argmax, the moments there and the mode count.  A floor evaluation
+is one such call over a set's distinct spectra: ``bound_at_alpha`` at one
+width, ``optimize_alpha`` on a log-spaced width grid and at each Newton step
+on the floor's exact derivative from every grid-local maximum.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -32,9 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import QuantumState, expectation
+from .core import QuantumState, common_dim, expectation
 from .entropic import EntropicConstant
-from .errors import DimensionMismatchError, InvalidAlphaError
+from .errors import InvalidAlphaError
 
 # alpha h^2 range searched by optimize_alpha, and the log-spaced grid on it
 ALPHA_RANGE = (1e-3, 1e3)
@@ -63,6 +65,8 @@ def _ascending_eigenvalues(eigenvalues) -> np.ndarray:
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
+    if not np.all(np.isfinite(evals)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(np.diff(evals) < 0):
         raise ValueError("eigenvalues must be in ascending order")
     return evals
@@ -158,6 +162,35 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
             moments.reshape((3, *shape)))
 
 
+def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, n) stack of a set's distinct ascending spectra and each
+    observable's row in it; -0.0 equals 0.0 here."""
+    common_dim(observables)
+    stack, rows = np.unique(np.stack([_ascending_eigenvalues(o.eigenvalues) for o in observables]), axis=0,
+                            return_inverse=True)
+    return stack, rows.ravel()
+
+
+def _maxima(spectra: np.ndarray, alphas: np.ndarray):
+    """Per spectrum and alpha, arrays of shape (S, len(alphas)): the argmax
+    beta*, ln M = ln g(beta*), the ascent iterations of the slowest start and
+    the number of distinct maxima (modes) the starts reached, and one of
+    shape (3, S, len(alphas)): the moments mu2, mu3, mu4 at beta*.
+
+    g has at most n modes and each is reached from an eigenvalue or an
+    adjacent midpoint, so the best end point of the ascent is the global
+    maximum.
+    """
+    beta, log_g, iters, concave, moments = _ascend(spectra, alphas)
+    pick = np.argmax(log_g, axis=2)[..., None]
+    # end points closer than a thousandth of the Gaussian width are one mode:
+    # where two modes merge, starts on either side stop that far apart
+    ends = np.sort(np.where(concave, beta, np.nan), axis=2)  # NaNs sort last and never count
+    modes = 1 + np.count_nonzero(np.diff(ends, axis=2) > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
+    return (np.take_along_axis(beta, pick, axis=2)[..., 0], np.take_along_axis(log_g, pick, axis=2)[..., 0],
+            np.take_along_axis(moments, pick[None], axis=3)[..., 0], iters.max(axis=2), modes)
+
+
 @dataclass(frozen=True)
 class InnerMaxResult:
     """Argmax and value of the Gaussian sum over the eigenvalue interval, with
@@ -171,24 +204,21 @@ class InnerMaxResult:
     modes: int
 
 
-def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
-    """Global maximum of the Gaussian sum over centers in [a_1, a_n].
+def _inner_results(eigenvalue_lists, rows, stack: np.ndarray, a: float) -> tuple[InnerMaxResult, ...]:
+    """One ``InnerMaxResult`` per eigenvalue list, the i-th from row
+    ``rows[i]`` of ``stack``; all rows are maximized in one kernel call."""
+    beta, _, _, iters, modes = (x[..., 0] for x in _maxima(stack, np.array([a])))
+    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=gaussian_sum(e, a, beta[r]),
+                                bracket=(float(e[0]), float(e[-1])), iterations=int(iters[r]),
+                                modes=int(modes[r]))
+                 for e, r in zip(eigenvalue_lists, rows))
 
-    g has at most n modes and each is reached from an eigenvalue or an
-    adjacent midpoint, so the best end point of the ascent is the global
-    maximum.
-    """
+
+def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
+    """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = _ascending_eigenvalues(eigenvalues)
-    lo, hi = float(evals[0]), float(evals[-1])
-    beta, log_g, iters, concave = (x[0, 0] for x in _ascend(evals[None], np.array([a]))[:4])
-    best = float(beta[int(np.argmax(log_g))])
-    # end points closer than a thousandth of the Gaussian width are one mode:
-    # where two modes merge, starts on either side stop that far apart
-    ends = np.sort(beta[concave])
-    modes = 1 + int(np.count_nonzero(np.diff(ends) > 1e-3 / math.sqrt(a)))
-    return InnerMaxResult(beta_star=best, value=gaussian_sum(evals, a, best), bracket=(lo, hi),
-                          iterations=int(iters.max()), modes=modes)
+    return _inner_results([evals], [0], evals[None], a)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -200,8 +230,7 @@ def state_dependent_bound(observables, state: QuantumState, alpha: float,
     """
     a = _check_alpha(alpha)
     obs = list(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
+    common_dim(obs)
     total = 0.0
     for o in obs:
         total += math.log(gaussian_sum(o.eigenvalues, a, expectation(o, state)))
@@ -236,9 +265,8 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     """
     a = _check_alpha(alpha)
     obs = list(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    inner = tuple(inner_max(o.eigenvalues, a) for o in obs)
+    stack, rows = _spectra(obs)
+    inner = _inner_results([o.eigenvalues for o in obs], rows, stack, a)
     raw = (constant.value - sum(math.log(r.value) for r in inner)) / a
     return BoundReport(alpha=a, constant=constant, per_operator=inner,
                        raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
@@ -250,10 +278,7 @@ def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.nd
     exact from the moments at each argmax: d ln M / d alpha = -mu2 (envelope
     theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1)."""
     alphas = np.exp(logs)
-    _, log_g, _, _, moments = _ascend(spectra, alphas)
-    pick = np.argmax(log_g, axis=2)[..., None]
-    log_m = np.take_along_axis(log_g, pick, axis=2)[..., 0]
-    mu2, mu3, mu4 = np.take_along_axis(moments, pick[None], axis=3)[..., 0]
+    _, log_m, (mu2, mu3, mu4), _, _ = _maxima(spectra, alphas)
     raw = (c - counts @ log_m) / alphas
     slope = counts @ mu2 - raw
     with np.errstate(divide="ignore", invalid="ignore"):  # 2 alpha mu2 = 1 where modes merge
@@ -273,12 +298,8 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     maximized once, and all distinct spectra in one kernel call per step.
     """
     obs = list(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    spectra = [_ascending_eigenvalues(o.eigenvalues) for o in obs]
-    if len({s.size for s in spectra}) > 1:
-        raise DimensionMismatchError(f"observables have mixed dimensions {sorted({s.size for s in spectra})}")
-    stack, counts = np.unique(np.stack(spectra), axis=0, return_counts=True)  # -0.0 equals 0.0 here
+    stack, rows = _spectra(obs)
+    counts = np.bincount(rows)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
 
@@ -324,10 +345,17 @@ def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -
     if not math.isfinite(c):
         raise ValueError(f"entropy constant must be finite, got {entropy_constant!r}")
     if alpha is None:
-        a = math.pi * math.exp(1.0 - c)
-        return a, math.exp(c - 1.0) / math.pi
-    a = _check_alpha(alpha)
-    return a, (c + math.log(a / math.pi)) / a
+        try:
+            a, bound = math.pi * math.exp(1.0 - c), math.exp(c - 1.0) / math.pi
+        except OverflowError:
+            a = bound = math.inf
+    else:
+        a = _check_alpha(alpha)
+        bound = (c + math.log(a / math.pi)) / a
+    # math.exp raises on overflow, but a product or quotient turns inf silently
+    if math.isinf(a) or math.isinf(bound):
+        raise ValueError(f"alpha or floor overflows a float for entropy constant {c!r}")
+    return a, bound
 
 
 def shannon_variance_bound(entropy: float) -> float:

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_TOLERANCES
-from .core import SpectralObservable, is_mub, overlap_stats
-from .errors import DimensionMismatchError, RegimeError
+from .core import SpectralObservable, common_dim, is_mub, overlap_stats
+from .errors import RegimeError
 
 # The analytic large-overlap bound is provably wrong near c = 1/sqrt(2): the
 # qubit state |0> with the z and x spin observables has entropy sum ln 2,
 # below the formula's value there.  0.834 is where the formula's own stated
 # improvement region ends, so that is the default gate.
 DE_VICENTE_DEFAULT_MIN_C = 0.834
-DE_VICENTE_LITERAL_MIN_C = 1.0 / math.sqrt(2.0)
 
 
 class ConstantSource(str, Enum):
@@ -52,28 +51,19 @@ def maassen_uffink(c: float) -> EntropicConstant:
     return EntropicConstant(max(0.0, -2.0 * math.log(c)), ConstantSource.MAASSEN_UFFINK, f"m=2 c={c!r}")
 
 
-def de_vicente_analytic(c: float, *, literal_paper_regime: bool = False) -> EntropicConstant:
-    """Analytic large-overlap improvement on the -2 ln c bound.
-
-    Enabled for c >= 0.834 by default; ``literal_paper_regime`` widens the gate
-    to c >= 1/sqrt(2) for study purposes (see module comment for why that
-    regime is excluded from automatic selection).
-    """
+def de_vicente_analytic(c: float) -> EntropicConstant:
+    """Analytic large-overlap improvement on the -2 ln c bound, for
+    c >= 0.834 (see the module comment for why not below)."""
     c = float(c)
-    threshold = DE_VICENTE_LITERAL_MIN_C if literal_paper_regime else DE_VICENTE_DEFAULT_MIN_C
     if c > 1.0:
         raise ValueError(f"overlap c must not exceed 1, got {c!r}")
-    if c < threshold - 1e-12:
-        raise RegimeError(
-            f"analytic bound not enabled for c={c!r} (threshold {threshold:.6f}; "
-            f"pass literal_paper_regime=True to widen to 1/sqrt(2))"
-        )
+    if c < DE_VICENTE_DEFAULT_MIN_C - 1e-12:
+        raise RegimeError(f"analytic bound not enabled for c={c!r} (threshold {DE_VICENTE_DEFAULT_MIN_C})")
     if c >= 1.0:
         value = 0.0
     else:
         value = -(1.0 + c) * math.log((1.0 + c) / 2.0) - (1.0 - c) * math.log((1.0 - c) / 2.0)
-    return EntropicConstant(max(0.0, value), ConstantSource.DE_VICENTE_ANALYTIC,
-                            f"m=2 c={c!r} literal={literal_paper_regime}")
+    return EntropicConstant(max(0.0, value), ConstantSource.DE_VICENTE_ANALYTIC, f"m=2 c={c!r}")
 
 
 def wu_mub_bound(m: int, n: int) -> EntropicConstant:
@@ -142,16 +132,14 @@ def entropic_candidates(observables,
     obs = list(observables)
     if len(obs) < 2:
         raise ValueError("need at least two observables")
-    for o in obs[1:]:
-        if o.dim != obs[0].dim:
-            raise DimensionMismatchError(f"observables have mismatched dimensions {obs[0].dim} and {o.dim}")
+    dim = common_dim(obs)
     if len(obs) == 2:
         c = min(overlap_stats(obs[0], obs[1]).c, 1.0)
         if c >= DE_VICENTE_DEFAULT_MIN_C:
             return [maassen_uffink(c), de_vicente_analytic(c)]
         return [maassen_uffink(c)]
     if is_mub(obs, mub_tol):
-        return [wu_mub_bound(len(obs), obs[0].dim)]
+        return [wu_mub_bound(len(obs), dim)]
     return [_greedy_pair_matching(obs)]
 
 

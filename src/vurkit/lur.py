@@ -10,13 +10,14 @@ subsystems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import QuantumState, SpectralObservable
+from .core import QuantumState, SpectralObservable, common_dim
 from .engine import optimize_alpha
 from .entropic import EntropicConstant
 from .errors import DimensionMismatchError
@@ -73,16 +74,14 @@ def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
     The verdict is Entangled when the margin is below ``-margin_tol``.
     """
     pair_list = list(pairs)
-    if not pair_list:
-        raise ValueError("need at least one observable pair")
-    n_a = pair_list[0].a_side.dim
-    n_b = pair_list[0].b_side.dim
-    for p in pair_list[1:]:
-        if p.a_side.dim != n_a or p.b_side.dim != n_b:
-            raise DimensionMismatchError("all pairs must share the same local dimensions")
+    n_a = common_dim([p.a_side for p in pair_list])
+    n_b = common_dim([p.b_side for p in pair_list])
     if rho.dim != n_a * n_b:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not equal the product {n_a}*{n_b}")
+    for name, u in (("u_a", u_a), ("u_b", u_b)):
+        if u is not None and not math.isfinite(u):
+            raise ValueError(f"{name} must be finite, got {u!r}")
     if u_a is None:
         if c_a is None:
             raise ValueError("need either u_a or an entropy constant for the first side")

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import (QuantumState, SpectralObservable, eigendecompose,
+from .core import (QuantumState, SpectralObservable, common_dim, eigendecompose,
                    measurement_distribution, phase_fix_columns, shannon_entropy)
 from .engine import gaussian_sum
-from .errors import DimensionMismatchError
 
 _ARMIJO = 0.25  # share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _GRAD_TOL = 1e-12
@@ -179,12 +178,7 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     ``agreement_tol`` of the minimum count as agreeing.
     """
     obs = list(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    for o in obs[1:]:
-        if o.dim != obs[0].dim:
-            raise DimensionMismatchError(f"observables have mismatched dimensions {obs[0].dim} and {o.dim}")
-    dim = obs[0].dim
+    dim = common_dim(obs)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
     x0 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
     forms = _operator_matrices(obs)

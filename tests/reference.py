@@ -60,6 +60,18 @@ def validate_hermitian(m, tol=DEFAULT_TOLERANCES):
     return hermiticity_defect(m) <= tol.hermiticity
 
 
+def phase_fixed_columns(vectors):
+    """Every column rotated, one at a time, so that its first component of
+    modulus above 1e-12 is real positive; other columns are left as they are."""
+    fixed = np.array(vectors, dtype=complex)
+    for j in range(fixed.shape[1]):
+        idx = np.flatnonzero(np.abs(fixed[:, j]) > 1e-12)
+        if idx.size:
+            pivot = fixed[idx[0], j]
+            fixed[:, j] *= abs(pivot) / pivot
+    return fixed
+
+
 def robertson_bound(a, b, state):
     """Half the modulus of the commutator expectation (the classic product-form
     floor), from dense matrices."""

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import robertson_bound, validate_hermitian
+from reference import phase_fixed_columns, robertson_bound, validate_hermitian
 from vurkit import (DimensionMismatchError, NotHermitianError, QuantumState,
                     SpectralObservable, eigendecompose, expectation, is_mub,
                     measurement_distribution, overlap_stats, shannon_entropy, variance)
+from vurkit.core import phase_fix_columns
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
 
@@ -103,6 +104,24 @@ def test_measurement_distribution_examples():
     assert np.allclose(measurement_distribution(eigendecompose(PAULI_Z), KET0), [0.0, 1.0])
     assert np.allclose(measurement_distribution(eigendecompose(PAULI_X), KET0), [0.5, 0.5])
     assert np.allclose(measurement_distribution(eigendecompose(PAULI_Z), MIXED_QUBIT), [0.5, 0.5])
+
+
+def test_phase_fix_columns_matches_per_column_reference():
+    rng = np.random.default_rng(4)
+    for n, k in ((1, 1), (2, 4), (3, 5), (8, 8), (16, 9)):
+        m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        if k > 1:
+            m[: n - 1, 0] = 0.0            # zero leading entries
+            m[: n // 2, 1] *= 1e-13        # negligible leading entries
+            m[:, -1] = 0.0                 # an all-zero column
+        got = phase_fix_columns(m)
+        np.testing.assert_allclose(got, phase_fixed_columns(m), rtol=0.0, atol=1e-15)
+        for col in got.T:
+            big = np.flatnonzero(np.abs(col) > 1e-12)
+            if big.size:
+                assert abs(col[big[0]].imag) <= 1e-15 and col[big[0]].real > 0.0
+            else:
+                assert not np.any(col)
 
 
 def test_dimension_mismatch_raises():

@@ -6,15 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import dense_grid_max
-from vurkit import (DimensionMismatchError, InvalidAlphaError, QuantumState, SpectralObservable,
-                    best_entropic_constant,
-                    bound_at_alpha, continuous_pair_bound, eigendecompose,
-                    gaussian_sum, inner_max, maassen_uffink,
+from vurkit import (DimensionMismatchError, InvalidAlphaError, LocalObservablePair, QuantumState,
+                    SpectralObservable, best_entropic_constant,
+                    bound_at_alpha, continuous_pair_bound, eigendecompose, entropic_candidates,
+                    gaussian_sum, inner_max, is_mub, lur_test, maassen_uffink,
                     measurement_distribution, optimize_alpha, overlap_stats,
                     shannon_entropy, shannon_variance_bound, state_dependent_bound,
                     user_supplied, variance, wu_full_mub)
+from vurkit import engine
 from vurkit.engine import ALPHA_RANGE, GRID_POINTS, _floor_slopes
-from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
+from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
 
@@ -70,6 +71,12 @@ def test_inner_max_counts_modes():
     assert inner_max([-1.0, 0.0, 1.0], 50.0).modes == 3
     assert inner_max([0.7, 0.7, 0.7], 5.0).modes == 1
     assert inner_max([-1.0, 1.0], 1e308).modes == 2
+
+
+def test_inner_max_rejects_non_finite_eigenvalues():
+    for bad in ([0.0, math.nan], [-math.inf, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError):
+            inner_max(bad, 1.0)
 
 
 def test_inner_max_single_eigenvalue():
@@ -212,9 +219,39 @@ def test_optimize_alpha_refines_fixtures_in_few_steps():
     assert 1 <= optimize_alpha(qutrit4(), wu_full_mub(3)).refine_steps <= 8
 
 
-def test_optimize_alpha_rejects_mixed_lengths():
+_QUBIT, _QUTRIT = eigendecompose(PAULI_Z), qutrit4()[0]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda obs: bound_at_alpha(obs, 1.0, user_supplied(1.0)), id="bound_at_alpha"),
+    pytest.param(lambda obs: optimize_alpha(obs, user_supplied(1.0)), id="optimize_alpha"),
+    pytest.param(lambda obs: state_dependent_bound(obs, KET0, 1.0, user_supplied(1.0)),
+                 id="state_dependent_bound"),
+    pytest.param(minimize_variance_sum, id="minimize_variance_sum"),
+    pytest.param(entropic_candidates, id="entropic_candidates"),
+    pytest.param(is_mub, id="is_mub"),
+    pytest.param(lambda obs: lur_test([LocalObservablePair(_QUBIT, o) for o in obs], maximally_mixed(4),
+                                      u_a=1.0, u_b=1.0), id="lur_test"),
+])
+def test_mixed_dimensions_raise(call):
     with pytest.raises(DimensionMismatchError):
-        optimize_alpha([eigendecompose(PAULI_Z), qutrit4()[0]], user_supplied(1.0))
+        call([_QUBIT, _QUTRIT])
+
+
+@pytest.mark.parametrize("observables", [
+    qutrit4(),
+    [SpectralObservable(np.array(e), np.eye(3)) for e in ([-1.0, 0.0, 1.0], [-1.0, 0.2, 1.0],
+                                                           [-0.6, -0.5, 0.9], [-1.0, 0.2, 1.0])],
+], ids=["equal_spectra", "distinct_spectra"])
+def test_one_kernel_call_per_floor_evaluation(monkeypatch, observables):
+    calls, ascend = [], engine._ascend
+    monkeypatch.setattr(engine, "_ascend", lambda *args: calls.append(args) or ascend(*args))
+    bound_at_alpha(observables, 1.92, user_supplied(1.0))
+    assert len(calls) == 1
+    calls.clear()
+    report = optimize_alpha(observables, user_supplied(1.0))
+    # the grid, each refine step, and the final evaluation
+    assert len(calls) == report.refine_steps + 2
 
 
 @pytest.mark.parametrize("spectra", [
@@ -266,6 +303,19 @@ def test_optimize_alpha_beats_a_dense_scan(spectra, c):
     constant = user_supplied(c)
     report = optimize_alpha(obs, constant)
     assert _dense_scan_gain(obs, constant, report) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(_stacks, st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+       st.floats(min_value=1e-2, max_value=1e2))
+def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
+    # repeated and distinct spectra in any order: each observable's result
+    # must come from its own spectrum's row
+    obs = [SpectralObservable(np.sort(spectra[k % len(spectra)]), np.eye(len(spectra[0]))) for k in picks]
+    report = bound_at_alpha(obs, alpha, user_supplied(1.0))
+    assert len(report.per_operator) == len(obs)
+    for o, r in zip(obs, report.per_operator):
+        assert r == inner_max(o.eigenvalues, alpha)
 
 
 def test_optimize_alpha_at_a_mode_switch():
@@ -406,6 +456,16 @@ def test_continuous_pair_bound_closed_form_is_stationary():
         for factor in (0.9, 0.99, 1.01, 1.1):
             _, probed = continuous_pair_bound(c, alpha_star * factor)
             assert probed <= best + 1e-12
+
+
+def test_continuous_pair_bound_rejects_overflow():
+    # the closed-form alpha* = pi e^(1-C) or floor e^(C-1)/pi leaves float range
+    for c in (-1000.0, -708.0, 800.0):
+        with pytest.raises(ValueError):
+            continuous_pair_bound(c)
+    # (C + ln(alpha/pi)) / alpha at a subnormal alpha
+    with pytest.raises(ValueError):
+        continuous_pair_bound(1.0, 1e-320)
 
 
 def test_continuous_pair_bound_rejects_bad_alpha():

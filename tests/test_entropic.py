@@ -32,16 +32,13 @@ def test_maassen_uffink_domain():
 def test_de_vicente_examples():
     assert de_vicente_analytic(1.0).value == 0.0
     assert de_vicente_analytic(0.9).value == pytest.approx(DV_AT_09, abs=1e-12)
-    literal = de_vicente_analytic(1 / math.sqrt(2), literal_paper_regime=True)
-    assert literal.value == pytest.approx(DV_AT_INV_SQRT2, abs=1e-12)
 
 
 def test_de_vicente_regime_gate():
     with pytest.raises(RegimeError):
         de_vicente_analytic(0.75)
-    assert de_vicente_analytic(0.75, literal_paper_regime=True).value > 0
     with pytest.raises(RegimeError):
-        de_vicente_analytic(0.5, literal_paper_regime=True)
+        de_vicente_analytic(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         de_vicente_analytic(1.2)
 

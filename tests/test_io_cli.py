@@ -300,6 +300,14 @@ def test_cli_continuous(capsys):
     assert "0.318309886" in capsys.readouterr().out
 
 
+def test_cli_continuous_overflow_is_an_error(capsys):
+    for c in ("-1000", "800"):
+        assert main(["continuous", "--C", c]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_cli_demo(capsys):
     code = main(["demo", "--seed", "0", "--restarts", "4", "--json"])
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ def test_lur_dimension_checks():
     mixed_pairs = [LocalObservablePair(sz2, sz2), LocalObservablePair(sz3, sz2)]
     with pytest.raises(DimensionMismatchError):
         lur_test(mixed_pairs, maximally_mixed(4), u_a=1.0, u_b=1.0)
+
+
+def test_lur_rejects_non_finite_floors():
+    # an infinite U_A once flagged the product state |00> as entangled
+    for u_a, u_b in ((math.inf, 0.0), (math.nan, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            lur_test(pauli_pairs(), ket00(), u_a=u_a, u_b=u_b)
 
 
 @settings(max_examples=40, deadline=None)
