@@ -50,10 +50,7 @@ def _resolve_observable_token(token: str, tol: Tolerances) -> list[SpectralObser
 
 
 def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
-    out: list[SpectralObservable] = []
-    for token in tokens:
-        out.extend(_resolve_observable_token(token, tol))
-    return out
+    return [o for token in tokens for o in _resolve_observable_token(token, tol)]
 
 
 def _resolve_state(token: str, tol: Tolerances):
@@ -97,14 +94,10 @@ def _constant_line(constant: entropic.EntropicConstant) -> str:
 def cmd_bound(args) -> int:
     tol = _parse_tolerances(args)
     observables = _resolve_observables(args.observables, tol)
-    if args.auto_constant:
-        constant = entropic.best_entropic_constant(observables, tol.mub)
-    else:
-        constant = entropic.user_supplied(args.constant)
-    if args.optimize:
-        report = engine.optimize_alpha(observables, constant)
-    else:
-        report = engine.bound_at_alpha(observables, args.alpha, constant)
+    constant = (entropic.best_entropic_constant(observables, tol.mub) if args.auto_constant
+                else entropic.user_supplied(args.constant))
+    report = (engine.optimize_alpha(observables, constant) if args.optimize
+              else engine.bound_at_alpha(observables, args.alpha, constant))
     lines = [_constant_line(constant), f"alpha = {report.alpha!r}"]
     if args.optimize:
         lines.append(f"alpha at search-range edge: {'yes' if report.at_range_edge else 'no'}")
@@ -128,10 +121,8 @@ def cmd_entropic(args) -> int:
     if len(observables) < 2:
         raise FileFormatError("entropic needs at least two observables")
     dim = common_dim(observables)
-    overlaps = []
-    for i in range(len(observables)):
-        for j in range(i + 1, len(observables)):
-            overlaps.append((i + 1, j + 1, overlap_stats(observables[i], observables[j]).c))
+    overlaps = [(i + 1, j + 1, overlap_stats(observables[i], observables[j]).c)
+                for i in range(len(observables)) for j in range(i + 1, len(observables))]
     mub = is_mub(observables, tol.mub)
     candidates = entropic.entropic_candidates(observables, tol.mub)
     selected = entropic.best_entropic_constant(observables, tol.mub)
@@ -356,12 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except VurkitError as exc:
+    except (VurkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, VurkitError) else 1
 
 
 if __name__ == "__main__":

@@ -15,11 +15,14 @@ a Newton step where g is concave, or its mirror image (as far ahead as the
 quadratic model's minimum lies behind) where g is convex, scaled by a trust
 factor that doubles when a step is taken and shrinks when one is refused; a
 step is taken only if it raises g, and a mean-shift step, which never lowers
-g, is taken otherwise.  ``_maxima`` reduces the end points to each
-spectrum's argmax, the moments there and the mode count.  A floor evaluation
-is one such call over a set's distinct spectra: ``bound_at_alpha`` at one
-width, ``optimize_alpha`` on a log-spaced width grid and at each Newton step
-on the floor's exact derivative from every grid-local maximum.
+g, is taken otherwise.  Blocks are eigenvalue-major, (n, columns) and
+C-ordered with one column per (spectrum, alpha, start), so that a sum or
+minimum over eigenvalues is n - 1 passes over contiguous columns; a block
+has BLOCK_ELEMENTS // n columns, and at least 256.  ``_maxima`` reduces the
+end points to each spectrum's argmax, the moments there and the mode count.
+A floor evaluation is one such call over a set's distinct spectra:
+``bound_at_alpha`` makes one, and ``optimize_alpha`` one on a log-spaced
+width grid and one per refinement step, reporting the best point evaluated.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -41,10 +44,10 @@ from .errors import InvalidAlphaError
 # alpha h^2 range searched by optimize_alpha, and the log-spaced grid on it
 ALPHA_RANGE = (1e-3, 1e3)
 GRID_POINTS = 200
-# optimize_alpha refines each grid peak until its bracket, or a Newton step,
-# is this short in ln alpha
+# optimize_alpha refines each grid peak until its bracket, or a Newton or
+# corner step, is this short in ln alpha
 LOG_ALPHA_TOL = 1e-8
-# rows x eigenvalues per ascent block: bounds the scratch arrays' memory
+# eigenvalues x columns per ascent block: bounds the scratch arrays' memory
 BLOCK_ELEMENTS = 1 << 13
 MAX_ASCENT_ITERS = 500
 # an ascent stops once an iteration raises ln g by no more than this times
@@ -61,13 +64,13 @@ def _check_alpha(alpha) -> float:
     return a
 
 
-def _ascending_eigenvalues(eigenvalues) -> np.ndarray:
+def _eigenvalues(eigenvalues, ascending: bool = True) -> np.ndarray:
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
     if not np.all(np.isfinite(evals)):
         raise ValueError("eigenvalues must be finite")
-    if np.any(np.diff(evals) < 0):
+    if ascending and np.any(np.diff(evals) < 0):
         raise ValueError("eigenvalues must be in ascending order")
     return evals
 
@@ -75,24 +78,29 @@ def _ascending_eigenvalues(eigenvalues) -> np.ndarray:
 def gaussian_sum(eigenvalues, alpha: float, beta: float) -> float:
     """sum_k exp(-alpha (a_k - beta)^2); smooth in beta, valued in (0, n]."""
     a = _check_alpha(alpha)
-    evals = np.asarray(eigenvalues, dtype=float)
-    if evals.ndim != 1 or evals.size == 0:
-        raise ValueError("expected a nonempty 1-d eigenvalue list")
+    evals = _eigenvalues(eigenvalues, ascending=False)
+    if not math.isfinite(beta):
+        raise ValueError(f"center must be finite, got {beta!r}")
     with np.errstate(over="ignore"):  # -alpha d^2 = -inf has weight exp(-inf) = 0
         return float(np.exp(-a * (evals - beta) ** 2).sum())
 
 
+def _column_sums(w: np.ndarray) -> np.ndarray:
+    # in row order whatever the width: numpy sums a lone column pairwise
+    return np.add.accumulate(w, axis=0)[-1] if w.shape[1] == 1 else np.add.reduce(w, axis=0)
+
+
 def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """ln g for each row (alpha, beta), with the offsets d = a - beta, the
-    weights exp(m - alpha d^2) and their sum; m = min_k alpha d_k^2, so the
-    largest weight is 1 and they cannot all underflow however large alpha is."""
-    d = evals - beta[:, None]
+    """ln g for each column (alpha, beta) of an (n, columns) block, with the
+    offsets d = a - beta, the weights exp(m - alpha d^2) and their sum; m =
+    min_k alpha d_k^2, so the largest weight is 1 and they cannot all underflow."""
+    d = evals - beta
     w = d * d
-    w *= alpha[:, None]
-    m = np.minimum.reduce(w, axis=1)
-    np.subtract(m[:, None], w, out=w)
+    w *= alpha
+    m = np.minimum.reduce(w, axis=0)
+    np.subtract(m, w, out=w)
     np.exp(w, out=w)
-    s0 = np.add.reduce(w, axis=1)
+    s0 = _column_sums(w)
     return np.log(s0) - m, d, w, s0
 
 
@@ -104,9 +112,9 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     there, the iterations run, whether the end point is a maximum (g'' <= 0)
     rather than a minimum that a symmetric start sat on, and one of shape
     (3, S, len(alphas), 2n - 1): the weighted moments mu_j = <(a - beta)^j>_w,
-    j = 2, 3, 4, at the end point.  A row whose weights overflow (alpha near
-    the float limit, far from every eigenvalue) ends at once with ln g = -inf;
-    the eigenvalue starts never do.
+    j = 2, 3, 4, at the end point.  A column whose weights overflow (alpha
+    near the float limit, far from every eigenvalue) ends at once with
+    ln g = -inf; the eigenvalue starts never do.
     """
     starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
     shape = (spectra.shape[0], alphas.size, starts.shape[1])
@@ -114,45 +122,47 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     log_g, moments = np.empty(beta.size), np.empty((3, beta.size))
     concave, iters = np.empty(beta.size, dtype=bool), np.empty(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
-    block = max(1, BLOCK_ELEMENTS // spectra.shape[1])
+    block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
+    columns = np.ascontiguousarray(spectra.T)
     # alpha d^2 overflows only far from every eigenvalue at alpha near the
-    # float limit; such rows end as NaN at once
-    with np.errstate(over="ignore", invalid="ignore"):
+    # float limit; such columns end as NaN at once.  Where g'' = 0 the model
+    # step is infinite, and the clip to the spectrum's ends takes over
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for first in range(0, beta.size, block):
-            rows = np.arange(first, min(first + block, beta.size))
-            # each row carries its spectrum, its alpha and its beta
-            e, a, b = spectra[rows // (shape[1] * shape[2])], alphas[rows // shape[2] % shape[1]], beta[rows]
-            prev = np.full(rows.size, -np.inf)
-            gain = np.ones(rows.size)
+            cols = np.arange(first, min(first + block, beta.size))
+            # each column carries its spectrum, its alpha and its beta; take and
+            # compress keep the blocks C-ordered, where a boolean index would not
+            e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
+            prev, gain = np.full(cols.size, -np.inf), np.ones(cols.size)
             for it in range(1, MAX_ASCENT_ITERS + 1):
                 lg, d, w, s0 = _log_gaussian_sum(e, a, b)
-                # in place, so that a block holds at most three (rows, n) arrays
+                # in place, so that a block holds at most three (n, columns) arrays
                 w *= d
-                shift = np.add.reduce(w, axis=1) / s0
+                shift = _column_sums(w) / s0
                 w *= d
-                mu2 = np.add.reduce(w, axis=1) / s0
+                mu2 = _column_sums(w) / s0
                 # g'' / (2 alpha g) = 2 alpha <d^2>_w - 1
                 curv = 2.0 * (a * mu2) - 1.0
-                done = ~(lg - prev > tol)
-                if it == MAX_ASCENT_ITERS:
-                    done[:] = True
+                done = ~(lg - prev > tol) | (it == MAX_ASCENT_ITERS)
                 if done.any():
-                    fin = rows[done]
+                    fin = cols[done]
                     beta[fin], log_g[fin], iters[fin] = b[done], lg[done], it
                     concave[fin] = curv[done] <= 0.0
-                    # two more reductions, only on the rows that finish
-                    w, d, s0 = w[done] * d[done], d[done], s0[done]
-                    moments[:, fin] = mu2[done], np.add.reduce(w, axis=1) / s0, np.add.reduce(w * d, axis=1) / s0
+                    # two more reductions, only on the columns that finish
+                    d, s0 = d.compress(done, axis=1), s0[done]
+                    w = w.compress(done, axis=1) * d
+                    moments[:, fin] = mu2[done], _column_sums(w) / s0, _column_sums(w * d) / s0
                     live = ~done
                     if not live.any():
                         break
-                    rows, e, a, b, lg, shift, curv, gain = (x[live] for x in (rows, e, a, b, lg, shift, curv, gain))
+                    e = e.compress(live, axis=1)
+                    cols, a, b, lg, shift, curv, gain = (x[live] for x in (cols, a, b, lg, shift, curv, gain))
                 del d, w
                 # g' / |g''| = shift / |curv|: the Newton step where g is concave
                 # (never past it: the factor is at most 1 there), its mirror image
                 # where convex; where |curv| > 1 the mean-shift step is longer
                 factor = np.where(curv < 0.0, np.minimum(gain, 1.0), gain)
-                trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), e[:, 0]), e[:, -1])
+                trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), e[0]), e[-1])
                 rises = _log_gaussian_sum(e, a, trial)[0] > lg
                 b = np.where(rises, trial, b + shift)
                 gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
@@ -166,7 +176,7 @@ def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
     """The (S, n) stack of a set's distinct ascending spectra and each
     observable's row in it; -0.0 equals 0.0 here."""
     common_dim(observables)
-    stack, rows = np.unique(np.stack([_ascending_eigenvalues(o.eigenvalues) for o in observables]), axis=0,
+    stack, rows = np.unique(np.stack([_eigenvalues(o.eigenvalues) for o in observables]), axis=0,
                             return_inverse=True)
     return stack, rows.ravel()
 
@@ -204,10 +214,9 @@ class InnerMaxResult:
     modes: int
 
 
-def _inner_results(eigenvalue_lists, rows, stack: np.ndarray, a: float) -> tuple[InnerMaxResult, ...]:
-    """One ``InnerMaxResult`` per eigenvalue list, the i-th from row
-    ``rows[i]`` of ``stack``; all rows are maximized in one kernel call."""
-    beta, _, _, iters, modes = (x[..., 0] for x in _maxima(stack, np.array([a])))
+def _inner_results(eigenvalue_lists, rows, a: float, beta, iters, modes) -> tuple[InnerMaxResult, ...]:
+    """One ``InnerMaxResult`` per eigenvalue list at width ``a``, the i-th from
+    entry ``rows[i]`` of the per-spectrum argmax, iteration and mode arrays."""
     return tuple(InnerMaxResult(beta_star=float(beta[r]), value=gaussian_sum(e, a, beta[r]),
                                 bracket=(float(e[0]), float(e[-1])), iterations=int(iters[r]),
                                 modes=int(modes[r]))
@@ -217,8 +226,9 @@ def _inner_results(eigenvalue_lists, rows, stack: np.ndarray, a: float) -> tuple
 def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
-    evals = _ascending_eigenvalues(eigenvalues)
-    return _inner_results([evals], [0], evals[None], a)[0]
+    evals = _eigenvalues(eigenvalues)
+    beta, _, _, iters, modes = _maxima(evals[None], np.array([a]))
+    return _inner_results([evals], [0], a, beta[:, 0], iters[:, 0], modes[:, 0])[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -231,9 +241,7 @@ def state_dependent_bound(observables, state: QuantumState, alpha: float,
     a = _check_alpha(alpha)
     obs = list(observables)
     common_dim(obs)
-    total = 0.0
-    for o in obs:
-        total += math.log(gaussian_sum(o.eigenvalues, a, expectation(o, state)))
+    total = sum(math.log(gaussian_sum(o.eigenvalues, a, expectation(o, state))) for o in obs)
     return (constant.value - total) / a
 
 
@@ -244,7 +252,7 @@ class BoundReport:
     ``at_range_edge`` is set by ``optimize_alpha`` when the optimum lies
     within one grid step of either end of its search range, where the true
     optimum may lie outside it; ``refine_steps`` counts its kernel calls
-    between the grid and the final evaluation.
+    after the grid.
     """
 
     alpha: float
@@ -257,6 +265,15 @@ class BoundReport:
     refine_steps: int = 0
 
 
+def _report(observables, rows, a: float, constant: EntropicConstant, beta, iters, modes) -> BoundReport:
+    """The floor at width ``a`` from each distinct spectrum's argmax, ascent
+    iterations and mode count; observable i reads entry ``rows[i]``."""
+    inner = _inner_results([o.eigenvalues for o in observables], rows, a, beta, iters, modes)
+    raw = (constant.value - sum(math.log(r.value) for r in inner)) / a
+    return BoundReport(alpha=a, constant=constant, per_operator=inner,
+                       raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
+
+
 def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> BoundReport:
     """State-independent variance-sum floor at a fixed width parameter.
 
@@ -266,20 +283,21 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     a = _check_alpha(alpha)
     obs = list(observables)
     stack, rows = _spectra(obs)
-    inner = _inner_results([o.eigenvalues for o in obs], rows, stack, a)
-    raw = (constant.value - sum(math.log(r.value) for r in inner)) / a
-    return BoundReport(alpha=a, constant=constant, per_operator=inner,
-                       raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
+    beta, _, _, iters, modes = _maxima(stack, np.array([a]))
+    return _report(obs, rows, a, constant, beta[:, 0], iters[:, 0], modes[:, 0])
 
 
-def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray):
+def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray, found=None):
     """Raw floor (C - sum_k c_k ln M_k) / alpha at each t = ln alpha in ``logs``
     (spectrum k counted c_k times), its slope D = d raw / dt and D' = dD / dt,
     exact from the moments at each argmax: d ln M / d alpha = -mu2 (envelope
-    theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1)."""
+    theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1).  Appends (logs,
+    raw, alphas, beta*, iterations, modes) to a list ``found`` if given."""
     alphas = np.exp(logs)
-    _, log_m, (mu2, mu3, mu4), _, _ = _maxima(spectra, alphas)
+    beta, log_m, (mu2, mu3, mu4), iters, modes = _maxima(spectra, alphas)
     raw = (c - counts @ log_m) / alphas
+    if found is not None:
+        found.append((logs, raw, alphas, beta, iters, modes))
     slope = counts @ mu2 - raw
     with np.errstate(divide="ignore", invalid="ignore"):  # 2 alpha mu2 = 1 where modes merge
         dmu2 = mu2 * mu2 - mu4 + 2.0 * alphas * mu3 * mu3 / (2.0 * alphas * mu2 - 1.0)
@@ -291,47 +309,59 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
 
     Scans alpha h^2 over ``ALPHA_RANGE`` on a log grid (h the largest
     half-spread of the spectra, 1 if all are degenerate), then refines every
-    grid-local maximum of the floor to ``LOG_ALPHA_TOL`` in ln alpha by
-    Newton steps on the exact slope, bisecting where a step leaves the
-    bracket or the slope is not decreasing (the argmax can switch modes at
-    the optimum, and there only bisection converges).  Equal spectra are
-    maximized once, and all distinct spectra in one kernel call per step.
+    grid-local maximum to ``LOG_ALPHA_TOL`` in ln alpha: by Newton steps on
+    the exact slope, else (at a corner, where the argmax switches modes) by
+    steps to where the bracket ends' quadratic models meet, else by bisection.
+    All distinct spectra share one kernel call per step, and the report is
+    the best point evaluated.
     """
     obs = list(observables)
     stack, rows = _spectra(obs)
     counts = np.bincount(rows)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
-
     logs = np.linspace(lo, hi, GRID_POINTS)
     step = logs[1] - logs[0]
-    vals, slope, curv = _floor_slopes(stack, counts, constant.value, logs)
+    found = []
+    vals, slopes, curvs = _floor_slopes(stack, counts, constant.value, logs, found)
     padded = np.concatenate([[-np.inf], vals, [-np.inf]])
     peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
-    t, at, slope, curv, best = logs[peaks], logs[peaks], slope[peaks], curv[peaks], vals[peaks]
-    # each peak's maximum lies between it and the grid neighbour its slope points to
-    left = np.where(slope > 0.0, t, np.maximum(t - step, lo))
-    right = np.where(slope < 0.0, t, np.minimum(t + step, hi))
+    t, slope, curv = logs[peaks], slopes[peaks], curvs[peaks]
+    # each peak's maximum lies between it and the grid neighbour its slope
+    # points to; both bracket ends keep their t, value, D and D'
+    ends = np.stack([np.where(slope > 0.0, peaks, np.maximum(peaks - 1, 0)),
+                     np.where(slope < 0.0, peaks, np.minimum(peaks + 1, GRID_POINTS - 1))])
+    end = np.stack([logs, vals, slopes, curvs])[:, ends]
+    (left, right), (vl, vr), (dl, dr), (cl, cr) = end
     live = (right - left > LOG_ALPHA_TOL) & (slope != 0.0)
-    refine_steps = 0
     while True:
-        newton = t - slope / np.where(curv < 0.0, curv, -np.inf)
-        use = (curv < 0.0) & (newton > left) & (newton < right)
-        # a short Newton step has converged; a bisection step never counts
-        live &= ~(use & (np.abs(newton - t) <= LOG_ALPHA_TOL))
+        newton = t - slope / np.where((curv < 0.0) & (curv > -np.inf), curv, np.nan)
+        use = (newton > left) & (newton < right)
+        # at a corner (the argmax switches modes) the ends' quadratic models meet; aim
+        # past that, toward the end not evaluated last, by as far as it is uncertain
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tangent = (vr - vl + dl * left - dr * right) / (dl - dr)
+            ql, qr = cl * (tangent - left) ** 2, cr * (tangent - right) ** 2
+            meet = tangent + (qr - ql) / (2.0 * (dl - dr))
+            aim = meet + np.where(t == left, 1.0, -1.0) * (np.abs(ql) + np.abs(qr)) / (2.0 * (dl - dr))
+        cut = ~use & (np.minimum(meet, aim) > left) & (np.maximum(meet, aim) < right)
+        # a short Newton step has converged; a short corner step goes to the meeting
+        # point and is the peak's last; a bisection step never counts
+        last = cut & (np.abs(aim - t) <= LOG_ALPHA_TOL)
+        live &= ~(np.abs(newton - t) <= LOG_ALPHA_TOL)
         if not live.any():
             break
         k = np.flatnonzero(live)
-        t[k] = np.where(use, newton, 0.5 * (left + right))[k]
-        v, slope[k], curv[k] = _floor_slopes(stack, counts, constant.value, t[k])
-        refine_steps += 1
-        at[k], best[k] = np.where(v > best[k], (t[k], v), (at[k], best[k]))
-        left[k], right[k] = np.where(slope[k] > 0.0, (t[k], right[k]), (left[k], t[k]))
-        live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0)
-    t_best = float(at[int(np.argmax(best))])
-    report = bound_at_alpha(obs, math.exp(t_best), constant)
-    return replace(report, at_range_edge=bool(t_best - lo <= step or hi - t_best <= step),
-                   refine_steps=refine_steps)
+        t[k] = np.where(use, newton, np.where(cut, np.where(last, meet, aim), 0.5 * (left + right)))[k]
+        v, slope[k], curv[k] = _floor_slopes(stack, counts, constant.value, t[k], found)
+        side = (slope[k] <= 0.0).astype(int)  # t becomes the left end where the floor still rises
+        end[:, side, k] = t[k], v, slope[k], curv[k]
+        live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0) & ~last[k]
+    t, raw, alphas, beta, iters, modes = (np.concatenate(x, axis=-1) for x in zip(*found))
+    best = int(np.argmax(raw))
+    report = _report(obs, rows, float(alphas[best]), constant, beta[:, best], iters[:, best], modes[:, best])
+    return replace(report, at_range_edge=bool(t[best] - lo <= step or hi - t[best] <= step),
+                   refine_steps=len(found) - 1)
 
 
 def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -> tuple[float, float]:

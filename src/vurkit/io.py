@@ -80,8 +80,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     columns)."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"observable document must be an object, got {type(doc).__name__}")
-    has_matrix = "matrix" in doc
-    has_spectral = "spectral" in doc
+    has_matrix, has_spectral = "matrix" in doc, "spectral" in doc
     if has_matrix == has_spectral:
         raise FileFormatError("observable document must contain exactly one of 'matrix' or 'spectral'")
     if has_matrix:
@@ -90,8 +89,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     spectral = doc["spectral"]
     if not isinstance(spectral, dict) or set(spectral) != {"eigenvalues", "eigenvectors"}:
         raise FileFormatError("'spectral' must be an object with 'eigenvalues' and 'eigenvectors'")
-    raw_evals = spectral["eigenvalues"]
-    raw_cols = spectral["eigenvectors"]
+    raw_evals, raw_cols = spectral["eigenvalues"], spectral["eigenvectors"]
     if not isinstance(raw_evals, list) or not raw_evals:
         raise FileFormatError("'eigenvalues' must be a nonempty list")
     n = len(raw_evals)
@@ -121,8 +119,7 @@ def parse_state(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
     (amplitude pairs) or ``density`` (matrix of pairs)."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"state document must be an object, got {type(doc).__name__}")
-    has_pure = "pure" in doc
-    has_density = "density" in doc
+    has_pure, has_density = "pure" in doc, "density" in doc
     if has_pure == has_density:
         raise FileFormatError("state document must contain exactly one of 'pure' or 'density'")
     if has_pure:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ def test_gaussian_sum_rejects_bad_input():
         gaussian_sum([0.0], -1.0, 0.0)
     with pytest.raises(InvalidAlphaError):
         gaussian_sum([0.0], math.inf, 0.0)
+
+
+def test_gaussian_sum_rejects_non_finite_input():
+    # a NaN eigenvalue or center gave NaN, and an infinite eigenvalue was dropped
+    for evals, beta in (([0.0, math.nan], 0.0), ([0.0, 1.0], math.nan), ([0.0, math.inf], 0.0)):
+        with pytest.raises(ValueError):
+            gaussian_sum(evals, 1.0, beta)
 
 
 def test_inner_max_small_alpha_unimodal_at_midpoint():
@@ -250,8 +258,8 @@ def test_one_kernel_call_per_floor_evaluation(monkeypatch, observables):
     assert len(calls) == 1
     calls.clear()
     report = optimize_alpha(observables, user_supplied(1.0))
-    # the grid, each refine step, and the final evaluation
-    assert len(calls) == report.refine_steps + 2
+    # the grid and each refine step; the report reuses the best evaluation
+    assert len(calls) == report.refine_steps + 1
 
 
 @pytest.mark.parametrize("spectra", [
@@ -320,7 +328,7 @@ def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
 
 def test_optimize_alpha_at_a_mode_switch():
     # the argmax jumps from one mode to another at the optimum, so the slope
-    # jumps from + to - there and only bisection converges
+    # jumps from + to - there and Newton steps cannot converge
     obs = [SpectralObservable(np.array([-0.7, -0.3, 0.0, 0.6, 0.8]), np.eye(5))]
     constant = user_supplied(0.85)
     report = optimize_alpha(obs, constant)
@@ -332,7 +340,40 @@ def test_optimize_alpha_at_a_mode_switch():
     # nothing within a few bracket widths of the optimum is higher either
     near = [bound_at_alpha(obs, report.alpha * math.exp(d), constant).raw_bound
             for d in np.linspace(-3e-7, 3e-7, 61)]
-    assert max(near) <= report.raw_bound * (1 + 1e-8)
+    assert max(near) <= report.raw_bound * (1 + 1e-12)
+    assert report.refine_steps <= 8
+
+
+@settings(max_examples=50, deadline=None)
+@given(_stacks, st.floats(min_value=0.05, max_value=3.0))
+def test_optimize_alpha_reports_its_own_evaluation(spectra, c):
+    # the report comes from the kernel call at the winning width, so it is
+    # what a fresh evaluation there gives, bit for bit
+    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
+    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
+    report = optimize_alpha(obs, user_supplied(c))
+    again = bound_at_alpha(obs, report.alpha, user_supplied(c))
+    assert replace(report, at_range_edge=False, refine_steps=0) == again
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.lists(st.lists(_eigenvalue, min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_ascent_columns_do_not_depend_on_the_blocks(spectra):
+    # enough widths for several blocks of the smallest size; each column's
+    # climb must not see which other columns share its block
+    stack = np.sort(np.array(spectra), axis=1)
+    h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
+    assume(h > 1e-3)
+    widths = -(-1000 // stack.size)
+    alphas = np.geomspace(1e-3, 1e4, widths) / (h * h)
+    runs = []
+    for elements in (1, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "BLOCK_ELEMENTS", elements)
+            runs.append(engine._ascend(stack, alphas))
+    for small, large in zip(*runs):
+        np.testing.assert_array_equal(small, large)
 
 
 def _scaled(observables, s, t=0.0):
