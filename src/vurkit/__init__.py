@@ -8,8 +8,7 @@ from .core import (OverlapStats, QuantumState, SpectralObservable, eigendecompos
                    expectation, is_mub, measurement_distribution, overlap_stats,
                    shannon_entropy, variance)
 from .engine import (BoundReport, InnerMaxResult, bound_at_alpha, continuous_pair_bound,
-                     gaussian_sum, inner_max, optimize_alpha, shannon_variance_bound,
-                     state_dependent_bound)
+                     inner_max, optimize_alpha, shannon_variance_bound, state_dependent_bound)
 from .entropic import (ConstantSource, EntropicConstant, best_entropic_constant,
                        de_vicente_analytic, entropic_candidates, maassen_uffink,
                        user_supplied, wu_full_mub, wu_mub_bound)
@@ -29,9 +28,9 @@ __all__ = [
     "QuantumState", "RegimeError", "SpectralObservable", "Tolerances", "Verdict",
     "VurkitError", "best_entropic_constant", "bound_at_alpha", "continuous_pair_bound",
     "de_vicente_analytic", "eigendecompose", "entropic_candidates", "expectation",
-    "gaussian_sum", "inner_max", "is_mub", "lemma_sweep", "lur_test",
-    "maassen_uffink", "measurement_distribution", "minimize_variance_sum", "optimize_alpha",
-    "overlap_stats", "random_hermitian", "sample_random_pure", "sample_random_separable",
-    "shannon_entropy", "shannon_variance_bound", "state_dependent_bound", "user_supplied",
-    "variance", "wu_full_mub", "wu_mub_bound",
+    "inner_max", "is_mub", "lemma_sweep", "lur_test", "maassen_uffink",
+    "measurement_distribution", "minimize_variance_sum", "optimize_alpha", "overlap_stats",
+    "random_hermitian", "sample_random_pure", "sample_random_separable", "shannon_entropy",
+    "shannon_variance_bound", "state_dependent_bound", "user_supplied", "variance",
+    "wu_full_mub", "wu_mub_bound",
 ]

@@ -125,7 +125,7 @@ def cmd_entropic(args) -> int:
                 for i in range(len(observables)) for j in range(i + 1, len(observables))]
     mub = is_mub(observables, tol.mub)
     candidates = entropic.entropic_candidates(observables, tol.mub)
-    selected = entropic.best_entropic_constant(observables, tol.mub)
+    selected = max(candidates, key=lambda k: k.value)  # the first on ties, as in best_entropic_constant
 
     lines = [f"{len(observables)} observables, dimension {dim}"]
     lines.extend(f"overlap c({i},{j}) = {c:.9f}" for i, j, c in overlaps)

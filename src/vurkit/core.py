@@ -227,13 +227,11 @@ def overlap_stats(a: SpectralObservable, b: SpectralObservable) -> OverlapStats:
     return OverlapStats(c=float(overlaps.max()), overlap_matrix=overlaps)
 
 
-def is_mub(bases, tol: float | None = None) -> bool:
+def is_mub(bases, tol: float = DEFAULT_TOLERANCES.mub) -> bool:
     """Whether every pair of eigenbases has all overlaps equal to 1/sqrt(n)."""
     obs = list(bases)
     if len(obs) < 2:
         raise ValueError("need at least two observables")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.mub
     target = 1.0 / math.sqrt(common_dim(obs))
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):

@@ -1,28 +1,25 @@
 """The variance-floor engine.
 
-A sum of unit-height Gaussians centered at the eigenvalues,
-g(beta) = sum_k exp(-alpha (a_k - beta)^2), controls how much measurement
-entropy a state can pack near its mean; maximizing it over centers turns a
-state-dependent floor into a state-independent one.  The floor is then
-(C - sum of log-maxima) / alpha for any entropy-sum constant C and any width
-parameter alpha > 0.
+Both floors read one Gaussian sum g(beta) = sum_k exp(-alpha (a_k - beta)^2)
+per observable: the state-dependent floor at the state's mean,
+(C - sum_k ln g_k(<A_k>)) / alpha, and the state-independent one at each
+maximum over centers, (C - sum_k ln M_k) / alpha, for any entropy-sum
+constant C and width parameter alpha > 0.  ``_log_gaussian_sum`` is the only
+code that sums g, in the log domain so that it cannot underflow, and every
+reported M and raw floor is that kernel's own value at the reported width.
 
 The maxima of g are the modes of a homoscedastic Gaussian mixture, found by
 hill climbing from every eigenvalue and every midpoint of two adjacent
 eigenvalues (Carreira-Perpinan, IEEE TPAMI 22(11), 2000).  ``_ascend`` climbs
-from all of those starts for a whole vector of widths at once.  Each step is
-a Newton step where g is concave, or its mirror image (as far ahead as the
-quadratic model's minimum lies behind) where g is convex, scaled by a trust
-factor that doubles when a step is taken and shrinks when one is refused; a
-step is taken only if it raises g, and a mean-shift step, which never lowers
-g, is taken otherwise.  Blocks are eigenvalue-major, (n, columns) and
-C-ordered with one column per (spectrum, alpha, start), so that a sum or
-minimum over eigenvalues is n - 1 passes over contiguous columns; a block
-has BLOCK_ELEMENTS // n columns, and at least 256.  ``_maxima`` reduces the
-end points to each spectrum's argmax, the moments there and the mode count.
-A floor evaluation is one such call over a set's distinct spectra:
-``bound_at_alpha`` makes one, and ``optimize_alpha`` one on a log-spaced
-width grid and one per refinement step, reporting the best point evaluated.
+from all of those starts for a whole vector of widths at once: Newton steps
+where g is concave and their mirror images where it is convex, scaled by a
+trust factor, or mean-shift steps where those do not raise g.  Its blocks are
+eigenvalue-major, one column per (spectrum, alpha, start).  ``_maxima``
+reduces the end points to each spectrum's argmax, M, the moments there and
+the mode count.  A floor evaluation is one such call over a set's distinct
+spectra: ``bound_at_alpha`` makes one, and ``optimize_alpha`` one on a
+log-spaced width grid and one per refinement step, reporting the best point
+evaluated.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -64,25 +61,15 @@ def _check_alpha(alpha) -> float:
     return a
 
 
-def _eigenvalues(eigenvalues, ascending: bool = True) -> np.ndarray:
+def _eigenvalues(eigenvalues) -> np.ndarray:
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
     if not np.all(np.isfinite(evals)):
         raise ValueError("eigenvalues must be finite")
-    if ascending and np.any(np.diff(evals) < 0):
+    if np.any(np.diff(evals) < 0):
         raise ValueError("eigenvalues must be in ascending order")
     return evals
-
-
-def gaussian_sum(eigenvalues, alpha: float, beta: float) -> float:
-    """sum_k exp(-alpha (a_k - beta)^2); smooth in beta, valued in (0, n]."""
-    a = _check_alpha(alpha)
-    evals = _eigenvalues(eigenvalues, ascending=False)
-    if not math.isfinite(beta):
-        raise ValueError(f"center must be finite, got {beta!r}")
-    with np.errstate(over="ignore"):  # -alpha d^2 = -inf has weight exp(-inf) = 0
-        return float(np.exp(-a * (evals - beta) ** 2).sum())
 
 
 def _column_sums(w: np.ndarray) -> np.ndarray:
@@ -92,8 +79,9 @@ def _column_sums(w: np.ndarray) -> np.ndarray:
 
 def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """ln g for each column (alpha, beta) of an (n, columns) block, with the
-    offsets d = a - beta, the weights exp(m - alpha d^2) and their sum; m =
-    min_k alpha d_k^2, so the largest weight is 1 and they cannot all underflow."""
+    offsets d = a - beta, the weights exp(m - alpha d^2), their sum s0 and m =
+    min_k alpha d_k^2, so the largest weight is 1 and they cannot all underflow;
+    g itself is s0 exp(-m), exact where every weight is."""
     d = evals - beta
     w = d * d
     w *= alpha
@@ -101,7 +89,7 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     np.subtract(m, w, out=w)
     np.exp(w, out=w)
     s0 = _column_sums(w)
-    return np.log(s0) - m, d, w, s0
+    return np.log(s0) - m, d, w, s0, m
 
 
 def _ascend(spectra: np.ndarray, alphas: np.ndarray):
@@ -109,7 +97,7 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     (S, n) stack of ascending spectra and every alpha.
 
     Returns arrays of shape (S, len(alphas), 2n - 1): the final beta, ln g
-    there, the iterations run, whether the end point is a maximum (g'' <= 0)
+    and g there, the iterations run, whether the end point is a maximum (g'' <= 0)
     rather than a minimum that a symmetric start sat on, and one of shape
     (3, S, len(alphas), 2n - 1): the weighted moments mu_j = <(a - beta)^j>_w,
     j = 2, 3, 4, at the end point.  A column whose weights overflow (alpha
@@ -119,7 +107,7 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
     shape = (spectra.shape[0], alphas.size, starts.shape[1])
     beta = np.repeat(starts[:, None, :], alphas.size, axis=1).ravel()
-    log_g, moments = np.empty(beta.size), np.empty((3, beta.size))
+    log_g, g, moments = np.empty(beta.size), np.empty(beta.size), np.empty((3, beta.size))
     concave, iters = np.empty(beta.size, dtype=bool), np.empty(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
     block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
@@ -135,7 +123,7 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
             e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
             prev, gain = np.full(cols.size, -np.inf), np.ones(cols.size)
             for it in range(1, MAX_ASCENT_ITERS + 1):
-                lg, d, w, s0 = _log_gaussian_sum(e, a, b)
+                lg, d, w, s0, m = _log_gaussian_sum(e, a, b)
                 # in place, so that a block holds at most three (n, columns) arrays
                 w *= d
                 shift = _column_sums(w) / s0
@@ -146,7 +134,7 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
                 done = ~(lg - prev > tol) | (it == MAX_ASCENT_ITERS)
                 if done.any():
                     fin = cols[done]
-                    beta[fin], log_g[fin], iters[fin] = b[done], lg[done], it
+                    beta[fin], log_g[fin], g[fin], iters[fin] = b[done], lg[done], s0[done] * np.exp(-m[done]), it
                     concave[fin] = curv[done] <= 0.0
                     # two more reductions, only on the columns that finish
                     d, s0 = d.compress(done, axis=1), s0[done]
@@ -168,8 +156,8 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
                 gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
                 prev = lg
     log_g = np.fmax(log_g, -np.inf)  # NaN -> -inf
-    return (beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape),
-            moments.reshape((3, *shape)))
+    return (beta.reshape(shape), log_g.reshape(shape), g.reshape(shape), iters.reshape(shape),
+            concave.reshape(shape), moments.reshape((3, *shape)))
 
 
 def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
@@ -182,23 +170,24 @@ def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _maxima(spectra: np.ndarray, alphas: np.ndarray):
-    """Per spectrum and alpha, arrays of shape (S, len(alphas)): the argmax
-    beta*, ln M = ln g(beta*), the ascent iterations of the slowest start and
-    the number of distinct maxima (modes) the starts reached, and one of
-    shape (3, S, len(alphas)): the moments mu2, mu3, mu4 at beta*.
+    """Per spectrum and alpha, ln M = ln g(beta*) at the argmax beta*, of
+    shape (S, len(alphas)); the moments mu2, mu3, mu4 at beta*, of shape
+    (3, S, len(alphas)); and the columns (beta*, M, the ascent iterations of
+    the slowest start, the number of distinct maxima (modes) the starts
+    reached), each of shape (S, len(alphas)).
 
     g has at most n modes and each is reached from an eigenvalue or an
     adjacent midpoint, so the best end point of the ascent is the global
     maximum.
     """
-    beta, log_g, iters, concave, moments = _ascend(spectra, alphas)
+    beta, log_g, g, iters, concave, moments = _ascend(spectra, alphas)
     pick = np.argmax(log_g, axis=2)[..., None]
     # end points closer than a thousandth of the Gaussian width are one mode:
     # where two modes merge, starts on either side stop that far apart
     ends = np.sort(np.where(concave, beta, np.nan), axis=2)  # NaNs sort last and never count
     modes = 1 + np.count_nonzero(np.diff(ends, axis=2) > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
-    return (np.take_along_axis(beta, pick, axis=2)[..., 0], np.take_along_axis(log_g, pick, axis=2)[..., 0],
-            np.take_along_axis(moments, pick[None], axis=3)[..., 0], iters.max(axis=2), modes)
+    beta, log_g, g = (np.take_along_axis(x, pick, axis=2)[..., 0] for x in (beta, log_g, g))
+    return log_g, np.take_along_axis(moments, pick[None], axis=3)[..., 0], (beta, g, iters.max(axis=2), modes)
 
 
 @dataclass(frozen=True)
@@ -214,12 +203,12 @@ class InnerMaxResult:
     modes: int
 
 
-def _inner_results(eigenvalue_lists, rows, a: float, beta, iters, modes) -> tuple[InnerMaxResult, ...]:
-    """One ``InnerMaxResult`` per eigenvalue list at width ``a``, the i-th from
-    entry ``rows[i]`` of the per-spectrum argmax, iteration and mode arrays."""
-    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=gaussian_sum(e, a, beta[r]),
-                                bracket=(float(e[0]), float(e[-1])), iterations=int(iters[r]),
-                                modes=int(modes[r]))
+def _inner_results(eigenvalue_lists, rows, columns, j: int) -> tuple[InnerMaxResult, ...]:
+    """One ``InnerMaxResult`` per eigenvalue list at the j-th width, the i-th
+    from row ``rows[i]`` of the per-spectrum columns of ``_maxima``."""
+    beta, g, iters, modes = (x[:, j] for x in columns)
+    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=float(g[r]), bracket=(float(e[0]), float(e[-1])),
+                                iterations=int(iters[r]), modes=int(modes[r]))
                  for e, r in zip(eigenvalue_lists, rows))
 
 
@@ -227,8 +216,7 @@ def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = _eigenvalues(eigenvalues)
-    beta, _, _, iters, modes = _maxima(evals[None], np.array([a]))
-    return _inner_results([evals], [0], a, beta[:, 0], iters[:, 0], modes[:, 0])[0]
+    return _inner_results([evals], [0], _maxima(evals[None], np.array([a]))[2], 0)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -241,8 +229,9 @@ def state_dependent_bound(observables, state: QuantumState, alpha: float,
     a = _check_alpha(alpha)
     obs = list(observables)
     common_dim(obs)
-    total = sum(math.log(gaussian_sum(o.eigenvalues, a, expectation(o, state))) for o in obs)
-    return (constant.value - total) / a
+    means = np.array([expectation(o, state) for o in obs])
+    log_g = _log_gaussian_sum(np.stack([o.eigenvalues for o in obs], axis=1), a, means)[0]
+    return (constant.value - float(log_g.sum())) / a
 
 
 @dataclass(frozen=True)
@@ -265,12 +254,21 @@ class BoundReport:
     refine_steps: int = 0
 
 
-def _report(observables, rows, a: float, constant: EntropicConstant, beta, iters, modes) -> BoundReport:
-    """The floor at width ``a`` from each distinct spectrum's argmax, ascent
-    iterations and mode count; observable i reads entry ``rows[i]``."""
-    inner = _inner_results([o.eigenvalues for o in observables], rows, a, beta, iters, modes)
-    raw = (constant.value - sum(math.log(r.value) for r in inner)) / a
-    return BoundReport(alpha=a, constant=constant, per_operator=inner,
+def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
+    """One kernel call: the raw floor (C - sum_k c_k ln M_k) / alpha at each
+    alpha (spectrum k counted c_k times), and the moments and the
+    per-spectrum columns of ``_maxima``."""
+    log_m, moments, columns = _maxima(spectra, alphas)
+    # summed in row order, so that a width's floor does not depend on the others
+    return (c - _column_sums(counts[:, None] * log_m)) / alphas, moments, columns
+
+
+def _report(observables, rows, a: float, constant: EntropicConstant, raw, columns, j: int) -> BoundReport:
+    """The j-th of the floors ``raw``, at width ``a``; observable i reads row
+    ``rows[i]`` of the per-spectrum columns."""
+    raw = float(raw[j])
+    return BoundReport(alpha=a, constant=constant,
+                       per_operator=_inner_results([o.eigenvalues for o in observables], rows, columns, j),
                        raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
 
 
@@ -283,8 +281,8 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     a = _check_alpha(alpha)
     obs = list(observables)
     stack, rows = _spectra(obs)
-    beta, _, _, iters, modes = _maxima(stack, np.array([a]))
-    return _report(obs, rows, a, constant, beta[:, 0], iters[:, 0], modes[:, 0])
+    raw, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
+    return _report(obs, rows, a, constant, raw, columns, 0)
 
 
 def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray, found=None):
@@ -292,12 +290,11 @@ def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.nd
     (spectrum k counted c_k times), its slope D = d raw / dt and D' = dD / dt,
     exact from the moments at each argmax: d ln M / d alpha = -mu2 (envelope
     theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1).  Appends (logs,
-    raw, alphas, beta*, iterations, modes) to a list ``found`` if given."""
+    raw, alphas, argmax, M, iterations, modes) to a list ``found`` if given."""
     alphas = np.exp(logs)
-    beta, log_m, (mu2, mu3, mu4), iters, modes = _maxima(spectra, alphas)
-    raw = (c - counts @ log_m) / alphas
+    raw, (mu2, mu3, mu4), columns = _floors(spectra, counts, c, alphas)
     if found is not None:
-        found.append((logs, raw, alphas, beta, iters, modes))
+        found.append((logs, raw, alphas, *columns))
     slope = counts @ mu2 - raw
     with np.errstate(divide="ignore", invalid="ignore"):  # 2 alpha mu2 = 1 where modes merge
         dmu2 = mu2 * mu2 - mu4 + 2.0 * alphas * mu3 * mu3 / (2.0 * alphas * mu2 - 1.0)
@@ -319,6 +316,8 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     stack, rows = _spectra(obs)
     counts = np.bincount(rows)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
+    if h * h == 0.0 or not math.isfinite(ALPHA_RANGE[1] / (h * h)):
+        raise ValueError(f"half-spread {h!r} is too small: the alpha range runs past the float range")
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
     logs = np.linspace(lo, hi, GRID_POINTS)
     step = logs[1] - logs[0]
@@ -357,9 +356,9 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
         side = (slope[k] <= 0.0).astype(int)  # t becomes the left end where the floor still rises
         end[:, side, k] = t[k], v, slope[k], curv[k]
         live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0) & ~last[k]
-    t, raw, alphas, beta, iters, modes = (np.concatenate(x, axis=-1) for x in zip(*found))
+    t, raw, alphas, *columns = (np.concatenate(x, axis=-1) for x in zip(*found))
     best = int(np.argmax(raw))
-    report = _report(obs, rows, float(alphas[best]), constant, beta[:, best], iters[:, best], modes[:, best])
+    report = _report(obs, rows, float(alphas[best]), constant, raw, columns, best)
     return replace(report, at_range_edge=bool(t[best] - lo <= step or hi - t[best] <= step),
                    refine_steps=len(found) - 1)
 

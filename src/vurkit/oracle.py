@@ -15,7 +15,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .core import (QuantumState, SpectralObservable, common_dim, eigendecompose,
                    measurement_distribution, phase_fix_columns, shannon_entropy)
-from .engine import gaussian_sum
+from .engine import state_dependent_bound
+from .entropic import user_supplied
 
 _ARMIJO = 0.25  # share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _GRAD_TOL = 1e-12
@@ -212,7 +213,7 @@ class LemmaSweepReport:
 
 def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0,
                 violation_tol: float = 1e-9) -> LemmaSweepReport:
-    """Evaluate V >= (H - ln gaussian_sum(eigs, alpha, mean)) / alpha on random
+    """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
     triples; returns the maximum violation (positive = floor exceeded variance)
     and the worst triple for regression pinning."""
     if n_samples < 1:
@@ -228,7 +229,7 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0,
         p = measurement_distribution(obs, state)
         mu = float(p @ obs.eigenvalues)
         v = float(p @ (obs.eigenvalues - mu) ** 2)
-        floor = (shannon_entropy(p) - math.log(gaussian_sum(obs.eigenvalues, alpha, mu))) / alpha
+        floor = state_dependent_bound([obs], state, alpha, user_supplied(shannon_entropy(p)))
         violation = floor - v
         if violation > violation_tol:
             violations += 1

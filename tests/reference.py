@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: dense grids instead of
-the mode search, raw matrix moments instead of spectral distributions.  The
+the mode search, the Gaussian sum by its direct formula instead of the
+log-domain kernel, raw matrix moments instead of spectral distributions.  The
 Hermiticity check and the Robertson floor live here because only the tests
 use them.
 """
@@ -27,6 +28,13 @@ def dense_grid_max(eigenvalues, alpha, points=1_000_001, chunk=250_000):
         if vals[i] > best_val:
             best_val, best_beta = float(vals[i]), float(betas[i])
     return best_val, best_beta
+
+
+def gaussian_sum(eigenvalues, alpha, beta):
+    """sum_k exp(-alpha (a_k - beta)^2) by the direct formula; it underflows
+    to 0 once every term does."""
+    evals = np.asarray(eigenvalues, dtype=float)
+    return float(np.exp(-alpha * (evals - beta) ** 2).sum())
 
 
 def moment_variance(matrix, rho):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import dense_grid_max
+from reference import dense_grid_max, gaussian_sum
 from vurkit import (DimensionMismatchError, InvalidAlphaError, LocalObservablePair, QuantumState,
                     SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, entropic_candidates,
-                    gaussian_sum, inner_max, is_mub, lur_test, maassen_uffink,
+                    expectation, inner_max, is_mub, lur_test, maassen_uffink,
                     measurement_distribution, optimize_alpha, overlap_stats,
                     shannon_entropy, shannon_variance_bound, state_dependent_bound,
                     user_supplied, variance, wu_full_mub)
@@ -33,26 +33,25 @@ OPTIMIZED_PAULI = 1.7243150136795742       # optimize_alpha(pauli3, 2 ln 2)
 
 
 def test_gaussian_sum_examples():
+    # the direct formula the tests compare against, and the kernel at the same centers
     assert gaussian_sum([0.0], 1.0, 0.0) == 1.0
     assert gaussian_sum([-1.0, 1.0], 0.597, 0.0) == pytest.approx(GSUM_PAULI_AT_0, abs=1e-15)
     assert gaussian_sum([-1.0, 1.0], 0.597, 0.0) == pytest.approx(2 * math.exp(-0.597), abs=1e-15)
     assert gaussian_sum([-1.0, 0.0, 1.0], 1.92, 0.0) == pytest.approx(GSUM_QUTRIT_AT_0, abs=1e-15)
+    for evals, alpha, value in (([-1.0, 1.0], 0.597, GSUM_PAULI_AT_0), ([-1.0, 0.0, 1.0], 1.92, GSUM_QUTRIT_AT_0)):
+        log_g = engine._log_gaussian_sum(np.array(evals)[:, None], alpha, np.zeros(1))[0]
+        assert log_g[0] == pytest.approx(math.log(value), abs=1e-15)
 
 
-def test_gaussian_sum_rejects_bad_input():
+def test_inner_max_rejects_bad_input():
     with pytest.raises(ValueError):
-        gaussian_sum([], 1.0, 0.0)
+        inner_max([], 1.0)
+    with pytest.raises(ValueError, match="ascending"):
+        inner_max([1.0, 0.0], 1.0)
     with pytest.raises(InvalidAlphaError):
-        gaussian_sum([0.0], -1.0, 0.0)
+        inner_max([0.0], -1.0)
     with pytest.raises(InvalidAlphaError):
-        gaussian_sum([0.0], math.inf, 0.0)
-
-
-def test_gaussian_sum_rejects_non_finite_input():
-    # a NaN eigenvalue or center gave NaN, and an infinite eigenvalue was dropped
-    for evals, beta in (([0.0, math.nan], 0.0), ([0.0, 1.0], math.nan), ([0.0, math.inf], 0.0)):
-        with pytest.raises(ValueError):
-            gaussian_sum(evals, 1.0, beta)
+        inner_max([0.0], math.inf)
 
 
 def test_inner_max_small_alpha_unimodal_at_midpoint():
@@ -163,6 +162,14 @@ def test_state_dependent_zero_constant_is_nonpositive():
     obs = [eigendecompose(random_hermitian(3, rng)) for _ in range(2)]
     state = sample_random_pure(3, rng)
     assert state_dependent_bound(obs, state, 0.7, user_supplied(0.0)) <= 1e-12
+
+
+def test_state_dependent_bound_far_from_every_eigenvalue():
+    # <sx> = 0 on |0> lies 1 from both eigenvalues, where the direct sum
+    # 2 e^-800 underflows to 0; the floor is exactly 1
+    sz, sx = eigendecompose(PAULI_Z), eigendecompose(PAULI_X)
+    value = state_dependent_bound([sz, sx], KET0, 800.0, maassen_uffink(1 / math.sqrt(2)))
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bound_at_alpha_qubit_triple_regression():
@@ -326,6 +333,18 @@ def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
         assert r == inner_max(o.eigenvalues, alpha)
 
 
+@settings(max_examples=30, deadline=None)
+@given(_stacks, st.floats(min_value=1e-2, max_value=1e2), st.floats(min_value=0.0, max_value=3.0))
+def test_bound_at_alpha_raw_is_the_reported_sums(spectra, alpha, c):
+    # the raw floor is (C - sum_k ln M_k) / alpha of the M values it reports,
+    # to within a few ulps of the size of its terms
+    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
+    report = bound_at_alpha(obs, alpha, user_supplied(c))
+    terms = [math.log(r.value) for r in report.per_operator]
+    size = (c + sum(abs(t) + 1.0 for t in terms)) / alpha
+    assert abs(report.raw_bound - (c - sum(terms)) / alpha) <= 4.0 * np.finfo(float).eps * size
+
+
 def test_optimize_alpha_at_a_mode_switch():
     # the argmax jumps from one mode to another at the optimum, so the slope
     # jumps from + to - there and Newton steps cannot converge
@@ -443,6 +462,35 @@ def test_optimize_alpha_shift_invariance(spectra, seed, t):
     shifted = optimize_alpha(_scaled(obs, 1.0, t), constant)
     assert shifted.raw_bound == pytest.approx(base.raw_bound, rel=1e-9)
     assert shifted.lower_bound == pytest.approx(base.lower_bound, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spectra, st.integers(0, 2**16), st.floats(min_value=1e-2, max_value=1e3),
+       st.floats(min_value=0.0, max_value=3.0))
+def test_state_dependent_bound_matches_the_direct_formula(spectra, seed, alpha, c):
+    obs = _random_set(spectra, seed)
+    state = sample_random_pure(obs[0].dim, np.random.default_rng(seed + 1))
+    sums = [gaussian_sum(o.eigenvalues, alpha, expectation(o, state)) for o in obs]
+    assume(min(sums) > 1e-300)  # where the direct sum underflows, only the kernel has a value
+    terms = [math.log(g) for g in sums]
+    value = state_dependent_bound(obs, state, alpha, user_supplied(c))
+    size = (c + sum(abs(t) + 1.0 for t in terms)) / alpha
+    assert abs(value - (c - sum(terms)) / alpha) <= 1e-13 * size
+
+
+def _spread_pair(s):
+    return [SpectralObservable(np.array([0.0, s]), np.eye(2))] * 2
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-200])
+def test_optimize_alpha_rejects_spreads_below_the_float_range(s):
+    # alpha h^2 = 1e3 needs an alpha past the largest float: the grid was NaN
+    # at 1e-160, and h^2 underflowed to 0 at 1e-200
+    with pytest.raises(ValueError, match="half-spread"):
+        optimize_alpha(_spread_pair(s), user_supplied(0.5))
+    # 1e-150 is still in range, and its floor scales as s^2
+    unit = optimize_alpha(_spread_pair(1.0), user_supplied(0.5)).lower_bound
+    assert optimize_alpha(_spread_pair(1e-150), user_supplied(0.5)).lower_bound == pytest.approx(1e-300 * unit, rel=1e-9)
 
 
 def test_bound_never_exceeds_oracle_minimum():
