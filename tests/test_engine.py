@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import dense_grid_max, gaussian_sum
-from vurkit import (DimensionMismatchError, InvalidAlphaError, LocalObservablePair, QuantumState,
-                    SpectralObservable, best_entropic_constant,
+from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
+                    LocalObservablePair, QuantumState, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, entropic_candidates,
                     expectation, inner_max, is_mub, lur_test, maassen_uffink,
                     measurement_distribution, optimize_alpha, overlap_stats,
@@ -52,6 +52,19 @@ def test_inner_max_rejects_bad_input():
         inner_max([0.0], -1.0)
     with pytest.raises(InvalidAlphaError):
         inner_max([0.0], math.inf)
+
+
+def test_gaussian_sum_rejects_non_finite_input():
+    # a NaN or infinite eigenvalue, or a NaN center (a state's mean), is
+    # refused before the kernel sums any Gaussian
+    for evals in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError):
+            inner_max(evals, 1.0)
+        with pytest.raises(ValueError):
+            SpectralObservable(np.array(evals), np.eye(2))
+    for amplitudes in ([math.nan, 0.0], [math.inf, 0.0]):
+        with pytest.raises(InvalidStateError):
+            QuantumState.pure(amplitudes)
 
 
 def test_inner_max_small_alpha_unimodal_at_midpoint():
