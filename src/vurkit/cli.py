@@ -22,9 +22,9 @@ from .lur import LocalObservablePair, lur_test
 from .oracle import OracleConfig, minimize_variance_sum
 
 
-def _parse_tolerances(args) -> Tolerances:
+def _parse_tolerances(items) -> Tolerances:
     overrides = {}
-    for item in args.tol or []:
+    for item in items or []:
         name, sep, value = item.partition("=")
         if not sep:
             raise FileFormatError(f"--tol expects NAME=VALUE, got {item!r}")
@@ -38,28 +38,24 @@ def _parse_tolerances(args) -> Tolerances:
         raise FileFormatError(str(exc)) from exc
 
 
-def _resolve_observable_token(token: str, tol: Tolerances) -> list[SpectralObservable]:
-    if token in fixtures.OBSERVABLE_SETS:
-        return list(fixtures.OBSERVABLE_SETS[token]())
-    if token in fixtures.SINGLE_OBSERVABLES:
-        return [fixtures.SINGLE_OBSERVABLES[token]()]
+def _lookup(token: str, registry: dict, loader, tol: Tolerances):
+    """Fixture ``registry[token]``, or else the file ``token`` read by ``loader``."""
+    if token in registry:
+        return registry[token]()
     path = Path(token)
     if not path.exists():
         raise FileFormatError(f"no such file or fixture: {token}")
-    return [io.load_observable(path, tol)]
+    return loader(path, tol)
+
+
+def _resolve_observable_token(token: str, tol: Tolerances) -> list[SpectralObservable]:
+    if token in fixtures.OBSERVABLE_SETS:
+        return list(fixtures.OBSERVABLE_SETS[token]())
+    return [_lookup(token, fixtures.SINGLE_OBSERVABLES, io.load_observable, tol)]
 
 
 def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
     return [o for token in tokens for o in _resolve_observable_token(token, tol)]
-
-
-def _resolve_state(token: str, tol: Tolerances):
-    if token in fixtures.STATES:
-        return fixtures.STATES[token]()
-    path = Path(token)
-    if not path.exists():
-        raise FileFormatError(f"no such file or fixture: {token}")
-    return io.load_state(path, tol)
 
 
 def _resolve_pairs(tokens, tol: Tolerances) -> list[LocalObservablePair]:
@@ -78,21 +74,19 @@ def _resolve_pairs(tokens, tol: Tolerances) -> list[LocalObservablePair]:
     return out
 
 
-def _emit(args, report: io.RunReport, text_lines: list[str]) -> int:
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
+def _set_inputs(args, observables, **extra) -> dict:
+    return {"observables": list(args.observables), "count": len(observables),
+            "dim": observables[0].dim, **extra}
 
 
 def _constant_line(constant: entropic.EntropicConstant) -> str:
     return f"C = {constant.value:.9f} nats ({constant.source.value}; {constant.inputs_digest})"
 
 
-def cmd_bound(args) -> int:
-    tol = _parse_tolerances(args)
+# Each cmd_* takes the parsed arguments and tolerances and returns the run
+# report's inputs, seed and payload, and the lines of its text output.
+
+def cmd_bound(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
     constant = (entropic.best_entropic_constant(observables, tol.mub) if args.auto_constant
                 else entropic.user_supplied(args.constant))
@@ -108,15 +102,10 @@ def cmd_bound(args) -> int:
                      f"{r.modes} mode(s), {r.iterations} iteration(s)")
     lines.append(f"raw bound = {report.raw_bound:.9f}")
     lines.append(f"lower bound = {report.lower_bound:.9f} (clamped: {'yes' if report.clamped else 'no'})")
-    run = io.RunReport(command=args.argv, seed=None,
-                       inputs={"observables": list(args.observables),
-                               "count": len(observables), "dim": observables[0].dim},
-                       payload=io.bound_report_payload(report))
-    return _emit(args, run, lines)
+    return _set_inputs(args, observables), None, io.bound_report_payload(report), lines
 
 
-def cmd_entropic(args) -> int:
-    tol = _parse_tolerances(args)
+def cmd_entropic(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
     if len(observables) < 2:
         raise FileFormatError("entropic needs at least two observables")
@@ -132,20 +121,15 @@ def cmd_entropic(args) -> int:
     lines.append(f"mutually unbiased: {'yes' if mub else 'no'}")
     lines.extend(f"candidate: {_constant_line(k)}" for k in candidates)
     lines.append(f"selected: {_constant_line(selected)}")
-    run = io.RunReport(command=args.argv, seed=None,
-                       inputs={"observables": list(args.observables),
-                               "count": len(observables), "dim": dim},
-                       payload={
-                           "overlaps": [{"i": i, "j": j, "c": float(c)} for i, j, c in overlaps],
-                           "mutually_unbiased": bool(mub),
-                           "candidates": [io.constant_payload(k) for k in candidates],
-                           "selected": io.constant_payload(selected),
-                       })
-    return _emit(args, run, lines)
+    return _set_inputs(args, observables), None, {
+        "overlaps": [{"i": i, "j": j, "c": float(c)} for i, j, c in overlaps],
+        "mutually_unbiased": bool(mub),
+        "candidates": [io.constant_payload(k) for k in candidates],
+        "selected": io.constant_payload(selected),
+    }, lines
 
 
-def cmd_oracle(args) -> int:
-    tol = _parse_tolerances(args)
+def cmd_oracle(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
     config = OracleConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)
@@ -160,17 +144,12 @@ def cmd_oracle(args) -> int:
         f"argmin state = [{amplitudes}]",
         f"seed = {config.seed}",
     ]
-    run = io.RunReport(command=args.argv, seed=config.seed,
-                       inputs={"observables": list(args.observables),
-                               "count": len(observables), "dim": observables[0].dim,
-                               "restarts": config.restarts, "max_iters": config.max_iters},
-                       payload=io.oracle_result_payload(result, config.restarts))
-    return _emit(args, run, lines)
+    return (_set_inputs(args, observables, restarts=config.restarts, max_iters=config.max_iters),
+            config.seed, io.oracle_result_payload(result, config.restarts), lines)
 
 
-def cmd_lur(args) -> int:
-    tol = _parse_tolerances(args)
-    state = _resolve_state(args.state, tol)
+def cmd_lur(args, tol: Tolerances):
+    state = _lookup(args.state, fixtures.STATES, io.load_state, tol)
     pairs = _resolve_pairs(args.pairs, tol)
     if args.u_a is not None and args.u_b is not None:
         c_a = c_b = None
@@ -190,85 +169,59 @@ def cmd_lur(args) -> int:
         f"margin = {report.margin:.9f}",
         f"verdict: {report.verdict.value}",
     ]
-    run = io.RunReport(command=args.argv, seed=None,
-                       inputs={"state": args.state, "pairs": list(args.pairs)},
-                       payload=io.lur_report_payload(report))
-    return _emit(args, run, lines)
+    return ({"state": args.state, "pairs": list(args.pairs)}, None,
+            io.lur_report_payload(report), lines)
 
 
-def cmd_continuous(args) -> int:
+def cmd_continuous(args, tol: Tolerances):
     alpha_used, bound = engine.continuous_pair_bound(args.constant, args.alpha)
     closed_form = args.alpha is None
     lines = [
         f"alpha = {alpha_used!r}" + (" (closed form)" if closed_form else ""),
         f"lower bound = {bound:.9f}",
     ]
-    run = io.RunReport(command=args.argv, seed=None,
-                       inputs={"C": float(args.constant),
-                               "alpha": None if closed_form else float(args.alpha)},
-                       payload={"alpha_used": float(alpha_used), "lower_bound": float(bound),
-                                "closed_form_alpha": closed_form})
-    return _emit(args, run, lines)
+    return ({"C": float(args.constant), "alpha": None if closed_form else float(args.alpha)}, None,
+            {"alpha_used": float(alpha_used), "lower_bound": float(bound),
+             "closed_form_alpha": closed_form}, lines)
 
 
-def cmd_demo(args) -> int:
+# demo's observable sets: fixture name, text label, fixed alpha, dimension of
+# the complete set of mutually unbiased bases whose constant they use
+_DEMO_SETS = (("pauli3", "qubit triple: ", 0.597, 2), ("qutrit4", "qutrit quadruple:", 1.92, 3))
+
+
+def cmd_demo(args, tol: Tolerances):
     """Run the built-in showcases end to end with one seed."""
-    tol = _parse_tolerances(args)
-    two_ln2 = entropic.wu_full_mub(2)
-    four_ln2 = entropic.wu_full_mub(3)
-    pauli = fixtures.pauli3()
-    qutrit = fixtures.qutrit4()
-
-    pauli_fixed = engine.bound_at_alpha(pauli, 0.597, two_ln2)
-    pauli_opt = engine.optimize_alpha(pauli, two_ln2)
-    qutrit_fixed = engine.bound_at_alpha(qutrit, 1.92, four_ln2)
-    qutrit_opt = engine.optimize_alpha(qutrit, four_ln2)
-
     config = OracleConfig(restarts=args.restarts, seed=args.seed)
-    pauli_min = minimize_variance_sum(pauli, config, agreement_tol=tol.oracle_agreement)
-    qutrit_min = minimize_variance_sum(qutrit, config, agreement_tol=tol.oracle_agreement)
+    lines, payload = [], {}
+    for name, label, alpha, n in _DEMO_SETS:
+        observables, constant = fixtures.OBSERVABLE_SETS[name](), entropic.wu_full_mub(n)
+        fixed = engine.bound_at_alpha(observables, alpha, constant)
+        optimized = engine.optimize_alpha(observables, constant)
+        result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)
+        lines.append(f"{label} floor {fixed.lower_bound:.4f} at alpha {alpha}, "
+                     f"optimized {optimized.lower_bound:.4f} at alpha {optimized.alpha:.4f}, "
+                     f"true minimum {result.minimum:.4f}")
+        payload[name] = {"fixed": io.bound_report_payload(fixed),
+                         "optimized": io.bound_report_payload(optimized),
+                         "oracle": io.oracle_result_payload(result, config.restarts)}
 
     c_cont = 1.0 + math.log(math.pi)
     alpha_star, cont_auto = engine.continuous_pair_bound(c_cont)
     _, cont_fixed = engine.continuous_pair_bound(c_cont, 1.0)
-
-    pairs = fixtures.pauli_pairs()
-    u = pauli_opt.lower_bound
-    lur_reports = {name: lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u,
-                                  margin_tol=tol.lur_margin)
-                   for name in ("singlet", "ket00", "mixed2")}
-
-    lines = [
-        f"qubit triple:  floor {pauli_fixed.lower_bound:.4f} at alpha 0.597, "
-        f"optimized {pauli_opt.lower_bound:.4f} at alpha {pauli_opt.alpha:.4f}, "
-        f"true minimum {pauli_min.minimum:.4f}",
-        f"qutrit quadruple: floor {qutrit_fixed.lower_bound:.4f} at alpha 1.92, "
-        f"optimized {qutrit_opt.lower_bound:.4f} at alpha {qutrit_opt.alpha:.4f}, "
-        f"true minimum {qutrit_min.minimum:.4f}",
-        f"continuous pair (C = 1 + ln pi): floor {cont_fixed:.6f} at alpha 1, "
-        f"closed-form alpha* {alpha_star:.6f}",
-        "separability test with the qubit triple on both sides "
-        f"(U_A = U_B = {u:.4f}):",
-    ]
-    for name, rep in lur_reports.items():
+    u = payload["pauli3"]["optimized"]["lower_bound"]
+    lines.append(f"continuous pair (C = 1 + ln pi): floor {cont_fixed:.6f} at alpha 1, "
+                 f"closed-form alpha* {alpha_star:.6f}")
+    lines.append(f"separability test with the qubit triple on both sides (U_A = U_B = {u:.4f}):")
+    payload["continuous"] = {"C": c_cont, "alpha_star": float(alpha_star),
+                             "bound_at_alpha_1": float(cont_fixed),
+                             "bound_closed_form": float(cont_auto)}
+    pairs, payload["lur"] = fixtures.pauli_pairs(), {}
+    for name in ("singlet", "ket00", "mixed2"):
+        rep = lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u, margin_tol=tol.lur_margin)
         lines.append(f"  {name}: lhs {rep.lhs:.4f}, margin {rep.margin:+.4f} -> {rep.verdict.value}")
-
-    run = io.RunReport(command=args.argv, seed=args.seed,
-                       inputs={"restarts": args.restarts},
-                       payload={
-                           "pauli3": {"fixed": io.bound_report_payload(pauli_fixed),
-                                      "optimized": io.bound_report_payload(pauli_opt),
-                                      "oracle": io.oracle_result_payload(pauli_min, config.restarts)},
-                           "qutrit4": {"fixed": io.bound_report_payload(qutrit_fixed),
-                                       "optimized": io.bound_report_payload(qutrit_opt),
-                                       "oracle": io.oracle_result_payload(qutrit_min, config.restarts)},
-                           "continuous": {"C": c_cont, "alpha_star": float(alpha_star),
-                                          "bound_at_alpha_1": float(cont_fixed),
-                                          "bound_closed_form": float(cont_auto)},
-                           "lur": {name: io.lur_report_payload(rep)
-                                   for name, rep in lur_reports.items()},
-                       })
-    return _emit(args, run, lines)
+        payload["lur"][name] = io.lur_report_payload(rep)
+    return {"restarts": args.restarts}, args.seed, payload, lines
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -280,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vurkit {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a machine-readable run report")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance (repeatable)")
-
     p = sub.add_parser("bound", help="variance-sum floor for a set of observables")
     p.add_argument("observables", nargs="+", metavar="OBS",
                    help="observable JSON files or fixture names")
@@ -295,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--alpha", type=float, help="Gaussian width parameter")
     g.add_argument("--optimize", action="store_true", help="optimize the width parameter")
-    add_common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("entropic", help="entropy-sum constants for a set of observables")
     p.add_argument("observables", nargs="+", metavar="OBS")
-    add_common(p)
     p.set_defaults(func=cmd_entropic)
 
     p = sub.add_parser("oracle", help="brute-force minimum of the variance sum over pure states")
@@ -308,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lur", help="local-uncertainty separability test on a bipartite state")
@@ -321,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C-b", type=float, dest="c_b", help="entropy constant for side B")
     p.add_argument("--u-a", type=float, help="explicit variance floor for side A")
     p.add_argument("--u-b", type=float, help="explicit variance floor for side B")
-    add_common(p)
     p.set_defaults(func=cmd_lur)
 
     p = sub.add_parser("continuous", help="variance-sum floor for a continuous pair from C alone")
@@ -329,14 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entropy-sum constant (nats)")
     p.add_argument("--alpha", type=float, default=None,
                    help="width parameter (omit for the closed-form optimum)")
-    add_common(p)
     p.set_defaults(func=cmd_continuous)
 
     p = sub.add_parser("demo", help="run the built-in showcases end to end")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=16)
-    add_common(p)
     p.set_defaults(func=cmd_demo)
+
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true", help="emit a machine-readable run report")
+        if name == "continuous":  # the closed form reads no tolerance
+            p.set_defaults(tol=None)
+        else:
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a named tolerance (repeatable)")
 
     return parser
 
@@ -344,12 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv
     try:
-        return args.func(args)
+        inputs, seed, payload, lines = args.func(args, _parse_tolerances(args.tol))
+        print(io.run_report(argv, inputs, seed, payload) if args.json else "\n".join(lines))
     except (VurkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, VurkitError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,9 +83,6 @@ def wu_full_mub(n: int) -> EntropicConstant:
         raise ValueError(f"need dimension n >= 2, got {n}")
     lo, hi = (n + 1) // 2, (n + 2) // 2
     value = lo * math.log(lo) + hi * math.log(hi)
-    general = wu_mub_bound(n + 1, n).value
-    if abs(value - general) > 1e-12:
-        raise AssertionError(f"complete-set formula {value!r} disagrees with m={n + 1} formula {general!r}")
     return EntropicConstant(value, ConstantSource.WU_FULL_MUB, f"m={n + 1} n={n} mub")
 
 

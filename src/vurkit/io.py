@@ -8,7 +8,6 @@ parse(serialize(x)) reproduces x exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -26,7 +25,10 @@ from .oracle import OracleResult
 def _as_number(obj, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise FileFormatError(f"{what} must be a number, got {obj!r}")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an int beyond the float range
+        value = np.inf
     if not np.isfinite(value):
         raise FileFormatError(f"{what} must be finite, got {obj!r}")
     return value
@@ -146,7 +148,7 @@ def _load_json(path) -> Any:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -160,23 +162,12 @@ def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
 
 # --- run reports -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunReport:
-    """Echo of one CLI invocation: inputs, seed, versioned payload.
-
-    Re-running the echoed command reproduces the payload byte for byte.
-    """
-
-    command: list[str]
-    inputs: dict
-    seed: int | None
-    payload: dict
-    version: str = TOOL_VERSION
-
-    def to_json(self) -> str:
-        doc = {"command": list(self.command), "inputs": self.inputs, "seed": self.seed,
-               "version": self.version, "payload": self.payload}
-        return json.dumps(doc, indent=2)
+def run_report(command: list[str], inputs: dict, seed: int | None, payload: dict) -> str:
+    """JSON echo of one CLI invocation: command, inputs, seed, tool version
+    and payload.  Re-running the echoed command reproduces it byte for byte."""
+    doc = {"command": list(command), "inputs": inputs, "seed": seed,
+           "version": TOOL_VERSION, "payload": payload}
+    return json.dumps(doc, indent=2)
 
 
 def constant_payload(constant) -> dict:

@@ -79,6 +79,13 @@ def test_wu_full_mub_matches_general_formula(n):
     assert wu_full_mub(n).value == pytest.approx(wu_mub_bound(n + 1, n).value, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1262, 5000])
+def test_wu_full_mub_matches_general_formula_at_large_n(n):
+    # the two formulas round differently; at these n they differ by more than 1e-12
+    general = wu_mub_bound(n + 1, n).value
+    assert wu_full_mub(n).value == pytest.approx(general, rel=4 * np.finfo(float).eps, abs=0)
+
+
 def test_constants_never_exceed_max_entropy():
     for m, n in ((2, 2), (3, 2), (4, 3), (5, 4), (9, 8)):
         assert wu_mub_bound(m, n).value <= m * math.log(n) + 1e-12

@@ -1,6 +1,9 @@
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,7 @@ def test_parse_rejects_malformed_matrices():
     (None, "a number, got None"),
     (math.nan, "finite"),
     (-math.inf, "finite"),
+    pytest.param(10**400, "finite", id="beyond-float-range"),
 ])
 @pytest.mark.parametrize("kind", ["matrix", "density", "eigenvectors"])
 def test_parse_names_the_first_bad_entry(kind, bad, reason):
@@ -95,6 +99,11 @@ def test_parse_spectral_document_checks():
     bad_order["spectral"]["eigenvalues"] = [1.0, -1.0]
     with pytest.raises(FileFormatError, match="ascending"):
         parse_observable(bad_order)
+
+    huge = json.loads(json.dumps(good))
+    huge["spectral"]["eigenvalues"][1] = 10**400  # beyond the float range
+    with pytest.raises(FileFormatError, match=re.escape("eigenvalues[1] must be finite")):
+        parse_observable(huge)
 
     skewed = json.loads(json.dumps(good))
     skewed["spectral"]["eigenvectors"][0] = [[1.0, 0.0], [0.0, 0.0]]
@@ -309,6 +318,18 @@ def test_cli_continuous_overflow_is_an_error(capsys):
 
 
 def test_cli_demo(capsys):
+    assert main(["demo", "--seed", "0", "--restarts", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "qubit triple:  floor 1.7243 at alpha 0.597, optimized 1.7243 at alpha 0.5973, "
+        "true minimum 2.0000",
+        "qutrit quadruple: floor 0.9084 at alpha 1.92, optimized 0.9084 at alpha 1.9180, "
+        "true minimum 1.0000",
+        "continuous pair (C = 1 + ln pi): floor 1.000000 at alpha 1, closed-form alpha* 1.000000",
+        "separability test with the qubit triple on both sides (U_A = U_B = 1.7243):",
+        "  singlet: lhs 0.0000, margin -3.4486 -> Entangled",
+        "  ket00: lhs 4.0000, margin +0.5514 -> NotDetected",
+        "  mixed2: lhs 6.0000, margin +2.5514 -> NotDetected",
+    ]
     code = main(["demo", "--seed", "0", "--restarts", "4", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
@@ -373,6 +394,36 @@ def test_cli_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bound", str(path), "--C", "1", "--alpha", "1",
                  "--tol", "bogus=1"]) == 2
+
+
+@pytest.mark.parametrize("item", ["bogus=1", "hermiticity"])
+def test_cli_continuous_takes_no_tolerance(capsys, item):
+    # the closed form reads no tolerance, so argparse rejects --tol like any unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["continuous", "--C", "1", "--tol", item])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# 5000 digits is past Python's limit for parsing an integer
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float-range", "digit-limit"])
+def test_cli_huge_integer_is_a_parse_failure(tmp_path, capsys, digits):
+    path = tmp_path / "big.json"
+    path.write_text('{"matrix": [[[0, 0], [1, 0]], [[1, 0], [1%s, 0]]]}' % ("0" * digits))
+    assert main(["bound", str(path), "--C", "1", "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_scripts_exit_zero():
+    # the scripts import from the package, private names included
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for argv in (["alpha_landscape.py", "pauli3", "--restarts", "4"],
+                 ["lemma_stress.py", "--samples", "200"]):
+        proc = subprocess.run([sys.executable, str(scripts / argv[0]), *argv[1:]],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _tolerance_cases(tmp_path):
