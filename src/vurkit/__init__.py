@@ -5,13 +5,13 @@ oracle, and a local-uncertainty separability test for bipartite states.
 
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
 from .core import (OverlapStats, QuantumState, SpectralObservable, eigendecompose,
-                   expectation, is_mub, measurement_distribution, overlap_stats,
+                   expectation, measurement_distribution, overlap_stats,
                    shannon_entropy, variance)
 from .engine import (BoundReport, InnerMaxResult, bound_at_alpha, continuous_pair_bound,
                      inner_max, optimize_alpha, shannon_variance_bound, state_dependent_bound)
-from .entropic import (ConstantSource, EntropicConstant, best_entropic_constant,
-                       de_vicente_analytic, entropic_candidates, maassen_uffink,
-                       user_supplied, wu_full_mub, wu_mub_bound)
+from .entropic import (ConstantSelection, ConstantSource, EntropicConstant,
+                       best_entropic_constant, de_vicente_analytic, maassen_uffink,
+                       select_constant, user_supplied, wu_full_mub, wu_mub_bound)
 from .errors import (DimensionMismatchError, FileFormatError, InvalidAlphaError,
                      InvalidStateError, NotHermitianError, RegimeError, VurkitError)
 from .lur import LocalObservablePair, LurReport, Verdict, lur_test, sample_random_separable
@@ -21,16 +21,16 @@ from .oracle import (LemmaSweepReport, OracleConfig, OracleResult, lemma_sweep,
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "BoundReport", "ConstantSource", "DEFAULT_TOLERANCES", "DimensionMismatchError",
-    "EntropicConstant", "FileFormatError", "InnerMaxResult", "InvalidAlphaError",
-    "InvalidStateError", "LemmaSweepReport", "LocalObservablePair", "LurReport",
-    "NotHermitianError", "OracleConfig", "OracleResult", "OverlapStats",
+    "BoundReport", "ConstantSelection", "ConstantSource", "DEFAULT_TOLERANCES",
+    "DimensionMismatchError", "EntropicConstant", "FileFormatError", "InnerMaxResult",
+    "InvalidAlphaError", "InvalidStateError", "LemmaSweepReport", "LocalObservablePair",
+    "LurReport", "NotHermitianError", "OracleConfig", "OracleResult", "OverlapStats",
     "QuantumState", "RegimeError", "SpectralObservable", "Tolerances", "Verdict",
     "VurkitError", "best_entropic_constant", "bound_at_alpha", "continuous_pair_bound",
-    "de_vicente_analytic", "eigendecompose", "entropic_candidates", "expectation",
-    "inner_max", "is_mub", "lemma_sweep", "lur_test", "maassen_uffink",
-    "measurement_distribution", "minimize_variance_sum", "optimize_alpha", "overlap_stats",
-    "random_hermitian", "sample_random_pure", "sample_random_separable", "shannon_entropy",
+    "de_vicente_analytic", "eigendecompose", "expectation", "inner_max", "lemma_sweep",
+    "lur_test", "maassen_uffink", "measurement_distribution", "minimize_variance_sum",
+    "optimize_alpha", "overlap_stats", "random_hermitian", "sample_random_pure",
+    "sample_random_separable", "select_constant", "shannon_entropy",
     "shannon_variance_bound", "state_dependent_bound", "user_supplied", "variance",
     "wu_full_mub", "wu_mub_bound",
 ]

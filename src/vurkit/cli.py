@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
-from .core import SpectralObservable, common_dim, is_mub, overlap_stats
+from .core import SpectralObservable
 from .errors import FileFormatError, VurkitError
 from .lur import LocalObservablePair, lur_test
 from .oracle import OracleConfig, minimize_variance_sum
@@ -109,23 +109,18 @@ def cmd_entropic(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
     if len(observables) < 2:
         raise FileFormatError("entropic needs at least two observables")
-    dim = common_dim(observables)
-    overlaps = [(i + 1, j + 1, overlap_stats(observables[i], observables[j]).c)
-                for i in range(len(observables)) for j in range(i + 1, len(observables))]
-    mub = is_mub(observables, tol.mub)
-    candidates = entropic.entropic_candidates(observables, tol.mub)
-    selected = max(candidates, key=lambda k: k.value)  # the first on ties, as in best_entropic_constant
-
-    lines = [f"{len(observables)} observables, dimension {dim}"]
+    selection = entropic.select_constant(observables, tol.mub)
+    overlaps = [(i + 1, j + 1, c) for i, j, c in selection.overlaps]  # 1-based in the report
+    lines = [f"{len(observables)} observables, dimension {observables[0].dim}"]
     lines.extend(f"overlap c({i},{j}) = {c:.9f}" for i, j, c in overlaps)
-    lines.append(f"mutually unbiased: {'yes' if mub else 'no'}")
-    lines.extend(f"candidate: {_constant_line(k)}" for k in candidates)
-    lines.append(f"selected: {_constant_line(selected)}")
+    lines.append(f"mutually unbiased: {'yes' if selection.mutually_unbiased else 'no'}")
+    lines.extend(f"candidate: {_constant_line(k)}" for k in selection.candidates)
+    lines.append(f"selected: {_constant_line(selection.selected)}")
     return _set_inputs(args, observables), None, {
         "overlaps": [{"i": i, "j": j, "c": float(c)} for i, j, c in overlaps],
-        "mutually_unbiased": bool(mub),
-        "candidates": [io.constant_payload(k) for k in candidates],
-        "selected": io.constant_payload(selected),
+        "mutually_unbiased": selection.mutually_unbiased,
+        "candidates": [io.constant_payload(k) for k in selection.candidates],
+        "selected": io.constant_payload(selection.selected),
     }, lines
 
 

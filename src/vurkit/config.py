@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 TOOL_VERSION = "0.1.0"
@@ -12,7 +13,8 @@ class Tolerances:
     """Every numeric validation threshold used by the toolkit.
 
     Keeping them in one record makes CLI overrides (``--tol name=value``)
-    and test pinning trivial.
+    and test pinning trivial.  Values must be finite and >= 0: a nan would
+    switch its check off and a negative value turn it around.
     """
 
     hermiticity: float = 1e-10
@@ -24,6 +26,11 @@ class Tolerances:
     mub: float = 1e-8
     lur_margin: float = 1e-9
     oracle_agreement: float = 1e-6
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -7,7 +7,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,17 +224,3 @@ def overlap_stats(a: SpectralObservable, b: SpectralObservable) -> OverlapStats:
     common_dim((a, b))
     overlaps = np.abs(a.eigenvectors.conj().T @ b.eigenvectors)
     return OverlapStats(c=float(overlaps.max()), overlap_matrix=overlaps)
-
-
-def is_mub(bases, tol: float = DEFAULT_TOLERANCES.mub) -> bool:
-    """Whether every pair of eigenbases has all overlaps equal to 1/sqrt(n)."""
-    obs = list(bases)
-    if len(obs) < 2:
-        raise ValueError("need at least two observables")
-    target = 1.0 / math.sqrt(common_dim(obs))
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            overlaps = overlap_stats(obs[i], obs[j]).overlap_matrix
-            if float(np.max(np.abs(overlaps - target))) > tol:
-                return False
-    return True

@@ -10,8 +10,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .config import DEFAULT_TOLERANCES
-from .core import SpectralObservable, common_dim, is_mub, overlap_stats
+from .core import common_dim, overlap_stats
 from .errors import RegimeError
 
 # The analytic large-overlap bound is provably wrong near c = 1/sqrt(2): the
@@ -91,56 +93,57 @@ def user_supplied(value: float) -> EntropicConstant:
     return EntropicConstant(float(value), ConstantSource.USER_SUPPLIED, f"C={float(value)!r}")
 
 
-def _greedy_pair_matching(observables: list[SpectralObservable]) -> EntropicConstant:
-    """Disjoint pairing of observables, greedily maximizing the summed -2 ln c scores.
+@dataclass(frozen=True)
+class ConstantSelection:
+    """What the selector saw, as ``(i, j, c)`` per pair i < j (0-based), and weighed."""
 
-    Discarding unmatched observables only weakens the floor (entropies are
-    nonnegative), so the result is always a valid constant for the full set.
-    """
-    m = len(observables)
-    scored = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = min(overlap_stats(observables[i], observables[j]).c, 1.0)
-            scored.append((maassen_uffink(c).value, i, j))
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used: set[int] = set()
-    total = 0.0
-    chosen = []
-    for score, i, j in scored:
-        if i in used or j in used:
-            continue
-        used.update((i, j))
-        total += score
-        chosen.append((i, j))
-    digest = f"m={m} pairs={chosen}"
-    return EntropicConstant(total, ConstantSource.PAIRWISE_MATCHING, digest)
+    overlaps: tuple[tuple[int, int, float], ...]
+    mutually_unbiased: bool
+    candidates: tuple[EntropicConstant, ...]
+
+    @property
+    def selected(self) -> EntropicConstant:
+        """Strongest candidate, the first one on ties."""
+        return max(self.candidates, key=lambda k: k.value)
 
 
-def entropic_candidates(observables,
-                        mub_tol: float = DEFAULT_TOLERANCES.mub) -> list[EntropicConstant]:
-    """Every entropy-sum floor the selector weighs for a set of observables.
+def select_constant(observables,
+                    mub_tol: float = DEFAULT_TOLERANCES.mub) -> ConstantSelection:
+    """Every entropy-sum floor the selector weighs, from one overlap matrix per pair.
 
     Two observables: the overlap bound, then the analytic large-overlap bound
-    when its regime allows.  More than two: the unbiased-bases floor when the
-    eigenbases are mutually unbiased to within ``mub_tol``, otherwise a greedy
-    disjoint pairing scored by the overlap bound.
+    when its regime allows.  More than two: the unbiased-bases floor when every
+    overlap is within ``mub_tol`` of ``1/sqrt(n)``, or else a disjoint pairing
+    greedily maximizing the summed -2 ln c scores (unmatched observables only
+    weaken the floor).
     """
     obs = list(observables)
     if len(obs) < 2:
         raise ValueError("need at least two observables")
-    dim = common_dim(obs)
-    if len(obs) == 2:
-        c = min(overlap_stats(obs[0], obs[1]).c, 1.0)
+    m, dim = len(obs), common_dim(obs)
+    stats = {(i, j): overlap_stats(obs[i], obs[j]) for i in range(m) for j in range(i + 1, m)}
+    overlaps = tuple((i, j, pair.c) for (i, j), pair in stats.items())
+    mub = all(np.max(np.abs(pair.overlap_matrix - 1.0 / math.sqrt(dim))) <= mub_tol
+              for pair in stats.values())
+    if m == 2:
+        c = min(overlaps[0][2], 1.0)
+        candidates = [maassen_uffink(c)]
         if c >= DE_VICENTE_DEFAULT_MIN_C:
-            return [maassen_uffink(c), de_vicente_analytic(c)]
-        return [maassen_uffink(c)]
-    if is_mub(obs, mub_tol):
-        return [wu_mub_bound(len(obs), dim)]
-    return [_greedy_pair_matching(obs)]
+            candidates.append(de_vicente_analytic(c))
+    elif mub:
+        candidates = [wu_mub_bound(m, dim)]
+    else:
+        total, chosen = 0.0, []
+        for neg, i, j in sorted((-maassen_uffink(min(c, 1.0)).value, i, j) for i, j, c in overlaps):
+            if all(i not in pair and j not in pair for pair in chosen):
+                total -= neg
+                chosen.append((i, j))
+        candidates = [EntropicConstant(total, ConstantSource.PAIRWISE_MATCHING,
+                                       f"m={m} pairs={chosen}")]
+    return ConstantSelection(overlaps, mub, tuple(candidates))
 
 
 def best_entropic_constant(observables,
                            mub_tol: float = DEFAULT_TOLERANCES.mub) -> EntropicConstant:
-    """Strongest of ``entropic_candidates``, the first one on ties."""
-    return max(entropic_candidates(observables, mub_tol), key=lambda k: k.value)
+    """The constant ``select_constant`` selects."""
+    return select_constant(observables, mub_tol).selected

@@ -144,11 +144,11 @@ def serialize_state(state: QuantumState) -> dict:
 def _load_json(path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from reference import phase_fixed_columns, robertson_bound, validate_hermitian
 from vurkit import (DimensionMismatchError, NotHermitianError, QuantumState,
-                    SpectralObservable, eigendecompose, expectation, is_mub,
-                    measurement_distribution, overlap_stats, shannon_entropy, variance)
+                    SpectralObservable, eigendecompose, expectation,
+                    measurement_distribution, overlap_stats, select_constant,
+                    shannon_entropy, variance)
 from vurkit.core import phase_fix_columns
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
@@ -175,10 +176,10 @@ def test_squared_overlap_matrix_is_doubly_stochastic():
 
 
 def test_is_mub_examples():
-    assert is_mub(pauli3())
+    assert select_constant(pauli3()).mutually_unbiased
     sz = eigendecompose(PAULI_Z)
-    assert not is_mub([sz, sz])
-    assert is_mub(qutrit4())
+    assert not select_constant([sz, sz]).mutually_unbiased
+    assert select_constant(qutrit4()).mutually_unbiased
 
 
 def test_robertson_examples():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from reference import dense_grid_max, gaussian_sum
 from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
                     LocalObservablePair, QuantumState, SpectralObservable, best_entropic_constant,
-                    bound_at_alpha, continuous_pair_bound, eigendecompose, entropic_candidates,
-                    expectation, inner_max, is_mub, lur_test, maassen_uffink,
-                    measurement_distribution, optimize_alpha, overlap_stats,
-                    shannon_entropy, shannon_variance_bound, state_dependent_bound,
-                    user_supplied, variance, wu_full_mub)
+                    bound_at_alpha, continuous_pair_bound, eigendecompose, expectation,
+                    inner_max, lur_test, maassen_uffink, measurement_distribution,
+                    optimize_alpha, overlap_stats, select_constant, shannon_entropy,
+                    shannon_variance_bound, state_dependent_bound, user_supplied, variance,
+                    wu_full_mub)
 from vurkit import engine
 from vurkit.engine import ALPHA_RANGE, GRID_POINTS, _floor_slopes
 from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
@@ -256,8 +256,7 @@ _QUBIT, _QUTRIT = eigendecompose(PAULI_Z), qutrit4()[0]
     pytest.param(lambda obs: state_dependent_bound(obs, KET0, 1.0, user_supplied(1.0)),
                  id="state_dependent_bound"),
     pytest.param(minimize_variance_sum, id="minimize_variance_sum"),
-    pytest.param(entropic_candidates, id="entropic_candidates"),
-    pytest.param(is_mub, id="is_mub"),
+    pytest.param(select_constant, id="select_constant"),
     pytest.param(lambda obs: lur_test([LocalObservablePair(_QUBIT, o) for o in obs], maximally_mixed(4),
                                       u_a=1.0, u_b=1.0), id="lur_test"),
 ])

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from vurkit import (ConstantSource, QuantumState, RegimeError,
                     best_entropic_constant, de_vicente_analytic, eigendecompose,
                     maassen_uffink, measurement_distribution, overlap_stats,
-                    shannon_entropy, user_supplied, wu_full_mub, wu_mub_bound)
-from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3
+                    select_constant, shannon_entropy, user_supplied, wu_full_mub,
+                    wu_mub_bound)
+from vurkit import entropic
+from vurkit.cli import main
+from vurkit.fixtures import PAULI_X, PAULI_Z, pauli3, qutrit4
 from vurkit.oracle import random_hermitian, sample_random_pure
 
 # frozen from direct evaluation of the closed form
@@ -128,6 +131,42 @@ def test_best_entropic_constant_pairwise_matching_path():
     scores = [maassen_uffink(min(overlap_stats(a, b).c, 1.0)).value
               for a, b in ((sz, sx), (sz, extra), (sx, extra))]
     assert best.value == pytest.approx(max(scores), abs=1e-12)
+
+
+def _count_overlap_stats(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(entropic, "overlap_stats",
+                        lambda a, b: calls.append((a, b)) or overlap_stats(a, b))
+    return calls
+
+
+def _random_triple():
+    rng = np.random.default_rng(5)
+    return [eigendecompose(random_hermitian(3, rng)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("make, mub", [(pauli3, True), (qutrit4, True), (_random_triple, False)],
+                         ids=["pauli3", "qutrit4", "random_triple"])
+def test_select_constant_forms_each_overlap_once(monkeypatch, make, mub):
+    observables = make()
+    calls = _count_overlap_stats(monkeypatch)
+    selection = select_constant(observables)
+    m = len(observables)
+    assert len(calls) == m * (m - 1) // 2
+    assert [(i, j) for i, j, _ in selection.overlaps] == [(i, j) for i in range(m)
+                                                          for j in range(i + 1, m)]
+    for i, j, c in selection.overlaps:
+        assert c == overlap_stats(observables[i], observables[j]).c
+    assert selection.mutually_unbiased is mub
+    assert selection.selected is max(selection.candidates, key=lambda k: k.value)
+    assert best_entropic_constant(observables) == selection.selected
+
+
+def test_cli_entropic_forms_each_overlap_once(monkeypatch, capsys):
+    calls = _count_overlap_stats(monkeypatch)
+    assert main(["entropic", "pauli3"]) == 0
+    assert len(calls) == 3
+    assert "mutually unbiased: yes" in capsys.readouterr().out
 
 
 def test_user_supplied_constant():

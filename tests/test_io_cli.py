@@ -10,6 +10,7 @@ import pytest
 
 from vurkit import FileFormatError, InvalidStateError, Tolerances, eigendecompose
 from vurkit.cli import main
+from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
                              qutrit4, singlet)
 from vurkit.io import (load_observable, parse_observable, parse_state,
@@ -150,7 +151,6 @@ def test_load_observable_with_loosened_tolerance(tmp_path):
     from vurkit import NotHermitianError
     with pytest.raises(NotHermitianError):
         load_observable(path)
-    from vurkit.config import DEFAULT_TOLERANCES, with_overrides
     loose = with_overrides(DEFAULT_TOLERANCES, {"hermiticity": 1e-6})
     obs = load_observable(path, loose)
     assert obs.dim == 2
@@ -394,6 +394,39 @@ def test_cli_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bound", str(path), "--C", "1", "--alpha", "1",
                  "--tol", "bogus=1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    with pytest.raises(ValueError):
+        with_overrides(DEFAULT_TOLERANCES, {"mub": float(value)})
+    path = tmp_path / "skew.json"  # the anti-Hermitian [[0, i], [i, 0]]
+    path.write_text(json.dumps({"matrix": [[[0.0, 0.0], [0.0, 1.0]],
+                                           [[0.0, 1.0], [0.0, 0.0]]]}))
+    for argv in (["bound", str(path), "--C", "1", "--alpha", "1", "--tol", f"hermiticity={value}"],
+                 ["lur", "--state", "mixed2", "--pairs", "pauli-pairs", "--auto-C",
+                  "--tol", f"lur_margin={value}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and >= 0" in captured.err
+
+
+def test_cli_zero_tolerance_is_valid(capsys):
+    assert main(["lur", "--state", "mixed2", "--pairs", "pauli-pairs", "--auto-C",
+                 "--tol", "lur_margin=0"]) == 0
+    assert "verdict: NotDetected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [b'\xff\xfe{"matrix": []}', b"[" * 200000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_cli_unreadable_file_is_a_parse_failure(tmp_path, capsys, content):
+    path = tmp_path / "obs.json"
+    path.write_bytes(content)
+    assert main(["bound", str(path), "--C", "1", "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("item", ["bogus=1", "hermiticity"])
