@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -107,8 +108,6 @@ def cmd_bound(args, tol: Tolerances):
 
 def cmd_entropic(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
-    if len(observables) < 2:
-        raise FileFormatError("entropic needs at least two observables")
     selection = entropic.select_constant(observables, tol.mub)
     overlaps = [(i + 1, j + 1, c) for i, j, c in selection.overlaps]  # 1-based in the report
     lines = [f"{len(observables)} observables, dimension {observables[0].dim}"]
@@ -291,7 +290,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inputs, seed, payload, lines = args.func(args, _parse_tolerances(args.tol))
-        print(io.run_report(argv, inputs, seed, payload) if args.json else "\n".join(lines))
+        print(io.run_report(argv, inputs, seed, payload) if args.json else "\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader is gone (`| head`); so is the rest of the output
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (VurkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, VurkitError) else 1

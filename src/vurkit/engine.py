@@ -10,16 +10,18 @@ reported M and raw floor is that kernel's own value at the reported width.
 
 The maxima of g are the modes of a homoscedastic Gaussian mixture, found by
 hill climbing from every eigenvalue and every midpoint of two adjacent
-eigenvalues (Carreira-Perpinan, IEEE TPAMI 22(11), 2000).  ``_ascend`` climbs
-from all of those starts for a whole vector of widths at once: Newton steps
-where g is concave and their mirror images where it is convex, scaled by a
-trust factor, or mean-shift steps where those do not raise g.  Its blocks are
-eigenvalue-major, one column per (spectrum, alpha, start).  ``_maxima``
-reduces the end points to each spectrum's argmax, M, the moments there and
-the mode count.  A floor evaluation is one such call over a set's distinct
-spectra: ``bound_at_alpha`` makes one, and ``optimize_alpha`` one on a
-log-spaced width grid and one per refinement step, reporting the best point
-evaluated.
+eigenvalues (Carreira-Perpinan, IEEE TPAMI 22(11), 2000), or from the mean
+alone where alpha L^2 <= 2 (L = a_n - a_1): there (ln g)'' = 2 alpha (2 alpha
+Var_w - 1) <= 0, the Gaussian-weighted variance Var_w being at most L^2 / 4
+(Popoviciu), so g has one maximum.  ``_ascend`` climbs from those starts for
+a whole vector of widths at once: Newton steps where g is concave and their
+mirror images where it is convex, scaled by a trust factor, or mean-shift
+steps where those do not raise g.  Its blocks are eigenvalue-major, one column
+per (spectrum, alpha, start).  ``_maxima`` reduces the end points to each
+spectrum's argmax, M, the moments there and the mode count.  A floor
+evaluation is one such call over a set's distinct spectra: ``bound_at_alpha``
+makes one, and ``optimize_alpha`` one on a log-spaced width grid and one per
+refinement step, reporting the best point evaluated.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -45,7 +47,7 @@ GRID_POINTS = 200
 # corner step, is this short in ln alpha
 LOG_ALPHA_TOL = 1e-8
 # eigenvalues x columns per ascent block: bounds the scratch arrays' memory
-BLOCK_ELEMENTS = 1 << 13
+BLOCK_ELEMENTS = 1 << 15
 MAX_ASCENT_ITERS = 500
 # an ascent stops once an iteration raises ln g by no more than this times
 # max(1, ln n), ln n being the largest ln g can be; the value is the stopping
@@ -94,7 +96,9 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
 
 def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     """Climb g from every eigenvalue and adjacent midpoint, for every row of the
-    (S, n) stack of ascending spectra and every alpha.
+    (S, n) stack of ascending spectra and every alpha, or from the row's mean
+    alone where alpha L^2 <= 2 (L its spread): the other columns keep their
+    start, ln g = -inf, 0 iterations and no maximum.
 
     Returns arrays of shape (S, len(alphas), 2n - 1): the final beta, ln g
     and g there, the iterations run, whether the end point is a maximum (g'' <= 0)
@@ -106,9 +110,9 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     """
     starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
     shape = (spectra.shape[0], alphas.size, starts.shape[1])
-    beta = np.repeat(starts[:, None, :], alphas.size, axis=1).ravel()
-    log_g, g, moments = np.empty(beta.size), np.empty(beta.size), np.empty((3, beta.size))
-    concave, iters = np.empty(beta.size, dtype=bool), np.empty(beta.size, dtype=int)
+    beta = np.repeat(starts[:, None, :], alphas.size, axis=1)
+    log_g, g, moments = np.full(beta.size, -np.inf), np.zeros(beta.size), np.zeros((3, beta.size))
+    concave, iters = np.zeros(beta.size, dtype=bool), np.zeros(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
     block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
     columns = np.ascontiguousarray(spectra.T)
@@ -116,8 +120,13 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     # float limit; such columns end as NaN at once.  Where g'' = 0 the model
     # step is infinite, and the clip to the spectrum's ends takes over
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, beta.size, block):
-            cols = np.arange(first, min(first + block, beta.size))
+        # ln g is concave where alpha L^2 <= 2 (module docstring): one start, at the mean, climbs it
+        one = alphas * np.square(spectra[:, -1] - spectra[:, 0])[:, None] <= 2.0
+        mean = np.clip(_column_sums(columns) / spectra.shape[1], spectra[:, 0], spectra[:, -1])
+        beta[..., 0] = np.where(one, mean[:, None], beta[..., 0])
+        beta, climb = beta.ravel(), np.flatnonzero((np.arange(shape[2]) == 0) | ~one[..., None])
+        for first in range(0, climb.size, block):
+            cols = climb[first:first + block]
             # each column carries its spectrum, its alpha and its beta; take and
             # compress keep the blocks C-ordered, where a boolean index would not
             e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
@@ -178,7 +187,7 @@ def _maxima(spectra: np.ndarray, alphas: np.ndarray):
 
     g has at most n modes and each is reached from an eigenvalue or an
     adjacent midpoint, so the best end point of the ascent is the global
-    maximum.
+    maximum; where alpha L^2 <= 2 it has one, reached from any start.
     """
     beta, log_g, g, iters, concave, moments = _ascend(spectra, alphas)
     pick = np.argmax(log_g, axis=2)[..., None]
@@ -193,8 +202,8 @@ def _maxima(spectra: np.ndarray, alphas: np.ndarray):
 @dataclass(frozen=True)
 class InnerMaxResult:
     """Argmax and value of the Gaussian sum over the eigenvalue interval, with
-    the ascent iterations of its slowest start and the number of distinct
-    maxima (modes) the starts reached."""
+    the ascent iterations of its slowest start (its only one, from the mean,
+    where alpha L^2 <= 2) and the number of distinct maxima (modes) reached."""
 
     beta_star: float
     value: float

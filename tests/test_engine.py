@@ -407,6 +407,66 @@ def test_ascent_columns_do_not_depend_on_the_blocks(spectra):
         np.testing.assert_array_equal(small, large)
 
 
+# spectra of n = 2-40 eigenvalues: free, with repeats, or two-valued
+_single_start_spectra = st.integers(min_value=2, max_value=40).flatmap(lambda n: st.one_of(
+    st.lists(_eigenvalue, min_size=n, max_size=n),
+    st.tuples(_eigenvalue, _eigenvalue, st.integers(min_value=1, max_value=n - 1)).map(
+        lambda t: [t[0]] * t[2] + [t[1]] * (n - t[2]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_single_start_spectra, st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+def test_inner_max_single_start_where_ln_g_is_concave(eigs, product):
+    # at alpha L^2 <= 2 the kernel climbs from the mean alone; it must still
+    # find the one maximum, above every start the full start set would use
+    evals = np.sort(np.array(eigs))
+    spread = float(evals[-1] - evals[0])
+    assume(spread == 0.0 or spread > 1e-6)
+    alpha = product / (spread * spread) if spread else product
+    assume(alpha > 0.0 and alpha * (spread * spread) <= 2.0)
+    result = inner_max(evals, alpha)
+    assert result.modes == 1
+    starts = np.concatenate([evals, 0.5 * (evals[1:] + evals[:-1])])
+    eps = np.finfo(float).eps
+    assert all(result.value >= gaussian_sum(evals, alpha, b) * (1.0 - 4.0 * eps) for b in starts)
+    # ln g'' >= -2 alpha, so the grid's best point lies within 1.3e-9 relative
+    ref, _ = dense_grid_max(evals, alpha, points=20_001)
+    assert ref * (1.0 - 4.0 * eps) <= result.value <= ref * (1.0 + 2e-9)
+
+
+def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
+    # optimize_alpha's 200-width grid on one n = 8 GUE triple: 3 x 200 x 15 =
+    # 9000 columns, of which every (spectrum, width) with alpha L^2 <= 2
+    # climbs one
+    rng = np.random.default_rng(1)
+    observables = [eigendecompose(random_hermitian(8, rng)) for _ in range(3)]
+    calls, ascend = [], engine._ascend
+    monkeypatch.setattr(engine, "_ascend", lambda *args: calls.append(args) or ascend(*args))
+    optimize_alpha(observables, user_supplied(1.0))
+    stack, alphas = calls[0]
+    assert alphas.size == GRID_POINTS
+    columns, kernel = [], engine._log_gaussian_sum
+    monkeypatch.setattr(engine, "_log_gaussian_sum", lambda e, a, b: columns.append(b.size) or kernel(e, a, b))
+    iters = ascend(stack, alphas)[3]
+    assert iters.size == 9000
+    climbed = np.count_nonzero(iters)
+    assert climbed == 5150
+    # a column that stops after k iterations is summed k times, and its
+    # trial step k - 1 times
+    assert sum(columns) == 2 * int(iters.sum()) - climbed
+    concave = alphas * (stack[:, -1] - stack[:, 0])[:, None] ** 2 <= 2.0
+    np.testing.assert_array_equal(iters[..., 1:] > 0, np.repeat(~concave[..., None], 14, axis=2))
+    assert np.all(iters[..., 0] > 0)
+
+
+@pytest.mark.parametrize("evals, alpha", [([-1.0, 1.0], 1e308), ([-1e200, 1e200], 1.0), ([3.0, 3.0], 1e308)])
+def test_single_start_rule_at_overflowing_products(evals, alpha):
+    # alpha L^2 overflows (or L = 0 at the largest alpha) without a warning
+    result = inner_max(evals, alpha)
+    assert result.value == (2.0 if evals[0] == evals[1] else 1.0)
+    assert result.modes == (1 if evals[0] == evals[1] else 2)
+
+
 def _scaled(observables, s, t=0.0):
     return [SpectralObservable(s * o.eigenvalues + t, o.eigenvectors) for o in observables]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -220,6 +221,31 @@ def test_cli_entropic(capsys):
     assert main(["entropic", "sigma-z", "sigma-z"]) == 0
     out = capsys.readouterr().out
     assert "selected: C = 0.000000000" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropic", "sigma-z"],
+    ["bound", "sigma-z", "--auto-C", "--alpha", "1"],
+    ["lur", "--state", "singlet", "--pairs", "sigma-z", "sigma-z", "--auto-C"],
+], ids=["entropic", "bound", "lur"])
+def test_cli_one_observable_set_has_no_constant(capsys, argv):
+    # one refusal, from the constant's selection, whichever command asks
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least two observables\n"
+
+
+def test_cli_closed_pipe_exits_quietly():
+    # the reader is gone before vurkit prints, as with `| head -1`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "vurkit", "demo", "--seed", "0", "--restarts", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == ""  # no Traceback, no message
 
 
 def test_cli_mub_tolerance_selects_constant(capsys):
