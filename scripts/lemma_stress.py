@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vurkit import lemma_sweep  # noqa: E402
+from vurkit.oracle import VIOLATION_TOL  # noqa: E402
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
     report = lemma_sweep(args.samples, dims=args.dims, seed=args.seed)
     print(f"samples: {report.samples}  dims: {report.dims}  seed: {args.seed}")
     print(f"max violation (floor - variance): {report.max_violation:.6e}")
-    print(f"violations beyond 1e-9: {report.violations}")
+    print(f"violations beyond {VIOLATION_TOL:g}: {report.violations}")
     print(f"worst triple: dim {report.worst_observable.dim}, alpha {report.worst_alpha:.6f}")
     print(f"  eigenvalues: {report.worst_observable.eigenvalues}")
     print(f"  state amplitudes: {report.worst_state.vector}")

@@ -103,7 +103,7 @@ def cmd_bound(args, tol: Tolerances):
                      f"{r.modes} mode(s), {r.iterations} iteration(s)")
     lines.append(f"raw bound = {report.raw_bound:.9f}")
     lines.append(f"lower bound = {report.lower_bound:.9f} (clamped: {'yes' if report.clamped else 'no'})")
-    return _set_inputs(args, observables), None, io.bound_report_payload(report), lines
+    return _set_inputs(args, observables), None, io.payload(report), lines
 
 
 def cmd_entropic(args, tol: Tolerances):
@@ -118,8 +118,8 @@ def cmd_entropic(args, tol: Tolerances):
     return _set_inputs(args, observables), None, {
         "overlaps": [{"i": i, "j": j, "c": float(c)} for i, j, c in overlaps],
         "mutually_unbiased": selection.mutually_unbiased,
-        "candidates": [io.constant_payload(k) for k in selection.candidates],
-        "selected": io.constant_payload(selection.selected),
+        "candidates": io.payload(selection.candidates),
+        "selected": io.payload(selection.selected),
     }, lines
 
 
@@ -130,7 +130,7 @@ def cmd_oracle(args, tol: Tolerances):
     amplitudes = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in result.argmin_state.vector)
     lines = [
         f"minimum variance sum = {result.minimum:.9f}",
-        f"restarts agreeing = {result.restarts_agreeing}/{config.restarts}",
+        f"restarts agreeing = {result.restarts_agreeing}/{result.restarts}",
         "restart stops: " + ", ".join(f"{n} {reason}" for reason, n in result.stops.items()),
         f"iterations (slowest restart) = {result.iterations}",
         f"gradient norm = {result.gradient_norms[result.argmin_restart]:.3e} at the argmin restart "
@@ -139,7 +139,7 @@ def cmd_oracle(args, tol: Tolerances):
         f"seed = {config.seed}",
     ]
     return (_set_inputs(args, observables, restarts=config.restarts, max_iters=config.max_iters),
-            config.seed, io.oracle_result_payload(result, config.restarts), lines)
+            config.seed, io.payload(result), lines)
 
 
 def cmd_lur(args, tol: Tolerances):
@@ -163,8 +163,7 @@ def cmd_lur(args, tol: Tolerances):
         f"margin = {report.margin:.9f}",
         f"verdict: {report.verdict.value}",
     ]
-    return ({"state": args.state, "pairs": list(args.pairs)}, None,
-            io.lur_report_payload(report), lines)
+    return {"state": args.state, "pairs": list(args.pairs)}, None, io.payload(report), lines
 
 
 def cmd_continuous(args, tol: Tolerances):
@@ -196,9 +195,7 @@ def cmd_demo(args, tol: Tolerances):
         lines.append(f"{label} floor {fixed.lower_bound:.4f} at alpha {alpha}, "
                      f"optimized {optimized.lower_bound:.4f} at alpha {optimized.alpha:.4f}, "
                      f"true minimum {result.minimum:.4f}")
-        payload[name] = {"fixed": io.bound_report_payload(fixed),
-                         "optimized": io.bound_report_payload(optimized),
-                         "oracle": io.oracle_result_payload(result, config.restarts)}
+        payload[name] = io.payload({"fixed": fixed, "optimized": optimized, "oracle": result})
 
     c_cont = 1.0 + math.log(math.pi)
     alpha_star, cont_auto = engine.continuous_pair_bound(c_cont)
@@ -214,7 +211,7 @@ def cmd_demo(args, tol: Tolerances):
     for name in ("singlet", "ket00", "mixed2"):
         rep = lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u, margin_tol=tol.lur_margin)
         lines.append(f"  {name}: lhs {rep.lhs:.4f}, margin {rep.margin:+.4f} -> {rep.verdict.value}")
-        payload["lur"][name] = io.lur_report_payload(rep)
+        payload["lur"][name] = io.payload(rep)
     return {"restarts": args.restarts}, args.seed, payload, lines
 
 

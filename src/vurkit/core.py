@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,10 @@ class SpectralObservable:
             )
         if not np.all(np.isfinite(evals)):
             raise ValueError("eigenvalues must be finite")
-        if np.any(np.diff(evals) < 0):
+        if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
             raise ValueError("eigenvalues must be in ascending order")
+        if not math.isfinite(float(evals[-1]) - float(evals[0])):
+            raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
         object.__setattr__(self, "eigenvalues", _readonly(evals))
         object.__setattr__(self, "eigenvectors", _readonly(evecs))
 
@@ -112,8 +115,9 @@ def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservabl
     herm = 0.5 * (arr + arr.conj().T)
     evals, evecs = np.linalg.eigh(herm)
     obs = SpectralObservable(evals, phase_fix_columns(evecs))
+    # a correct eigh leaves a residual that grows with the matrix's scale
     residual = float(np.max(np.abs(obs.matrix - herm)))
-    if residual > tol.reconstruction:
+    if residual > tol.reconstruction * max(1.0, float(np.max(np.abs(herm)))):
         raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual:.3e})")
     return obs
 

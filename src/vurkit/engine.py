@@ -32,7 +32,7 @@ alpha h^2 runs over ``ALPHA_RANGE``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,8 +69,10 @@ def _eigenvalues(eigenvalues) -> np.ndarray:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
     if not np.all(np.isfinite(evals)):
         raise ValueError("eigenvalues must be finite")
-    if np.any(np.diff(evals) < 0):
+    if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
         raise ValueError("eigenvalues must be in ascending order")
+    if not math.isfinite(float(evals[-1]) - float(evals[0])):
+        raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
     return evals
 
 
@@ -206,7 +208,7 @@ class InnerMaxResult:
     where alpha L^2 <= 2) and the number of distinct maxima (modes) reached."""
 
     beta_star: float
-    value: float
+    value: float = field(metadata={"json": "max_value"})
     bracket: tuple[float, float]
     iterations: int
     modes: int
@@ -268,8 +270,10 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
     alpha (spectrum k counted c_k times), and the moments and the
     per-spectrum columns of ``_maxima``."""
     log_m, moments, columns = _maxima(spectra, alphas)
-    # summed in row order, so that a width's floor does not depend on the others
-    return (c - _column_sums(counts[:, None] * log_m)) / alphas, moments, columns
+    # summed in row order, so that a width's floor does not depend on the others;
+    # a floor past the float range is inf, for the caller to refuse
+    with np.errstate(over="ignore"):
+        return (c - _column_sums(counts[:, None] * log_m)) / alphas, moments, columns
 
 
 def _report(observables, rows, a: float, constant: EntropicConstant, raw, columns, j: int) -> BoundReport:
@@ -291,6 +295,8 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     obs = list(observables)
     stack, rows = _spectra(obs)
     raw, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
+    if not math.isfinite(raw[0]):
+        raise InvalidAlphaError(f"alpha {alpha!r} is too small: the floor runs past the float range")
     return _report(obs, rows, a, constant, raw, columns, 0)
 
 
@@ -325,8 +331,9 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     stack, rows = _spectra(obs)
     counts = np.bincount(rows)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
-    if h * h == 0.0 or not math.isfinite(ALPHA_RANGE[1] / (h * h)):
-        raise ValueError(f"half-spread {h!r} is too small: the alpha range runs past the float range")
+    if h * h == 0.0 or not math.isfinite(h * h) or not math.isfinite(ALPHA_RANGE[1] / (h * h)):
+        raise ValueError(f"half-spread {h!r} is too {'large' if h > 1.0 else 'small'}: "
+                         "the alpha range runs past the float range")
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
     logs = np.linspace(lo, hi, GRID_POINTS)
     step = logs[1] - logs[0]

@@ -30,7 +30,8 @@ class InvalidStateError(VurkitError):
 
 
 class InvalidAlphaError(VurkitError):
-    """Non-positive or non-finite Gaussian width parameter."""
+    """Non-positive or non-finite Gaussian width parameter, or one so small
+    that the floor runs past the float range."""
 
     exit_code = 6
 

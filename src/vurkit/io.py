@@ -1,13 +1,16 @@
 """JSON interchange: observable and state documents, plus run reports.
 
-Complex numbers are always [re, im] pairs; no complex-literal strings.  The
+A run report's payload is a result's own dataclass fields (``payload``), so
+each report's schema is declared once, on its dataclass.  Complex numbers are always [re, im] pairs; no complex-literal strings.  The
 canonical serialized form of an observable is its spectral representation, so
 parse(serialize(x)) reproduces x exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -16,10 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
 from .core import QuantumState, SpectralObservable, eigendecompose
-from .engine import BoundReport
 from .errors import FileFormatError
-from .lur import LurReport
-from .oracle import OracleResult
 
 
 def _as_number(obj, what: str) -> float:
@@ -96,7 +96,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
         raise FileFormatError("'eigenvalues' must be a nonempty list")
     n = len(raw_evals)
     evals = np.array([_as_number(v, f"eigenvalues[{i}]") for i, v in enumerate(raw_evals)])
-    if np.any(np.diff(evals) < 0):
+    if np.any(evals[1:] < evals[:-1]):
         raise FileFormatError("eigenvalues must be in ascending order")
     if not isinstance(raw_cols, list) or len(raw_cols) != n:
         raise FileFormatError(f"'eigenvectors' must hold {n} columns")
@@ -167,51 +167,22 @@ def run_report(command: list[str], inputs: dict, seed: int | None, payload: dict
     and payload.  Re-running the echoed command reproduces it byte for byte."""
     doc = {"command": list(command), "inputs": inputs, "seed": seed,
            "version": TOOL_VERSION, "payload": payload}
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def constant_payload(constant) -> dict:
-    return {"value": float(constant.value), "source": str(constant.source.value),
-            "inputs_digest": constant.inputs_digest}
-
-
-def bound_report_payload(report: BoundReport) -> dict:
-    return {
-        "alpha": float(report.alpha),
-        "constant": constant_payload(report.constant),
-        "per_operator": [
-            {"beta_star": float(r.beta_star), "max_value": float(r.value),
-             "bracket": [float(r.bracket[0]), float(r.bracket[1])],
-             "iterations": int(r.iterations), "modes": int(r.modes)}
-            for r in report.per_operator
-        ],
-        "raw_bound": float(report.raw_bound),
-        "lower_bound": float(report.lower_bound),
-        "clamped": bool(report.clamped),
-        "at_range_edge": bool(report.at_range_edge),
-        "refine_steps": int(report.refine_steps),
-    }
-
-
-def oracle_result_payload(result: OracleResult, restarts: int) -> dict:
-    return {
-        "minimum": float(result.minimum),
-        "restarts": int(restarts),
-        "restarts_agreeing": int(result.restarts_agreeing),
-        "stops": {reason: int(n) for reason, n in result.stops.items()},
-        "iterations": int(result.iterations),
-        "argmin_restart": int(result.argmin_restart),
-        "gradient_norms": [float(g) for g in result.gradient_norms],
-        "argmin_state": serialize_state(result.argmin_state),
-    }
-
-
-def lur_report_payload(report: LurReport) -> dict:
-    return {
-        "lhs": float(report.lhs),
-        "pair_variances": [float(v) for v in report.pair_variances],
-        "u_a": float(report.u_a),
-        "u_b": float(report.u_b),
-        "margin": float(report.margin),
-        "verdict": str(report.verdict.value),
-    }
+def payload(value) -> Any:
+    """JSON form of a result: a dataclass becomes an object of its fields in
+    declaration order, each keyed by its ``metadata["json"]`` if it has one, a
+    state its ``serialize_state`` document and an enum its value."""
+    if isinstance(value, Enum):  # before str: ConstantSource and Verdict subclass it
+        return value.value
+    if isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, QuantumState):
+        return serialize_state(value)
+    if dataclasses.is_dataclass(value):
+        return {f.metadata.get("json", f.name): payload(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: payload(v) for k, v in value.items()}
+    return [payload(v) for v in value]  # a list or tuple

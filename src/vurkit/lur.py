@@ -23,6 +23,8 @@ from .entropic import EntropicConstant
 from .errors import DimensionMismatchError
 from .oracle import sample_random_pure
 
+MAX_SEPARABLE_TERMS = 8  # product states in one sample_random_separable mixture
+
 
 @dataclass(frozen=True)
 class LocalObservablePair:
@@ -98,11 +100,10 @@ def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
                      margin=margin, verdict=verdict)
 
 
-def sample_random_separable(dim_a: int, dim_b: int, rng: np.random.Generator,
-                            max_terms: int = 8) -> QuantumState:
-    """Random convex mixture of Haar product states with Dirichlet weights;
-    covers the interior of the separable set."""
-    terms = int(rng.integers(1, max_terms + 1))
+def sample_random_separable(dim_a: int, dim_b: int, rng: np.random.Generator) -> QuantumState:
+    """Random convex mixture of 1 to ``MAX_SEPARABLE_TERMS`` Haar product
+    states with Dirichlet weights; covers the interior of the separable set."""
+    terms = int(rng.integers(1, MAX_SEPARABLE_TERMS + 1))
     weights = rng.dirichlet(np.ones(terms))
     dim = dim_a * dim_b
     rho = np.zeros((dim, dim), dtype=complex)

@@ -23,6 +23,8 @@ _GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
+# lemma_sweep counts a floor above the variance by more than this as a violation
+VIOLATION_TOL = 1e-9
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
 
 
@@ -40,12 +42,13 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     minimum: float
-    argmin_state: QuantumState
-    argmin_restart: int
+    restarts: int
     restarts_agreeing: int
     stops: dict[str, int]
     iterations: int
+    argmin_restart: int
     gradient_norms: tuple[float, ...]
+    argmin_state: QuantumState
 
 
 def sample_random_pure(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -189,12 +192,13 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     minimum = float(f[best])
     return OracleResult(
         minimum=minimum,
-        argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]),
-        argmin_restart=best,
+        restarts=config.restarts,
         restarts_agreeing=int(np.count_nonzero(f <= minimum + agreement_tol)),
         stops=dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS)).tolist())),
         iterations=int(iters.max()),
-        gradient_norms=tuple(np.linalg.norm(_evaluate(*forms, _real(x), order=1)[1], axis=1).tolist()))
+        argmin_restart=best,
+        gradient_norms=tuple(np.linalg.norm(_evaluate(*forms, _real(x), order=1)[1], axis=1).tolist()),
+        argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,7 @@ class LemmaSweepReport:
     worst_state: QuantumState
 
 
-def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0,
-                violation_tol: float = 1e-9) -> LemmaSweepReport:
+def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0) -> LemmaSweepReport:
     """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
     triples; returns the maximum violation (positive = floor exceeded variance)
     and the worst triple for regression pinning."""
@@ -231,7 +234,7 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0,
         v = float(p @ (obs.eigenvalues - mu) ** 2)
         floor = state_dependent_bound([obs], state, alpha, user_supplied(shannon_entropy(p)))
         violation = floor - v
-        if violation > violation_tol:
+        if violation > VIOLATION_TOL:
             violations += 1
         if violation > max_violation:
             max_violation = violation

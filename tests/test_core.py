@@ -88,6 +88,11 @@ def test_spectral_observable_rejects_descending_eigenvalues():
         SpectralObservable(np.array([1.0, -1.0]), np.eye(2, dtype=complex))
 
 
+def test_spectral_observable_rejects_spread_past_the_float_range():
+    with pytest.raises(ValueError, match="spread"):
+        SpectralObservable(np.array([-1e308, 1e308]), np.eye(2, dtype=complex))
+
+
 def test_expectation_examples():
     assert expectation(eigendecompose(PAULI_Z), KET0) == pytest.approx(1.0, abs=1e-12)
     assert expectation(eigendecompose(PAULI_X), KET0) == pytest.approx(0.0, abs=1e-12)
@@ -223,6 +228,17 @@ def test_reconstruction_roundtrip_property(seed, dim):
     assert np.max(np.abs(obs.matrix - m)) <= 1e-9
     again = eigendecompose(obs.matrix)
     assert np.allclose(again.eigenvalues, obs.eigenvalues, atol=1e-9)
+
+
+@settings(max_examples=40)
+@given(st.floats(min_value=1e-3, max_value=1e12), st.sampled_from([4, 8, 16, 32, 64]))
+def test_reconstruction_guard_scales_with_the_matrix(s, dim):
+    # a correct eigh leaves a residual that grows with the matrix's norm, and
+    # the spectrum of s A is s times A's
+    m = random_hermitian(dim, np.random.default_rng(0))
+    scaled = eigendecompose(s * m)
+    expected = s * eigendecompose(m).eigenvalues
+    assert np.max(np.abs(scaled.eigenvalues - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_expectation_contained_in_spectrum():

@@ -175,10 +175,10 @@ def test_cli_bound_auto_constant_json(capsys):
     assert payload["constant"]["source"] == "wu_mub"
     assert payload["constant"]["value"] == pytest.approx(4 * math.log(2), abs=1e-12)
     assert payload["lower_bound"] == pytest.approx(0.908368013, abs=1e-8)
-    assert {"alpha", "constant", "per_operator", "raw_bound", "lower_bound", "clamped",
-            "at_range_edge"} <= set(payload)
-    assert ({"beta_star", "max_value", "bracket", "iterations", "modes"}
-            == set(payload["per_operator"][0]))
+    # the schema is the result dataclasses' fields, in declaration order
+    assert list(payload) == ["alpha", "constant", "per_operator", "raw_bound", "lower_bound",
+                             "clamped", "at_range_edge", "refine_steps"]
+    assert list(payload["per_operator"][0]) == ["beta_star", "max_value", "bracket", "iterations", "modes"]
     assert payload["at_range_edge"] is False
     assert payload["per_operator"][0]["modes"] == 1
 
@@ -281,6 +281,8 @@ def test_cli_oracle(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 0
+    assert list(doc["payload"]) == ["minimum", "restarts", "restarts_agreeing", "stops", "iterations",
+                                    "argmin_restart", "gradient_norms", "argmin_state"]
     assert doc["payload"]["minimum"] == pytest.approx(2.0, abs=1e-6)
     assert doc["payload"]["restarts_agreeing"] == 8
     assert doc["payload"]["stops"] == {"gradient": 8, "step_underflow": 0, "max_iters": 0}
@@ -308,6 +310,7 @@ def test_cli_lur_fixture_state(capsys):
     code = main(["lur", "--state", "ket00", "--pairs", "pauli-pairs", "--auto-C", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc["payload"]) == ["lhs", "pair_variances", "u_a", "u_b", "margin", "verdict"]
     assert doc["payload"]["verdict"] == "NotDetected"
     assert doc["payload"]["lhs"] == pytest.approx(4.0, abs=1e-9)
     assert doc["payload"]["pair_variances"] == pytest.approx([2.0, 2.0, 0.0], abs=1e-12)
@@ -406,6 +409,27 @@ def test_cli_exit_code_bad_alpha(capsys):
     capsys.readouterr()
     assert main(["bound", "pauli3", "--C", "1", "--alpha", "-0.5"]) == 6
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("evals, argv, code", [
+    # a spread a_n - a_1 past the float range, at a fixed width and optimized
+    ([-1e308, 1e308], ["--C", "0.5", "--alpha", "1e-300"], 1),
+    ([-1e308, 1e308], ["--C", "0.5", "--optimize"], 1),
+    # a finite half-spread whose square overflows: the alpha range does not exist
+    ([-1e160, 1e160], ["--C", "0.5", "--optimize"], 1),
+    # a width so small that the floor (C - sum ln M) / alpha overflows
+    (None, ["pauli3", "--C", "1", "--alpha", "1e-320"], 6),
+])
+def test_cli_refuses_floors_past_the_float_range(tmp_path, capsys, evals, argv, code):
+    if evals is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"spectral": {"eigenvalues": evals, "eigenvectors": [
+            [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}))
+        argv = [str(path), "sigma-x", *argv]
+    assert main(["bound", *argv, "--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_tolerance_override(tmp_path, capsys):

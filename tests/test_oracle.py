@@ -42,6 +42,7 @@ def test_oracle_determinism_same_seed():
     cfg = OracleConfig(restarts=8, seed=42)
     a = minimize_variance_sum(qutrit4(), cfg)
     b = minimize_variance_sum(qutrit4(), cfg)
+    assert a.restarts == cfg.restarts
     assert a.minimum == b.minimum
     assert a.restarts_agreeing == b.restarts_agreeing
     assert np.array_equal(a.argmin_state.vector, b.argmin_state.vector)
