@@ -80,6 +80,12 @@ def _set_inputs(args, observables, **extra) -> dict:
             "dim": observables[0].dim, **extra}
 
 
+def _constant(args, value, observables, tol: Tolerances) -> entropic.EntropicConstant:
+    """The strongest constant for ``observables`` under --auto-C, else ``value``."""
+    return (entropic.best_entropic_constant(observables, tol.mub) if args.auto_constant
+            else entropic.user_supplied(value))
+
+
 def _constant_line(constant: entropic.EntropicConstant) -> str:
     return f"C = {constant.value:.9f} nats ({constant.source.value}; {constant.inputs_digest})"
 
@@ -89,8 +95,7 @@ def _constant_line(constant: entropic.EntropicConstant) -> str:
 
 def cmd_bound(args, tol: Tolerances):
     observables = _resolve_observables(args.observables, tol)
-    constant = (entropic.best_entropic_constant(observables, tol.mub) if args.auto_constant
-                else entropic.user_supplied(args.constant))
+    constant = _constant(args, args.constant, observables, tol)
     report = (engine.optimize_alpha(observables, constant) if args.optimize
               else engine.bound_at_alpha(observables, args.alpha, constant))
     lines = [_constant_line(constant), f"alpha = {report.alpha!r}"]
@@ -145,16 +150,16 @@ def cmd_oracle(args, tol: Tolerances):
 def cmd_lur(args, tol: Tolerances):
     state = _lookup(args.state, fixtures.STATES, io.load_state, tol)
     pairs = _resolve_pairs(args.pairs, tol)
-    if args.u_a is not None and args.u_b is not None:
-        c_a = c_b = None
-    elif args.auto_constant:
-        c_a = entropic.best_entropic_constant([p.a_side for p in pairs], tol.mub)
-        c_b = entropic.best_entropic_constant([p.b_side for p in pairs], tol.mub)
-    elif args.c_a is not None and args.c_b is not None:
-        c_a, c_b = entropic.user_supplied(args.c_a), entropic.user_supplied(args.c_b)
-    else:
-        raise FileFormatError("lur needs --auto-C, or --C-a and --C-b, or --u-a and --u-b")
-    report = lur_test(pairs, state, c_a, c_b, u_a=args.u_a, u_b=args.u_b, margin_tol=tol.lur_margin)
+    # each side's floor: --u-x as given, else the optimized floor for --auto-C or --C-x
+    floors = []
+    for side, u, c, observables in (("a", args.u_a, args.c_a, [p.a_side for p in pairs]),
+                                    ("b", args.u_b, args.c_b, [p.b_side for p in pairs])):
+        if u is None:
+            if c is None and not args.auto_constant:
+                raise FileFormatError(f"lur needs --u-{side}, --C-{side} or --auto-C for side {side.upper()}")
+            u = engine.optimize_alpha(observables, _constant(args, c, observables, tol)).lower_bound
+        floors.append(u)
+    report = lur_test(pairs, state, *floors, margin_tol=tol.lur_margin)
     lines = [
         f"lhs (variance sum of the pair operators) = {report.lhs:.9f}",
         *(f"pair {k}: variance = {v:.9f}" for k, v in enumerate(report.pair_variances, start=1)),
@@ -209,7 +214,7 @@ def cmd_demo(args, tol: Tolerances):
                              "bound_closed_form": float(cont_auto)}
     pairs, payload["lur"] = fixtures.pauli_pairs(), {}
     for name in ("singlet", "ket00", "mixed2"):
-        rep = lur_test(pairs, fixtures.STATES[name](), u_a=u, u_b=u, margin_tol=tol.lur_margin)
+        rep = lur_test(pairs, fixtures.STATES[name](), u, u, margin_tol=tol.lur_margin)
         lines.append(f"  {name}: lhs {rep.lhs:.4f}, margin {rep.margin:+.4f} -> {rep.verdict.value}")
         payload["lur"][name] = io.payload(rep)
     return {"restarts": args.restarts}, args.seed, payload, lines

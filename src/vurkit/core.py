@@ -35,6 +35,22 @@ def common_dim(observables) -> int:
     return dims[0]
 
 
+def check_spectrum(eigenvalues) -> np.ndarray:
+    """``eigenvalues`` as a float array, refused with ``ValueError`` unless it
+    is a nonempty 1-d, finite, ascending list whose spread a_n - a_1 is a
+    finite float."""
+    evals = np.asarray(eigenvalues, dtype=float)
+    if evals.ndim != 1 or evals.size == 0:
+        raise ValueError("eigenvalues must be a nonempty 1-d list")
+    if not np.all(np.isfinite(evals)):
+        raise ValueError("eigenvalues must be finite")
+    if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
+        raise ValueError("eigenvalues must be in ascending order")
+    if not math.isfinite(float(evals[-1]) - float(evals[0])):
+        raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
+    return evals
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce input to an n-by-n complex array with finite entries."""
     arr = np.asarray(m, dtype=complex)
@@ -69,20 +85,12 @@ class SpectralObservable:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        evals = np.asarray(self.eigenvalues, dtype=float)
+        evals = check_spectrum(self.eigenvalues)
         evecs = np.asarray(self.eigenvectors, dtype=complex)
-        if evals.ndim != 1 or evals.size == 0:
-            raise DimensionMismatchError("eigenvalues must be a nonempty 1-d list")
         if evecs.shape != (evals.size, evals.size):
             raise DimensionMismatchError(
                 f"eigenvector block shape {evecs.shape} does not match {evals.size} eigenvalues"
             )
-        if not np.all(np.isfinite(evals)):
-            raise ValueError("eigenvalues must be finite")
-        if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
-            raise ValueError("eigenvalues must be in ascending order")
-        if not math.isfinite(float(evals[-1]) - float(evals[0])):
-            raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
         object.__setattr__(self, "eigenvalues", _readonly(evals))
         object.__setattr__(self, "eigenvectors", _readonly(evecs))
 

@@ -18,7 +18,8 @@ a whole vector of widths at once: Newton steps where g is concave and their
 mirror images where it is convex, scaled by a trust factor, or mean-shift
 steps where those do not raise g.  Its blocks are eigenvalue-major, one column
 per (spectrum, alpha, start).  ``_maxima`` reduces the end points to each
-spectrum's argmax, M, the moments there and the mode count.  A floor
+spectrum's argmax and mode count, and sums g once more there for M and the
+moments of the offsets in units of the Gaussian width.  A floor
 evaluation is one such call over a set's distinct spectra: ``bound_at_alpha``
 makes one, and ``optimize_alpha`` one on a log-spaced width grid and one per
 refinement step, reporting the best point evaluated.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import QuantumState, common_dim, expectation
+from .core import QuantumState, check_spectrum, common_dim, expectation
 from .entropic import EntropicConstant
 from .errors import InvalidAlphaError
 
@@ -61,19 +62,6 @@ def _check_alpha(alpha) -> float:
     if not math.isfinite(a) or a <= 0.0:
         raise InvalidAlphaError(f"alpha must be a positive finite real, got {alpha!r}")
     return a
-
-
-def _eigenvalues(eigenvalues) -> np.ndarray:
-    evals = np.asarray(eigenvalues, dtype=float)
-    if evals.ndim != 1 or evals.size == 0:
-        raise ValueError("expected a nonempty 1-d eigenvalue list")
-    if not np.all(np.isfinite(evals)):
-        raise ValueError("eigenvalues must be finite")
-    if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
-        raise ValueError("eigenvalues must be in ascending order")
-    if not math.isfinite(float(evals[-1]) - float(evals[0])):
-        raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
-    return evals
 
 
 def _column_sums(w: np.ndarray) -> np.ndarray:
@@ -103,17 +91,15 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     start, ln g = -inf, 0 iterations and no maximum.
 
     Returns arrays of shape (S, len(alphas), 2n - 1): the final beta, ln g
-    and g there, the iterations run, whether the end point is a maximum (g'' <= 0)
-    rather than a minimum that a symmetric start sat on, and one of shape
-    (3, S, len(alphas), 2n - 1): the weighted moments mu_j = <(a - beta)^j>_w,
-    j = 2, 3, 4, at the end point.  A column whose weights overflow (alpha
-    near the float limit, far from every eigenvalue) ends at once with
-    ln g = -inf; the eigenvalue starts never do.
+    there, the iterations run, and whether the end point is a maximum
+    (g'' <= 0) rather than a minimum that a symmetric start sat on.  A column
+    whose weights overflow (alpha near the float limit, far from every
+    eigenvalue) ends at once with ln g = -inf; the eigenvalue starts never do.
     """
     starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
     shape = (spectra.shape[0], alphas.size, starts.shape[1])
     beta = np.repeat(starts[:, None, :], alphas.size, axis=1)
-    log_g, g, moments = np.full(beta.size, -np.inf), np.zeros(beta.size), np.zeros((3, beta.size))
+    log_g = np.full(beta.size, -np.inf)
     concave, iters = np.zeros(beta.size, dtype=bool), np.zeros(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
     block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
@@ -134,29 +120,23 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
             e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
             prev, gain = np.full(cols.size, -np.inf), np.ones(cols.size)
             for it in range(1, MAX_ASCENT_ITERS + 1):
-                lg, d, w, s0, m = _log_gaussian_sum(e, a, b)
+                lg, d, w, s0, _ = _log_gaussian_sum(e, a, b)
                 # in place, so that a block holds at most three (n, columns) arrays
                 w *= d
                 shift = _column_sums(w) / s0
                 w *= d
-                mu2 = _column_sums(w) / s0
                 # g'' / (2 alpha g) = 2 alpha <d^2>_w - 1
-                curv = 2.0 * (a * mu2) - 1.0
+                curv = 2.0 * (a * (_column_sums(w) / s0)) - 1.0
+                del d, w
                 done = ~(lg - prev > tol) | (it == MAX_ASCENT_ITERS)
                 if done.any():
                     fin = cols[done]
-                    beta[fin], log_g[fin], g[fin], iters[fin] = b[done], lg[done], s0[done] * np.exp(-m[done]), it
-                    concave[fin] = curv[done] <= 0.0
-                    # two more reductions, only on the columns that finish
-                    d, s0 = d.compress(done, axis=1), s0[done]
-                    w = w.compress(done, axis=1) * d
-                    moments[:, fin] = mu2[done], _column_sums(w) / s0, _column_sums(w * d) / s0
+                    beta[fin], log_g[fin], iters[fin], concave[fin] = b[done], lg[done], it, curv[done] <= 0.0
                     live = ~done
                     if not live.any():
                         break
                     e = e.compress(live, axis=1)
                     cols, a, b, lg, shift, curv, gain = (x[live] for x in (cols, a, b, lg, shift, curv, gain))
-                del d, w
                 # g' / |g''| = shift / |curv|: the Newton step where g is concave
                 # (never past it: the factor is at most 1 there), its mirror image
                 # where convex; where |curv| > 1 the mean-shift step is longer
@@ -167,38 +147,45 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
                 gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
                 prev = lg
     log_g = np.fmax(log_g, -np.inf)  # NaN -> -inf
-    return (beta.reshape(shape), log_g.reshape(shape), g.reshape(shape), iters.reshape(shape),
-            concave.reshape(shape), moments.reshape((3, *shape)))
+    return beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape)
 
 
 def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
     """The (S, n) stack of a set's distinct ascending spectra and each
     observable's row in it; -0.0 equals 0.0 here."""
     common_dim(observables)
-    stack, rows = np.unique(np.stack([_eigenvalues(o.eigenvalues) for o in observables]), axis=0,
-                            return_inverse=True)
+    stack, rows = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_inverse=True)
     return stack, rows.ravel()
 
 
 def _maxima(spectra: np.ndarray, alphas: np.ndarray):
     """Per spectrum and alpha, ln M = ln g(beta*) at the argmax beta*, of
-    shape (S, len(alphas)); the moments mu2, mu3, mu4 at beta*, of shape
-    (3, S, len(alphas)); and the columns (beta*, M, the ascent iterations of
-    the slowest start, the number of distinct maxima (modes) the starts
-    reached), each of shape (S, len(alphas)).
+    shape (S, len(alphas)); the moments nu_j = <u^j>_w, j = 2, 3, 4, of the
+    offsets u = sqrt(alpha) (a - beta*) in units of the Gaussian width, of
+    shape (3, S, len(alphas)); and the columns (beta*, M, the ascent
+    iterations of the slowest start, the number of distinct maxima (modes)
+    the starts reached), each of shape (S, len(alphas)).
 
     g has at most n modes and each is reached from an eigenvalue or an
     adjacent midpoint, so the best end point of the ascent is the global
     maximum; where alpha L^2 <= 2 it has one, reached from any start.
     """
-    beta, log_g, g, iters, concave, moments = _ascend(spectra, alphas)
+    beta, log_g, iters, concave = _ascend(spectra, alphas)
     pick = np.argmax(log_g, axis=2)[..., None]
     # end points closer than a thousandth of the Gaussian width are one mode:
     # where two modes merge, starts on either side stop that far apart
     ends = np.sort(np.where(concave, beta, np.nan), axis=2)  # NaNs sort last and never count
     modes = 1 + np.count_nonzero(np.diff(ends, axis=2) > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
-    beta, log_g, g = (np.take_along_axis(x, pick, axis=2)[..., 0] for x in (beta, log_g, g))
-    return log_g, np.take_along_axis(moments, pick[None], axis=3)[..., 0], (beta, g, iters.max(axis=2), modes)
+    beta = np.take_along_axis(beta, pick, axis=2)[..., 0]
+    # the ascent's last sum once more, now with the moments; errors as in _ascend
+    a = np.tile(alphas, spectra.shape[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_m, d, w, s0, m = _log_gaussian_sum(np.repeat(spectra.T, alphas.size, axis=1), a, beta.ravel())
+        u = np.sqrt(a) * d
+        w = w * u * u
+        moments = np.stack([_column_sums(x) / s0 for x in (w, w * u, w * u * u)])
+    return (log_m.reshape(beta.shape), moments.reshape((3, *beta.shape)),
+            (beta, (s0 * np.exp(-m)).reshape(beta.shape), iters.max(axis=2), modes))
 
 
 @dataclass(frozen=True)
@@ -226,7 +213,7 @@ def _inner_results(eigenvalue_lists, rows, columns, j: int) -> tuple[InnerMaxRes
 def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
-    evals = _eigenvalues(eigenvalues)
+    evals = check_spectrum(eigenvalues)
     return _inner_results([evals], [0], _maxima(evals[None], np.array([a]))[2], 0)[0]
 
 
@@ -303,17 +290,18 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
 def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray, found=None):
     """Raw floor (C - sum_k c_k ln M_k) / alpha at each t = ln alpha in ``logs``
     (spectrum k counted c_k times), its slope D = d raw / dt and D' = dD / dt,
-    exact from the moments at each argmax: d ln M / d alpha = -mu2 (envelope
-    theorem) and d beta* / d alpha = mu3 / (2 alpha mu2 - 1).  Appends (logs,
-    raw, alphas, argmax, M, iterations, modes) to a list ``found`` if given."""
+    exact from the width-unit moments nu_j at each argmax, which do not scale
+    with the spectra: d ln M / dt = -nu2 (envelope theorem) and d nu2 / dt - nu2
+    = nu2^2 - nu4 + 2 nu3^2 / (2 nu2 - 1), the last term from beta*'s drift.
+    Appends (logs, raw, alphas, argmax, M, iterations, modes) to ``found`` if given."""
     alphas = np.exp(logs)
-    raw, (mu2, mu3, mu4), columns = _floors(spectra, counts, c, alphas)
+    raw, (nu2, nu3, nu4), columns = _floors(spectra, counts, c, alphas)
     if found is not None:
         found.append((logs, raw, alphas, *columns))
-    slope = counts @ mu2 - raw
-    with np.errstate(divide="ignore", invalid="ignore"):  # 2 alpha mu2 = 1 where modes merge
-        dmu2 = mu2 * mu2 - mu4 + 2.0 * alphas * mu3 * mu3 / (2.0 * alphas * mu2 - 1.0)
-    return raw, slope, alphas * (counts @ dmu2) - slope
+    slope = (counts @ nu2) / alphas - raw
+    with np.errstate(divide="ignore", invalid="ignore"):  # 2 nu2 = 1 where modes merge
+        dnu2 = nu2 * nu2 - nu4 + 2.0 * nu3 * nu3 / (2.0 * nu2 - 1.0)
+    return raw, slope, (counts @ dnu2) / alphas - slope
 
 
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:

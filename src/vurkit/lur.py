@@ -18,8 +18,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import QuantumState, SpectralObservable, common_dim
-from .engine import optimize_alpha
-from .entropic import EntropicConstant
 from .errors import DimensionMismatchError
 from .oracle import sample_random_pure
 
@@ -64,15 +62,11 @@ def _pair_variances(pairs: list[LocalObservablePair], rho: QuantumState) -> tupl
     return tuple((local + 2.0 * cross).real.tolist())
 
 
-def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
-             c_b: EntropicConstant | None = None, *,
-             u_a: float | None = None, u_b: float | None = None,
+def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
              margin_tol: float = DEFAULT_TOLERANCES.lur_margin) -> LurReport:
-    """Evaluate the separability inequality on a bipartite state.
+    """Evaluate the separability inequality on a bipartite state, given the
+    floors U_A and U_B of the two sides' local variance sums.
 
-    U_A and U_B default to the alpha-optimized variance floors of the local
-    observable sets; pass ``u_a``/``u_b`` to supply precomputed or
-    hand-derived values instead (the entropy constants are then unused).
     The verdict is Entangled when the margin is below ``-margin_tol``.
     """
     pair_list = list(pairs)
@@ -82,16 +76,8 @@ def lur_test(pairs, rho: QuantumState, c_a: EntropicConstant | None = None,
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not equal the product {n_a}*{n_b}")
     for name, u in (("u_a", u_a), ("u_b", u_b)):
-        if u is not None and not math.isfinite(u):
+        if not math.isfinite(u):
             raise ValueError(f"{name} must be finite, got {u!r}")
-    if u_a is None:
-        if c_a is None:
-            raise ValueError("need either u_a or an entropy constant for the first side")
-        u_a = optimize_alpha([p.a_side for p in pair_list], c_a).lower_bound
-    if u_b is None:
-        if c_b is None:
-            raise ValueError("need either u_b or an entropy constant for the second side")
-        u_b = optimize_alpha([p.b_side for p in pair_list], c_b).lower_bound
     pair_variances = _pair_variances(pair_list, rho)
     lhs = sum(pair_variances)
     margin = lhs - (u_a + u_b)

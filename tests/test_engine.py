@@ -447,7 +447,7 @@ def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     assert alphas.size == GRID_POINTS
     columns, kernel = [], engine._log_gaussian_sum
     monkeypatch.setattr(engine, "_log_gaussian_sum", lambda e, a, b: columns.append(b.size) or kernel(e, a, b))
-    iters = ascend(stack, alphas)[3]
+    iters = ascend(stack, alphas)[2]
     assert iters.size == 9000
     climbed = np.count_nonzero(iters)
     assert climbed == 5150
@@ -471,12 +471,15 @@ def _scaled(observables, s, t=0.0):
     return [SpectralObservable(s * o.eigenvalues + t, o.eigenvectors) for o in observables]
 
 
-@pytest.mark.parametrize("scale", [100.0, 0.01])
+@pytest.mark.parametrize("scale", [100.0, 0.01, 1e-100, 1e78, 1e100])
 def test_optimize_alpha_rescaled_pauli_triple(scale):
-    # a fixed alpha range gave 1386 at x100 and 0 at x0.01
+    # a fixed alpha range gave 1386 at x100 and 0 at x0.01; slopes from moments
+    # of a - beta* overflowed at x1e78 and underflowed at x1e-100, so that the
+    # refinement fell back to bisection (23 kernel calls)
     report = optimize_alpha(_scaled(pauli3(), scale), wu_full_mub(2))
     assert report.lower_bound == pytest.approx(scale ** 2 * OPTIMIZED_PAULI, rel=1e-9)
     assert not report.at_range_edge
+    assert report.refine_steps == optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps
 
 
 def test_optimize_alpha_deduplicates_equal_spectra():

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vurkit import FileFormatError, InvalidStateError, Tolerances, eigendecompose
+from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompose, optimize_alpha,
+                    user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
@@ -323,6 +324,18 @@ def test_cli_lur_explicit_floors(capsys):
     assert code == 0
     assert "verdict: NotDetected" in out
     assert "6.000000000" in out
+
+
+def test_cli_lur_needs_a_floor_source_per_side(capsys):
+    # each side takes --u-x, or the optimized floor for --C-x or --auto-C
+    base = ["lur", "--state", "ket00", "--pairs", "pauli-pairs"]
+    for extra, side in (([], "a"), (["--u-a", "1"], "b")):
+        assert main(base + extra) == 2
+        assert f"lur needs --u-{side}, --C-{side} or --auto-C" in capsys.readouterr().err
+    assert main(base + ["--C-a", "0.7", "--u-b", "1.2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["u_b"] == 1.2
+    assert payload["u_a"] == optimize_alpha(pauli3(), user_supplied(0.7)).lower_bound
 
 
 def test_cli_continuous(capsys):

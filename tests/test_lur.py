@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from reference import moment_variance
 from vurkit import (DimensionMismatchError, LocalObservablePair, QuantumState,
-                    Verdict, eigendecompose, lur_test, sample_random_separable,
-                    wu_full_mub)
-from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli_pairs, singlet
+                    Verdict, eigendecompose, lur_test, optimize_alpha,
+                    sample_random_separable, wu_full_mub)
+from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
 from vurkit.oracle import random_hermitian, sample_random_pure
 
 
@@ -46,8 +46,14 @@ def test_pair_variances_ignore_local_shifts():
     assert again == pytest.approx(base, rel=1e-9)
 
 
+def _pauli_floor() -> float:
+    """U_A = U_B for the pauli pairs: the optimized floor of the qubit spin triple."""
+    return optimize_alpha(pauli3(), wu_full_mub(2)).lower_bound
+
+
 def test_lur_singlet_detected():
-    report = lur_test(pauli_pairs(), singlet(), wu_full_mub(2), wu_full_mub(2))
+    u = _pauli_floor()
+    report = lur_test(pauli_pairs(), singlet(), u, u)
     assert report.lhs == pytest.approx(0.0, abs=1e-12)
     assert report.verdict is Verdict.ENTANGLED
     assert report.margin == pytest.approx(-3.44863, abs=1e-4)
@@ -55,13 +61,15 @@ def test_lur_singlet_detected():
 
 
 def test_lur_product_state_not_detected():
-    report = lur_test(pauli_pairs(), ket00(), wu_full_mub(2), wu_full_mub(2))
+    u = _pauli_floor()
+    report = lur_test(pauli_pairs(), ket00(), u, u)
     assert report.lhs == pytest.approx(4.0, abs=1e-10)
     assert report.verdict is Verdict.NOT_DETECTED
 
 
 def test_lur_maximally_mixed_not_detected():
-    report = lur_test(pauli_pairs(), maximally_mixed(4), wu_full_mub(2), wu_full_mub(2))
+    u = _pauli_floor()
+    report = lur_test(pauli_pairs(), maximally_mixed(4), u, u)
     assert report.lhs == pytest.approx(6.0, abs=1e-10)
     assert report.verdict is Verdict.NOT_DETECTED
 
@@ -72,14 +80,9 @@ def test_lur_user_supplied_floors_are_honored():
     assert report.margin == pytest.approx(report.lhs - 2.75, abs=1e-12)
 
 
-def test_lur_requires_constants_or_floors():
-    with pytest.raises(ValueError):
-        lur_test(pauli_pairs(), singlet())
-
-
 def test_lur_dimension_checks():
     with pytest.raises(DimensionMismatchError):
-        lur_test(pauli_pairs(), QuantumState.pure([1.0, 0.0]))
+        lur_test(pauli_pairs(), QuantumState.pure([1.0, 0.0]), 1.0, 1.0)
     sz2 = eigendecompose(PAULI_Z)
     sz3 = eigendecompose(np.diag([1.0, -1.0, 0.0]))
     mixed_pairs = [LocalObservablePair(sz2, sz2), LocalObservablePair(sz3, sz2)]
@@ -113,7 +116,7 @@ def test_lhs_spectral_path_matches_matrix_moments(n_a, n_b, count, pure, seed):
 
 def test_no_false_positives_on_separable_mixtures():
     # small version of the acceptance sweep; floors computed once and reused
-    u = lur_test(pauli_pairs(), ket00(), wu_full_mub(2), wu_full_mub(2)).u_a
+    u = _pauli_floor()
     rng = np.random.default_rng(2024)
     pairs = pauli_pairs()
     for _ in range(100):

@@ -1,4 +1,5 @@
-"""README's command-line examples run, and print the figures their comments quote."""
+"""README's Python quick start and command-line examples run, and print the
+figures their comments quote."""
 
 import re
 import shlex
@@ -14,14 +15,25 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _FIGURE = re.compile(r"\d+\.\d{9}\b")
 
 
-def _examples() -> list[str]:
-    """Each ``vurkit ...`` line of the first ``sh`` block under "## Command line"."""
-    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("vurkit ")]
+def _block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README section ``heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
-EXAMPLES = _examples()
+EXAMPLES = [line for line in _block("Command line", "sh").splitlines() if line.startswith("vurkit ")]
+
+
+def test_readme_python_quick_start(capsys):
+    # every word a print line's comment quotes, "..." aside, is in the output
+    block = _block("Python quick start", "python")
+    exec(compile(block, str(README), "exec"), {})
+    out = capsys.readouterr().out
+    quoted = [word.removesuffix("...") for line in block.splitlines() if line.startswith("print(")
+              for word in line.partition("#")[2].split()]
+    assert len(quoted) >= 5
+    for word in quoted:
+        assert word in out, f"{word} not in the quick start's output"
 
 
 def test_readme_quotes_command_line_examples():
