@@ -19,7 +19,7 @@ from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
 from .core import SpectralObservable
 from .errors import FileFormatError, VurkitError
-from .lur import LocalObservablePair, lur_test
+from .lur import lur_test
 from .oracle import OracleConfig, minimize_variance_sum
 
 
@@ -49,30 +49,22 @@ def _lookup(token: str, registry: dict, loader, tol: Tolerances):
     return loader(path, tol)
 
 
-def _resolve_observable_token(token: str, tol: Tolerances) -> list[SpectralObservable]:
-    if token in fixtures.OBSERVABLE_SETS:
-        return list(fixtures.OBSERVABLE_SETS[token]())
-    return [_lookup(token, fixtures.SINGLE_OBSERVABLES, io.load_observable, tol)]
-
-
 def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
-    return [o for token in tokens for o in _resolve_observable_token(token, tol)]
+    """Each token's list of observables, a fixture's or a file's one, joined in order."""
+    return [o for token in tokens for o in _lookup(
+        token, fixtures.OBSERVABLES, lambda path, tol: [io.load_observable(path, tol)], tol)]
 
 
-def _resolve_pairs(tokens, tol: Tolerances) -> list[LocalObservablePair]:
+def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple[SpectralObservable, SpectralObservable]]:
     if len(tokens) == 1 and tokens[0] in fixtures.PAIR_SETS:
         return list(fixtures.PAIR_SETS[tokens[0]]())
     if len(tokens) % 2 != 0:
         raise FileFormatError("--pairs expects a pair-set fixture or an even number of "
                               "observables, alternating first-side and second-side")
-    out = []
-    for i in range(0, len(tokens), 2):
-        a_list = _resolve_observable_token(tokens[i], tol)
-        b_list = _resolve_observable_token(tokens[i + 1], tol)
-        if len(a_list) != 1 or len(b_list) != 1:
-            raise FileFormatError("each --pairs entry must name a single observable")
-        out.append(LocalObservablePair(a_list[0], b_list[0]))
-    return out
+    sides = [_resolve_observables([token], tol) for token in tokens]
+    if any(len(side) != 1 for side in sides):
+        raise FileFormatError("each --pairs entry must name a single observable")
+    return [(a, b) for [a], [b] in zip(sides[::2], sides[1::2])]
 
 
 def _set_inputs(args, observables, **extra) -> dict:
@@ -152,8 +144,8 @@ def cmd_lur(args, tol: Tolerances):
     pairs = _resolve_pairs(args.pairs, tol)
     # each side's floor: --u-x as given, else the optimized floor for --auto-C or --C-x
     floors = []
-    for side, u, c, observables in (("a", args.u_a, args.c_a, [p.a_side for p in pairs]),
-                                    ("b", args.u_b, args.c_b, [p.b_side for p in pairs])):
+    for side, u, c, observables in zip("ab", (args.u_a, args.u_b), (args.c_a, args.c_b),
+                                       map(list, zip(*pairs))):
         if u is None:
             if c is None and not args.auto_constant:
                 raise FileFormatError(f"lur needs --u-{side}, --C-{side} or --auto-C for side {side.upper()}")
@@ -193,7 +185,7 @@ def cmd_demo(args, tol: Tolerances):
     config = OracleConfig(restarts=args.restarts, seed=args.seed)
     lines, payload = [], {}
     for name, label, alpha, n in _DEMO_SETS:
-        observables, constant = fixtures.OBSERVABLE_SETS[name](), entropic.wu_full_mub(n)
+        observables, constant = fixtures.OBSERVABLES[name](), entropic.wu_full_mub(n)
         fixed = engine.bound_at_alpha(observables, alpha, constant)
         optimized = engine.optimize_alpha(observables, constant)
         result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)

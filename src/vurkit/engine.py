@@ -396,4 +396,7 @@ def shannon_variance_bound(entropy: float) -> float:
     h = float(entropy)
     if not math.isfinite(h):
         raise ValueError(f"entropy must be finite, got {entropy!r}")
-    return math.exp(2.0 * h - 1.0) / (2.0 * math.pi)
+    try:
+        return math.exp(2.0 * h - 1.0) / (2.0 * math.pi)
+    except OverflowError as exc:
+        raise ValueError(f"floor overflows a float for entropy {h!r}") from exc

@@ -57,8 +57,8 @@ def de_vicente_analytic(c: float) -> EntropicConstant:
     """Analytic large-overlap improvement on the -2 ln c bound, for
     c >= 0.834 (see the module comment for why not below)."""
     c = float(c)
-    if c > 1.0:
-        raise ValueError(f"overlap c must not exceed 1, got {c!r}")
+    if not c <= 1.0:
+        raise ValueError(f"overlap c must be a number no greater than 1, got {c!r}")
     if c < DE_VICENTE_DEFAULT_MIN_C - 1e-12:
         raise RegimeError(f"analytic bound not enabled for c={c!r} (threshold {DE_VICENTE_DEFAULT_MIN_C})")
     if c >= 1.0:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import QuantumState, SpectralObservable, eigendecompose
-from .lur import LocalObservablePair
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,25 +69,20 @@ def maximally_mixed(dim: int = 4) -> QuantumState:
     return QuantumState.density(np.eye(dim, dtype=complex) / dim)
 
 
-def pauli_pairs() -> list[LocalObservablePair]:
+def pauli_pairs() -> list[tuple[SpectralObservable, SpectralObservable]]:
     """The same spin observable on both qubits, for each of the three axes."""
-    return [LocalObservablePair(o, o) for o in pauli3()]
+    return [(o, o) for o in pauli3()]
 
 
-# Name registries for the command line.
-OBSERVABLE_SETS = {
+# Name registries for the command line.  An observable name stands for a list:
+# a whole set, or one observable.
+OBSERVABLES = {
     "pauli3": pauli3,
     "qutrit4": qutrit4,
-}
-
-SINGLE_OBSERVABLES = {
-    "sigma-x": lambda: eigendecompose(PAULI_X),
-    "sigma-y": lambda: eigendecompose(PAULI_Y),
-    "sigma-z": lambda: eigendecompose(PAULI_Z),
-    "qutrit-sigma0": lambda: qutrit4()[0],
-    "qutrit-sigma1": lambda: qutrit4()[1],
-    "qutrit-sigma2": lambda: qutrit4()[2],
-    "qutrit-sigma3": lambda: qutrit4()[3],
+    "sigma-x": lambda: [eigendecompose(PAULI_X)],
+    "sigma-y": lambda: [eigendecompose(PAULI_Y)],
+    "sigma-z": lambda: [eigendecompose(PAULI_Z)],
+    **{f"qutrit-sigma{k}": lambda k=k: [qutrit4()[k]] for k in range(4)},
 }
 
 STATES = {

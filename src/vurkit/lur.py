@@ -17,19 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import QuantumState, SpectralObservable, common_dim
+from .core import QuantumState, common_dim
 from .errors import DimensionMismatchError
 from .oracle import sample_random_pure
 
 MAX_SEPARABLE_TERMS = 8  # product states in one sample_random_separable mixture
-
-
-@dataclass(frozen=True)
-class LocalObservablePair:
-    """One observable per subsystem; dimensions may differ."""
-
-    a_side: SpectralObservable
-    b_side: SpectralObservable
 
 
 class Verdict(str, Enum):
@@ -47,11 +39,10 @@ class LurReport:
     verdict: Verdict
 
 
-def _pair_variances(pairs: list[LocalObservablePair], rho: QuantumState) -> tuple[float, ...]:
+def _pair_variances(a_side, b_side, rho: QuantumState) -> tuple[float, ...]:
     """V(A (x) I + I (x) B) = <A'^2>_rhoA + <B'^2>_rhoB + 2 <A' (x) B'>_rho for every pair, with
     A' = A - <A> and B' = B - <B> (Hofmann and Takeuchi, PRA 68, 032103, 2003)."""
-    a = np.stack([p.a_side.matrix for p in pairs])
-    b = np.stack([p.b_side.matrix for p in pairs])
+    a, b = (np.stack([o.matrix for o in side]) for side in (a_side, b_side))
     n_a, n_b = a.shape[1], b.shape[1]
     r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
     rho_a, rho_b = np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
@@ -65,20 +56,20 @@ def _pair_variances(pairs: list[LocalObservablePair], rho: QuantumState) -> tupl
 def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
              margin_tol: float = DEFAULT_TOLERANCES.lur_margin) -> LurReport:
     """Evaluate the separability inequality on a bipartite state, given the
-    floors U_A and U_B of the two sides' local variance sums.
+    floors U_A and U_B of the two sides' local variance sums.  ``pairs`` holds
+    ``(A, B)`` tuples, one observable per subsystem; dimensions may differ.
 
     The verdict is Entangled when the margin is below ``-margin_tol``.
     """
-    pair_list = list(pairs)
-    n_a = common_dim([p.a_side for p in pair_list])
-    n_b = common_dim([p.b_side for p in pair_list])
+    a_side, b_side = tuple(zip(*pairs)) or ((), ())
+    n_a, n_b = common_dim(a_side), common_dim(b_side)
     if rho.dim != n_a * n_b:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not equal the product {n_a}*{n_b}")
     for name, u in (("u_a", u_a), ("u_b", u_b)):
         if not math.isfinite(u):
             raise ValueError(f"{name} must be finite, got {u!r}")
-    pair_variances = _pair_variances(pair_list, rho)
+    pair_variances = _pair_variances(a_side, b_side, rho)
     lhs = sum(pair_variances)
     margin = lhs - (u_a + u_b)
     verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED

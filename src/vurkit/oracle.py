@@ -8,6 +8,7 @@ so a seed fixes every start point and every result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
+        if self.restarts > sys.maxsize:  # SeedSequence.spawn takes a C ssize_t
+            raise ValueError(f"restarts must not exceed {sys.maxsize}, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -219,9 +222,9 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0) -> LemmaSweepR
     """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
     triples; returns the maximum violation (positive = floor exceeded variance)
     and the worst triple for regression pinning."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     dims = tuple(int(d) for d in dims)
+    if n_samples < 1 or not dims:
+        raise ValueError("need at least one sample and one dimension")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_violation, violations, worst = -math.inf, 0, None
     for i in range(n_samples):

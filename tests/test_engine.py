@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reference import dense_grid_max, gaussian_sum
 from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
-                    LocalObservablePair, QuantumState, SpectralObservable, best_entropic_constant,
+                    QuantumState, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, expectation,
                     inner_max, lur_test, maassen_uffink, measurement_distribution,
                     optimize_alpha, overlap_stats, select_constant, shannon_entropy,
@@ -257,12 +257,15 @@ _QUBIT, _QUTRIT = eigendecompose(PAULI_Z), qutrit4()[0]
                  id="state_dependent_bound"),
     pytest.param(minimize_variance_sum, id="minimize_variance_sum"),
     pytest.param(select_constant, id="select_constant"),
-    pytest.param(lambda obs: lur_test([LocalObservablePair(_QUBIT, o) for o in obs], maximally_mixed(4),
+    pytest.param(lambda obs: lur_test([(_QUBIT, o) for o in obs], maximally_mixed(4),
                                       u_a=1.0, u_b=1.0), id="lur_test"),
 ])
 def test_mixed_dimensions_raise(call):
     with pytest.raises(DimensionMismatchError):
         call([_QUBIT, _QUTRIT])
+    # README: every function that takes a set refuses an empty one
+    with pytest.raises(ValueError, match="need at least"):
+        call([])
 
 
 @pytest.mark.parametrize("observables", [
@@ -647,6 +650,8 @@ def test_shannon_variance_bound_examples():
     half = (1.0 + math.log(math.pi)) / 2.0
     product = shannon_variance_bound(half) * shannon_variance_bound(half)
     assert product == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValueError, match="overflows"):  # as continuous_pair_bound does
+        shannon_variance_bound(1000.0)
 
 
 def test_lemma_inequality_random_sample():

@@ -44,6 +44,8 @@ def test_de_vicente_regime_gate():
         de_vicente_analytic(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         de_vicente_analytic(1.2)
+    with pytest.raises(ValueError):  # as maassen_uffink(nan) does
+        de_vicente_analytic(math.nan)
 
 
 def test_de_vicente_literal_regime_is_contradicted_by_qubit_witness():

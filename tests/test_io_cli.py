@@ -359,6 +359,15 @@ def test_cli_continuous_overflow_is_an_error(capsys):
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["oracle pauli3", "demo"])
+def test_cli_restarts_beyond_maxsize_is_an_error(capsys, command):
+    # refused by OracleConfig before SeedSequence.spawn, which takes a C ssize_t
+    assert main([*command.split(), "--restarts", str(10**20)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: restarts must not exceed")
+
+
 def test_cli_demo(capsys):
     assert main(["demo", "--seed", "0", "--restarts", "4"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -386,6 +395,21 @@ def test_cli_exit_code_parse_failure(capsys):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "pauli3", "--auto-C", "--optimize", "--tol", "mub"], "--tol expects NAME=VALUE"),
+    (["bound", "pauli3", "--auto-C", "--optimize", "--tol", "mub=x"], "is not a number"),
+    (["lur", "--state", "ket00", "--pairs", "sigma-x", "--u-a", "1", "--u-b", "1"],
+     "an even number of observables"),
+    (["lur", "--state", "ket00", "--pairs", "pauli3", "pauli3", "--u-a", "1", "--u-b", "1"],
+     "each --pairs entry must name a single observable"),
+], ids=["tol-no-value", "tol-not-a-number", "odd-pairs", "pairs-of-sets"])
+def test_cli_input_error_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_cli_exit_code_bad_json(tmp_path, capsys):
@@ -516,6 +540,7 @@ def test_scripts_exit_zero():
     # the scripts import from the package, private names included
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     for argv in (["alpha_landscape.py", "pauli3", "--restarts", "4"],
+                 ["alpha_landscape.py", "sigma-x", "sigma-z", "--restarts", "4"],
                  ["lemma_stress.py", "--samples", "200"]):
         proc = subprocess.run([sys.executable, str(scripts / argv[0]), *argv[1:]],
                               capture_output=True, text=True)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import moment_variance
-from vurkit import (DimensionMismatchError, LocalObservablePair, QuantumState,
-                    Verdict, eigendecompose, lur_test, optimize_alpha,
-                    sample_random_separable, wu_full_mub)
+from vurkit import (DimensionMismatchError, QuantumState, Verdict, eigendecompose,
+                    lur_test, optimize_alpha, sample_random_separable, wu_full_mub)
 from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
 from vurkit.oracle import random_hermitian, sample_random_pure
 
@@ -38,10 +37,9 @@ def test_pair_variances_ignore_local_shifts():
     rng = np.random.default_rng(8)
     a, b = random_hermitian(3, rng), random_hermitian(2, rng)
     rho = sample_random_separable(3, 2, rng)
-    base = lur_test([LocalObservablePair(eigendecompose(a), eigendecompose(b))],
+    base = lur_test([(eigendecompose(a), eigendecompose(b))],
                     rho, u_a=0.0, u_b=0.0).pair_variances[0]
-    shifted = LocalObservablePair(eigendecompose(a + 1e3 * np.eye(3)),
-                                  eigendecompose(b - 1e3 * np.eye(2)))
+    shifted = (eigendecompose(a + 1e3 * np.eye(3)), eigendecompose(b - 1e3 * np.eye(2)))
     again = lur_test([shifted], rho, u_a=0.0, u_b=0.0).pair_variances[0]
     assert again == pytest.approx(base, rel=1e-9)
 
@@ -85,7 +83,7 @@ def test_lur_dimension_checks():
         lur_test(pauli_pairs(), QuantumState.pure([1.0, 0.0]), 1.0, 1.0)
     sz2 = eigendecompose(PAULI_Z)
     sz3 = eigendecompose(np.diag([1.0, -1.0, 0.0]))
-    mixed_pairs = [LocalObservablePair(sz2, sz2), LocalObservablePair(sz3, sz2)]
+    mixed_pairs = [(sz2, sz2), (sz3, sz2)]
     with pytest.raises(DimensionMismatchError):
         lur_test(mixed_pairs, maximally_mixed(4), u_a=1.0, u_b=1.0)
 
@@ -103,7 +101,7 @@ def test_lur_rejects_non_finite_floors():
 def test_lhs_spectral_path_matches_matrix_moments(n_a, n_b, count, pure, seed):
     rng = np.random.default_rng(seed)
     mats = [(random_hermitian(n_a, rng), random_hermitian(n_b, rng)) for _ in range(count)]
-    pairs = [LocalObservablePair(eigendecompose(a), eigendecompose(b)) for a, b in mats]
+    pairs = [(eigendecompose(a), eigendecompose(b)) for a, b in mats]
     rho = (sample_random_pure(n_a * n_b, rng) if pure
            else sample_random_separable(n_a, n_b, rng))
     report = lur_test(pairs, rho, u_a=0.0, u_b=0.0)

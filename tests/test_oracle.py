@@ -293,3 +293,9 @@ def test_oracle_config_validation():
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
         OracleConfig(max_iters=0)
+    # beyond sys.maxsize SeedSequence.spawn overflows; refused before anything is allocated
+    with pytest.raises(ValueError, match="must not exceed"):
+        OracleConfig(restarts=10**20)
+    for n_samples, dims in ((0, (2,)), (2, ())):  # lemma_sweep's own domain
+        with pytest.raises(ValueError, match="need at least"):
+            lemma_sweep(n_samples, dims=dims)
