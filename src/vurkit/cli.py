@@ -96,7 +96,6 @@ def cmd_bound(args, tol: Tolerances):
         lines.append(f"refine steps after the grid: {report.refine_steps}")
     for k, r in enumerate(report.per_operator, start=1):
         lines.append(f"operator {k}: beta* = {r.beta_star:.9f}, M = {r.value:.9f}, "
-                     f"bracket [{r.bracket[0]:g}, {r.bracket[1]:g}], "
                      f"{r.modes} mode(s), {r.iterations} iteration(s)")
     lines.append(f"raw bound = {report.raw_bound:.9f}")
     lines.append(f"lower bound = {report.lower_bound:.9f} (clamped: {'yes' if report.clamped else 'no'})")
@@ -293,7 +292,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, VurkitError) else 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,12 +17,13 @@ Var_w - 1) <= 0, the Gaussian-weighted variance Var_w being at most L^2 / 4
 a whole vector of widths at once: Newton steps where g is concave and their
 mirror images where it is convex, scaled by a trust factor, or mean-shift
 steps where those do not raise g.  Its blocks are eigenvalue-major, one column
-per (spectrum, alpha, start).  ``_maxima`` reduces the end points to each
-spectrum's argmax and mode count, and sums g once more there for M and the
-moments of the offsets in units of the Gaussian width.  A floor
-evaluation is one such call over a set's distinct spectra: ``bound_at_alpha``
-makes one, and ``optimize_alpha`` one on a log-spaced width grid and one per
-refinement step, reporting the best point evaluated.
+per (spectrum, alpha, start).  ``_floors`` is the one reduction of its end
+points: each spectrum's argmax and mode count, g summed once more there for M
+and the moments of the offsets in units of the Gaussian width, and the raw
+floor.  A floor evaluation is one ``_floors`` call over a set's distinct
+spectra: ``bound_at_alpha`` makes one, ``inner_max`` one on a single spectrum,
+and ``optimize_alpha`` one on a log-spaced width grid and one per refinement
+step, reporting the best point evaluated.
 
 alpha only has meaning relative to the spread of the spectra: the floor of
 s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
@@ -33,7 +34,7 @@ alpha h^2 runs over ``ALPHA_RANGE``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,13 +159,14 @@ def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
     return stack, rows.ravel()
 
 
-def _maxima(spectra: np.ndarray, alphas: np.ndarray):
-    """Per spectrum and alpha, ln M = ln g(beta*) at the argmax beta*, of
-    shape (S, len(alphas)); the moments nu_j = <u^j>_w, j = 2, 3, 4, of the
-    offsets u = sqrt(alpha) (a - beta*) in units of the Gaussian width, of
-    shape (3, S, len(alphas)); and the columns (beta*, M, the ascent
-    iterations of the slowest start, the number of distinct maxima (modes)
-    the starts reached), each of shape (S, len(alphas)).
+def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
+    """One kernel call over the (S, n) stack of distinct spectra, spectrum k
+    counted c_k times.  Returns the raw floor (C - sum_k c_k ln M_k) / alpha at
+    each alpha, M_k = g(beta*) at spectrum k's argmax beta*; the moments nu_j =
+    <u^j>_w, j = 2, 3, 4, of the offsets u = sqrt(alpha) (a - beta*) in units of
+    the Gaussian width, of shape (3, S, len(alphas)); and the per-spectrum
+    columns (beta*, M, the ascent iterations of the slowest start, the number
+    of distinct maxima (modes) the starts reached), each of shape (S, len(alphas)).
 
     g has at most n modes and each is reached from an eigenvalue or an
     adjacent midpoint, so the best end point of the ascent is the global
@@ -184,7 +186,11 @@ def _maxima(spectra: np.ndarray, alphas: np.ndarray):
         u = np.sqrt(a) * d
         w = w * u * u
         moments = np.stack([_column_sums(x) / s0 for x in (w, w * u, w * u * u)])
-    return (log_m.reshape(beta.shape), moments.reshape((3, *beta.shape)),
+    # summed in row order, so that a width's floor does not depend on the others;
+    # a floor past the float range is inf, for the caller to refuse
+    with np.errstate(over="ignore"):
+        raw = (c - _column_sums(counts[:, None] * log_m.reshape(beta.shape))) / alphas
+    return (raw, moments.reshape((3, *beta.shape)),
             (beta, (s0 * np.exp(-m)).reshape(beta.shape), iters.max(axis=2), modes))
 
 
@@ -196,25 +202,23 @@ class InnerMaxResult:
 
     beta_star: float
     value: float = field(metadata={"json": "max_value"})
-    bracket: tuple[float, float]
     iterations: int
     modes: int
 
 
-def _inner_results(eigenvalue_lists, rows, columns, j: int) -> tuple[InnerMaxResult, ...]:
-    """One ``InnerMaxResult`` per eigenvalue list at the j-th width, the i-th
-    from row ``rows[i]`` of the per-spectrum columns of ``_maxima``."""
+def _inner_results(rows, columns, j: int) -> tuple[InnerMaxResult, ...]:
+    """One ``InnerMaxResult`` per entry of ``rows`` at the j-th width, the i-th
+    from row ``rows[i]`` of the per-spectrum columns of ``_floors``."""
     beta, g, iters, modes = (x[:, j] for x in columns)
-    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=float(g[r]), bracket=(float(e[0]), float(e[-1])),
-                                iterations=int(iters[r]), modes=int(modes[r]))
-                 for e, r in zip(eigenvalue_lists, rows))
+    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=float(g[r]),
+                                iterations=int(iters[r]), modes=int(modes[r])) for r in rows)
 
 
 def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = check_spectrum(eigenvalues)
-    return _inner_results([evals], [0], _maxima(evals[None], np.array([a]))[2], 0)[0]
+    return _inner_results([0], _floors(evals[None], np.ones(1), 0.0, np.array([a]))[2], 0)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -252,24 +256,13 @@ class BoundReport:
     refine_steps: int = 0
 
 
-def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
-    """One kernel call: the raw floor (C - sum_k c_k ln M_k) / alpha at each
-    alpha (spectrum k counted c_k times), and the moments and the
-    per-spectrum columns of ``_maxima``."""
-    log_m, moments, columns = _maxima(spectra, alphas)
-    # summed in row order, so that a width's floor does not depend on the others;
-    # a floor past the float range is inf, for the caller to refuse
-    with np.errstate(over="ignore"):
-        return (c - _column_sums(counts[:, None] * log_m)) / alphas, moments, columns
-
-
-def _report(observables, rows, a: float, constant: EntropicConstant, raw, columns, j: int) -> BoundReport:
+def _report(rows, a: float, constant: EntropicConstant, raw, columns, j: int, **search) -> BoundReport:
     """The j-th of the floors ``raw``, at width ``a``; observable i reads row
-    ``rows[i]`` of the per-spectrum columns."""
+    ``rows[i]`` of the per-spectrum columns, and ``search`` sets
+    ``optimize_alpha``'s fields."""
     raw = float(raw[j])
-    return BoundReport(alpha=a, constant=constant,
-                       per_operator=_inner_results([o.eigenvalues for o in observables], rows, columns, j),
-                       raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0)
+    return BoundReport(alpha=a, constant=constant, per_operator=_inner_results(rows, columns, j),
+                       raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0, **search)
 
 
 def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> BoundReport:
@@ -279,12 +272,11 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     the raw value is kept for diagnostics.
     """
     a = _check_alpha(alpha)
-    obs = list(observables)
-    stack, rows = _spectra(obs)
+    stack, rows = _spectra(list(observables))
     raw, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
     if not math.isfinite(raw[0]):
         raise InvalidAlphaError(f"alpha {alpha!r} is too small: the floor runs past the float range")
-    return _report(obs, rows, a, constant, raw, columns, 0)
+    return _report(rows, a, constant, raw, columns, 0)
 
 
 def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray, found=None):
@@ -315,8 +307,7 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     All distinct spectra share one kernel call per step, and the report is
     the best point evaluated.
     """
-    obs = list(observables)
-    stack, rows = _spectra(obs)
+    stack, rows = _spectra(list(observables))
     counts = np.bincount(rows)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     if h * h == 0.0 or not math.isfinite(h * h) or not math.isfinite(ALPHA_RANGE[1] / (h * h)):
@@ -362,9 +353,8 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
         live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0) & ~last[k]
     t, raw, alphas, *columns = (np.concatenate(x, axis=-1) for x in zip(*found))
     best = int(np.argmax(raw))
-    report = _report(obs, rows, float(alphas[best]), constant, raw, columns, best)
-    return replace(report, at_range_edge=bool(t[best] - lo <= step or hi - t[best] <= step),
-                   refine_steps=len(found) - 1)
+    return _report(rows, float(alphas[best]), constant, raw, columns, best,
+                   at_range_edge=bool(t[best] - lo <= step or hi - t[best] <= step), refine_steps=len(found) - 1)
 
 
 def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -> tuple[float, float]:

@@ -8,6 +8,7 @@ so a seed fixes every start point and every result.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +30,13 @@ VIOLATION_TOL = 1e-9
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
 
 
+def _check_integer(name: str, value, least: int) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``least`` is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer (need at least {least}), got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 64
@@ -36,8 +44,8 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), least)
         if self.restarts > sys.maxsize:  # SeedSequence.spawn takes a C ssize_t
             raise ValueError(f"restarts must not exceed {sys.maxsize}, got {self.restarts}")
 
@@ -222,9 +230,11 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0) -> LemmaSweepR
     """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
     triples; returns the maximum violation (positive = floor exceeded variance)
     and the worst triple for regression pinning."""
-    dims = tuple(int(d) for d in dims)
-    if n_samples < 1 or not dims:
-        raise ValueError("need at least one sample and one dimension")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("seed", seed, 0)
+    dims = tuple(_check_integer("dims entry", d, 1) for d in dims)
+    if not dims:
+        raise ValueError("need at least one dimension in dims, got ()")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_violation, violations, worst = -math.inf, 0, None
     for i in range(n_samples):

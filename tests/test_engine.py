@@ -71,7 +71,6 @@ def test_inner_max_small_alpha_unimodal_at_midpoint():
     result = inner_max([-1.0, 1.0], 0.1)
     assert result.value == pytest.approx(2 * math.exp(-0.1), abs=1e-10)
     assert abs(result.beta_star) <= 1e-6
-    assert result.bracket == (-1.0, 1.0)
     ref_val, _ = dense_grid_max([-1.0, 1.0], 0.1, points=200_001)
     assert result.value == pytest.approx(ref_val, abs=1e-8)
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -179,7 +181,7 @@ def test_cli_bound_auto_constant_json(capsys):
     # the schema is the result dataclasses' fields, in declaration order
     assert list(payload) == ["alpha", "constant", "per_operator", "raw_bound", "lower_bound",
                              "clamped", "at_range_edge", "refine_steps"]
-    assert list(payload["per_operator"][0]) == ["beta_star", "max_value", "bracket", "iterations", "modes"]
+    assert list(payload["per_operator"][0]) == ["beta_star", "max_value", "iterations", "modes"]
     assert payload["at_range_edge"] is False
     assert payload["per_operator"][0]["modes"] == 1
 
@@ -368,6 +370,15 @@ def test_cli_restarts_beyond_maxsize_is_an_error(capsys, command):
     assert captured.err.startswith("error: restarts must not exceed")
 
 
+@pytest.mark.parametrize("command", ["oracle pauli3", "demo"])
+def test_cli_negative_seed_is_an_error(capsys, command):
+    # refused by OracleConfig by name, not by numpy's SeedSequence
+    assert main([*command.split(), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be an integer")
+
+
 def test_cli_demo(capsys):
     assert main(["demo", "--seed", "0", "--restarts", "4"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -537,14 +548,26 @@ def test_cli_huge_integer_is_a_parse_failure(tmp_path, capsys, digits):
 
 
 def test_scripts_exit_zero():
-    # the scripts import from the package, private names included
+    # the scripts import from the package, private names included; RuntimeWarnings
+    # are errors here, as in pytest's filterwarnings
     scripts = Path(__file__).resolve().parents[1] / "scripts"
-    for argv in (["alpha_landscape.py", "pauli3", "--restarts", "4"],
-                 ["alpha_landscape.py", "sigma-x", "sigma-z", "--restarts", "4"],
-                 ["lemma_stress.py", "--samples", "200"]):
-        proc = subprocess.run([sys.executable, str(scripts / argv[0]), *argv[1:]],
+    for argv in (["alpha_landscape.py", "pauli3"], ["alpha_landscape.py", "qutrit4"],
+                 ["alpha_landscape.py", "sigma-x", "sigma-z"], ["lemma_stress.py", "--samples", "1000"]):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(scripts / argv[0]), *argv[1:]],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_traced_layers_resolve():
+    # the benchmark's tracer wraps these by name, and no command-line path calls
+    # engine.inner_max or core.variance: a rename would otherwise go unseen here
+    tracer = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    assert layers
+    for name in layers:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"vurkit.{module}"), function, None)), name
 
 
 def _tolerance_cases(tmp_path):

@@ -299,3 +299,28 @@ def test_oracle_config_validation():
     for n_samples, dims in ((0, (2,)), (2, ())):  # lemma_sweep's own domain
         with pytest.raises(ValueError, match="need at least"):
             lemma_sweep(n_samples, dims=dims)
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 2.5), ("seed", True), ("restarts", 2.5),
+                                          ("restarts", True), ("max_iters", 2.5), ("max_iters", False)])
+def test_oracle_config_refuses_bad_fields_by_name(field, value):
+    # bools are ints to Python but not counts; floats would reach SeedSequence or the loop bound
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        OracleConfig(**{field: value})
+    assert getattr(OracleConfig(**{field: np.int64(1)}), field) == 1
+
+
+@pytest.mark.parametrize("kwargs, name", [({"dims": (0,)}, "dims"), ({"dims": (-2,)}, "dims"),
+                                          ({"dims": (2.7,)}, "dims"), ({"dims": (2, True)}, "dims"),
+                                          ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"),
+                                          ({"n_samples": 2.0}, "n_samples"), ({"n_samples": -3}, "n_samples")])
+def test_lemma_sweep_refuses_bad_arguments_by_name(kwargs, name):
+    kwargs = {"n_samples": 2, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name}"):
+        lemma_sweep(**kwargs)
+
+
+def test_lemma_sweep_accepts_dimension_one():
+    # a 1x1 observable has zero variance and floor (H - ln 1) / alpha = 0
+    report = lemma_sweep(3, dims=(1,), seed=0)
+    assert report.dims == (1,) and report.violations == 0
