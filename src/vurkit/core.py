@@ -8,6 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,13 @@ _DISTRIBUTION_SUM_TOL = 1e-8
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``least`` is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer (need at least {least}), got {value!r}")
+    return int(value)
 
 
 def common_dim(observables) -> int:

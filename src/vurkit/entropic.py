@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import common_dim, overlap_stats
+from .core import check_integer, common_dim, overlap_stats
 from .errors import RegimeError
 
 # The analytic large-overlap bound is provably wrong near c = 1/sqrt(2): the
@@ -70,9 +70,7 @@ def de_vicente_analytic(c: float) -> EntropicConstant:
 
 def wu_mub_bound(m: int, n: int) -> EntropicConstant:
     """Entropy-sum floor for m mutually unbiased bases in dimension n."""
-    m, n = int(m), int(n)
-    if m < 2 or n < 2:
-        raise ValueError(f"need m >= 2 bases and dimension n >= 2, got m={m}, n={n}")
+    m, n = check_integer("m", m, 2), check_integer("n", n, 2)
     k = (m * n) // (n + m - 1)
     value = m * math.log(k) + (k + 1) * (m - k * (n + m - 1) / n) * math.log(1.0 + 1.0 / k)
     return EntropicConstant(value, ConstantSource.WU_MUB, f"m={m} n={n} mub")
@@ -80,9 +78,7 @@ def wu_mub_bound(m: int, n: int) -> EntropicConstant:
 
 def wu_full_mub(n: int) -> EntropicConstant:
     """Entropy-sum floor for a complete set of n+1 mutually unbiased bases."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    n = check_integer("n", n, 2)
     lo, hi = (n + 1) // 2, (n + 2) // 2
     value = lo * math.log(lo) + hi * math.log(hi)
     return EntropicConstant(value, ConstantSource.WU_FULL_MUB, f"m={n + 1} n={n} mub")
@@ -130,7 +126,7 @@ def select_constant(observables,
         candidates = [maassen_uffink(c)]
         if c >= DE_VICENTE_DEFAULT_MIN_C:
             candidates.append(de_vicente_analytic(c))
-    elif mub:
+    elif mub and dim >= 2:  # in dimension 1 every overlap is 1 and no floor is above 0
         candidates = [wu_mub_bound(m, dim)]
     else:
         total, chosen = 0.0, []

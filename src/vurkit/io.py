@@ -1,9 +1,10 @@
 """JSON interchange: observable and state documents, plus run reports.
 
-A run report's payload is a result's own dataclass fields (``payload``), so
-each report's schema is declared once, on its dataclass.  Complex numbers are always [re, im] pairs; no complex-literal strings.  The
-canonical serialized form of an observable is its spectral representation, so
-parse(serialize(x)) reproduces x exactly.
+Complex numbers are always [re, im] pairs.  Each document array converts in
+one numpy call each way; a walk in row order runs only to name the first bad
+entry when that call or its type checks refuse.  An observable serializes to
+its spectral form, so parse(serialize(x)) reproduces x exactly.  A report's
+payload is a result's own dataclass fields, its schema declared there once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -22,58 +23,55 @@ from .core import QuantumState, SpectralObservable, eigendecompose
 from .errors import FileFormatError
 
 
-def _as_number(obj, what: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise FileFormatError(f"{what} must be a number, got {obj!r}")
-    try:
-        value = float(obj)
-    except OverflowError:  # an int beyond the float range
-        value = np.inf
-    if not np.isfinite(value):
-        raise FileFormatError(f"{what} must be finite, got {obj!r}")
-    return value
-
-
-def _pair_to_complex(obj, what: str) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise FileFormatError(f"{what} must be a [re, im] pair, got {obj!r}")
-    return complex(_as_number(obj[0], what), _as_number(obj[1], what))
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _pairs_to_array(items: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Nested lists of [re, im] pairs as a complex array of ``shape`` in one
-    numpy call, or None when an entry needs the per-entry checks."""
+def _to_array(items: list, what: str, square: bool, pairs: bool = True) -> np.ndarray:
+    """A nonempty document list as an array: numbers, [re, im] pairs (read as
+    complex) or, when ``square``, n rows of n of them.  Rows are lists, pairs
+    lists or tuples of two, numbers finite ints or floats (numpy floats too,
+    never bools); anything else raises, naming the first bad entry."""
+    shape = (len(items),) * (1 + square) + (2,) * pairs
     try:
         out = np.array(items, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        return None
-    numbers = chain.from_iterable(chain.from_iterable(items) if len(shape) == 2 else items)
-    # numpy would silently read bools and numeric strings as numbers, and tuples as lists
-    if (out.shape != (*shape, 2) or not np.isfinite(out).all()
-            or not all(type(item) is list for item in items)
-            or not set(map(type, numbers)) <= {int, float}):
-        return None
-    return out.view(complex)[..., 0]
+        out = None
+    if out is None or out.shape != shape or not np.isfinite(out).all():
+        _refuse(items, what, square, pairs)
+    # numpy alone reads bools and numeric strings as numbers and any sequence as a row or pair
+    for depth, kinds in enumerate([(list,)] * square + [(list, tuple)] * pairs + [(int, float)]):
+        entries = items
+        for _ in range(depth):
+            entries = chain.from_iterable(entries)
+        types = set(map(type, entries))
+        if bool in types or not all(issubclass(t, kinds) for t in types):
+            _refuse(items, what, square, pairs)
+    return out.view(complex)[..., 0] if pairs else out
 
 
-def _parse_complex_matrix(rows, what: str) -> np.ndarray:
+def _refuse(items: list, what: str, square: bool, pairs: bool) -> NoReturn:
+    """Raise naming the first entry, in row order, that ``_to_array``'s rules refuse."""
+    for i, row in enumerate(items):
+        if square and (not isinstance(row, list) or len(row) != len(items)):
+            raise FileFormatError(f"{what} must be square; row {i} has length "
+                                  f"{len(row) if isinstance(row, list) else 'N/A'}, expected {len(items)}")
+        for j, entry in enumerate(row if square else [row]):
+            label = f"{what}[{i}][{j}]" if square else f"{what}[{i}]"
+            if pairs and (not isinstance(entry, (list, tuple)) or len(entry) != 2):
+                raise FileFormatError(f"{label} must be a [re, im] pair, got {entry!r}")
+            for number in entry if pairs else [entry]:
+                if isinstance(number, bool) or not isinstance(number, (int, float)):
+                    raise FileFormatError(f"{label} must be a number, got {number!r}")
+                try:
+                    finite = np.isfinite(float(number))
+                except OverflowError:  # an int beyond the float range
+                    finite = False
+                if not finite:
+                    raise FileFormatError(f"{label} must be finite, got {number!r}")
+    raise FileFormatError(f"{what} is not an array numpy can read")
+
+
+def _matrix(rows, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{what} must be a nonempty list of rows")
-    n = len(rows)
-    out = _pairs_to_array(rows, (n, n))
-    if out is None:
-        out = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise FileFormatError(f"{what} must be square; row {i} has length "
-                                      f"{len(row) if isinstance(row, list) else 'N/A'}, expected {n}")
-            for j, entry in enumerate(row):
-                out[i, j] = _pair_to_complex(entry, f"{what}[{i}][{j}]")
-    return out
+    return _to_array(rows, what, square=True)
 
 
 def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
@@ -86,7 +84,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     if has_matrix == has_spectral:
         raise FileFormatError("observable document must contain exactly one of 'matrix' or 'spectral'")
     if has_matrix:
-        return eigendecompose(_parse_complex_matrix(doc["matrix"], "matrix"), tol)
+        return eigendecompose(_matrix(doc["matrix"], "matrix"), tol)
 
     spectral = doc["spectral"]
     if not isinstance(spectral, dict) or set(spectral) != {"eigenvalues", "eigenvectors"}:
@@ -94,14 +92,12 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     raw_evals, raw_cols = spectral["eigenvalues"], spectral["eigenvectors"]
     if not isinstance(raw_evals, list) or not raw_evals:
         raise FileFormatError("'eigenvalues' must be a nonempty list")
-    n = len(raw_evals)
-    evals = np.array([_as_number(v, f"eigenvalues[{i}]") for i, v in enumerate(raw_evals)])
+    evals = _to_array(raw_evals, "eigenvalues", square=False, pairs=False)
     if np.any(evals[1:] < evals[:-1]):
         raise FileFormatError("eigenvalues must be in ascending order")
-    if not isinstance(raw_cols, list) or len(raw_cols) != n:
-        raise FileFormatError(f"'eigenvectors' must hold {n} columns")
-    vecs = _parse_complex_matrix(raw_cols, "eigenvectors").T
-    obs = SpectralObservable(evals, vecs)
+    if not isinstance(raw_cols, list) or len(raw_cols) != evals.size:
+        raise FileFormatError(f"'eigenvectors' must hold {evals.size} columns")
+    obs = SpectralObservable(evals, _matrix(raw_cols, "eigenvectors").T)
     defect = obs.orthonormality_defect()
     if defect > tol.orthonormality:
         raise FileFormatError(f"eigenvector columns are not orthonormal (defect {defect:.3e})")
@@ -110,10 +106,9 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
 
 def serialize_observable(obs: SpectralObservable) -> dict:
     """Canonical spectral document for an observable."""
-    cols = [[_complex_to_pair(obs.eigenvectors[i, j]) for i in range(obs.dim)]
-            for j in range(obs.dim)]
-    return {"spectral": {"eigenvalues": [float(v) for v in obs.eigenvalues],
-                         "eigenvectors": cols}}
+    cols = obs.eigenvectors.T
+    return {"spectral": {"eigenvalues": obs.eigenvalues.tolist(),
+                         "eigenvectors": np.stack([cols.real, cols.imag], -1).tolist()}}
 
 
 def parse_state(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
@@ -124,21 +119,17 @@ def parse_state(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
     has_pure, has_density = "pure" in doc, "density" in doc
     if has_pure == has_density:
         raise FileFormatError("state document must contain exactly one of 'pure' or 'density'")
-    if has_pure:
-        amp = doc["pure"]
-        if not isinstance(amp, list) or not amp:
-            raise FileFormatError("'pure' must be a nonempty list of [re, im] pairs")
-        vec = _pairs_to_array(amp, (len(amp),))
-        if vec is None:
-            vec = np.array([_pair_to_complex(a, f"pure[{i}]") for i, a in enumerate(amp)])
-        return QuantumState.pure(vec, tol)
-    return QuantumState.density(_parse_complex_matrix(doc["density"], "density"), tol)
+    if has_density:
+        return QuantumState.density(_matrix(doc["density"], "density"), tol)
+    amp = doc["pure"]
+    if not isinstance(amp, list) or not amp:
+        raise FileFormatError("'pure' must be a nonempty list of [re, im] pairs")
+    return QuantumState.pure(_to_array(amp, "pure", square=False), tol)
 
 
 def serialize_state(state: QuantumState) -> dict:
-    if state.is_pure:
-        return {"pure": [_complex_to_pair(z) for z in state.vector]}
-    return {"density": [[_complex_to_pair(z) for z in row] for row in state.matrix]}
+    key, z = ("pure", state.vector) if state.is_pure else ("density", state.matrix)
+    return {key: np.stack([z.real, z.imag], -1).tolist()}
 
 
 def _load_json(path) -> Any:

@@ -8,14 +8,13 @@ so a seed fixes every start point and every result.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import (QuantumState, SpectralObservable, common_dim, eigendecompose,
+from .core import (QuantumState, SpectralObservable, check_integer, common_dim, eigendecompose,
                    measurement_distribution, phase_fix_columns, shannon_entropy)
 from .engine import state_dependent_bound
 from .entropic import user_supplied
@@ -30,13 +29,6 @@ VIOLATION_TOL = 1e-9
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
 
 
-def _check_integer(name: str, value, least: int) -> int:
-    """``value`` as an int; a bool, a non-integer or a value below ``least`` is refused by name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer (need at least {least}), got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 64
@@ -45,7 +37,7 @@ class OracleConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            _check_integer(name, getattr(self, name), least)
+            check_integer(name, getattr(self, name), least)
         if self.restarts > sys.maxsize:  # SeedSequence.spawn takes a C ssize_t
             raise ValueError(f"restarts must not exceed {sys.maxsize}, got {self.restarts}")
 
@@ -65,8 +57,7 @@ class OracleResult:
 def sample_random_pure(dim: int, rng: np.random.Generator) -> QuantumState:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes,
     with the global phase fixed for canonical output."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    check_integer("dim", dim, 1)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     z /= np.linalg.norm(z)
     z = phase_fix_columns(z[:, None])[:, 0]
@@ -75,6 +66,7 @@ def sample_random_pure(dim: int, rng: np.random.Generator) -> QuantumState:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian-ensemble random Hermitian matrix."""
+    check_integer("dim", dim, 1)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (z + z.conj().T)
 
@@ -230,9 +222,9 @@ def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0) -> LemmaSweepR
     """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
     triples; returns the maximum violation (positive = floor exceeded variance)
     and the worst triple for regression pinning."""
-    _check_integer("n_samples", n_samples, 1)
-    _check_integer("seed", seed, 0)
-    dims = tuple(_check_integer("dims entry", d, 1) for d in dims)
+    check_integer("n_samples", n_samples, 1)
+    check_integer("seed", seed, 0)
+    dims = tuple(check_integer("dims entry", d, 1) for d in dims)
     if not dims:
         raise ValueError("need at least one dimension in dims, got ()")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

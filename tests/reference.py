@@ -7,9 +7,11 @@ Hermiticity check and the Robertson floor live here because only the tests
 use them.
 """
 
+import math
+
 import numpy as np
 
-from vurkit import DEFAULT_TOLERANCES, DimensionMismatchError
+from vurkit import DEFAULT_TOLERANCES, DimensionMismatchError, FileFormatError
 
 
 def dense_grid_max(eigenvalues, alpha, points=1_000_001, chunk=250_000):
@@ -138,3 +140,41 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
             break
         z, f = cand, fc
     return f
+
+
+def document_array(items, kind):
+    """A document array converted one entry at a time: ``eigenvalues`` a list
+    of numbers, ``pure`` a list of [re, im] pairs, any other kind a square
+    list of rows of pairs.  Rows must be lists, pairs lists or tuples of two,
+    numbers finite ints or floats and not bools; the first entry in row order
+    that is not raises ``FileFormatError`` naming it."""
+
+    def number(obj, label):
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise FileFormatError(f"{label} must be a number, got {obj!r}")
+        try:
+            value = float(obj)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise FileFormatError(f"{label} must be finite, got {obj!r}")
+        return value
+
+    def pair(obj, label):
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise FileFormatError(f"{label} must be a [re, im] pair, got {obj!r}")
+        return complex(number(obj[0], label), number(obj[1], label))
+
+    if kind == "eigenvalues":
+        return np.array([number(x, f"{kind}[{i}]") for i, x in enumerate(items)], dtype=float)
+    if kind == "pure":
+        return np.array([pair(x, f"{kind}[{i}]") for i, x in enumerate(items)], dtype=complex)
+    n = len(items)
+    out = np.empty((n, n), dtype=complex)
+    for i, row in enumerate(items):
+        if not isinstance(row, list) or len(row) != n:
+            raise FileFormatError(f"{kind} must be square; row {i} has length "
+                                  f"{len(row) if isinstance(row, list) else 'N/A'}, expected {n}")
+        for j, x in enumerate(row):
+            out[i, j] = pair(x, f"{kind}[{i}][{j}]")
+    return out

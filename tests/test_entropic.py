@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vurkit import (ConstantSource, QuantumState, RegimeError,
                     best_entropic_constant, de_vicente_analytic, eigendecompose,
-                    maassen_uffink, measurement_distribution, overlap_stats,
+                    maassen_uffink, measurement_distribution, optimize_alpha, overlap_stats,
                     select_constant, shannon_entropy, user_supplied, wu_full_mub,
                     wu_mub_bound)
 from vurkit import entropic
@@ -67,9 +67,12 @@ def test_wu_mub_examples_exact():
 
 
 def test_wu_mub_domain():
-    for m, n in ((1, 2), (2, 1), (0, 0)):
+    for m, n in ((1, 2), (2, 1), (0, 0), (3.7, 2), (True, 2), (3, "2")):
         with pytest.raises(ValueError):
             wu_mub_bound(m, n)
+    for n in (1, 2.5, "3", True):  # int() would read all but 1 as a valid n
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            wu_full_mub(n)
 
 
 def test_wu_full_mub_examples():
@@ -133,6 +136,16 @@ def test_best_entropic_constant_pairwise_matching_path():
     scores = [maassen_uffink(min(overlap_stats(a, b).c, 1.0)).value
               for a, b in ((sz, sx), (sz, extra), (sx, extra))]
     assert best.value == pytest.approx(max(scores), abs=1e-12)
+
+
+def test_select_constant_in_dimension_one_matches_pairs():
+    # every overlap of 1x1 observables is 1 = 1/sqrt(1), yet no unbiased-bases
+    # floor exists for n = 1: the pairwise matching gives C = 0, and floor 0
+    observables = [eigendecompose(np.array([[value]])) for value in (0.5, -1.0, 2.0)]
+    selection = select_constant(observables)
+    assert [k.source for k in selection.candidates] == [ConstantSource.PAIRWISE_MATCHING]
+    assert selection.selected.value == 0.0
+    assert optimize_alpha(observables, selection.selected).lower_bound == 0.0
 
 
 def _count_overlap_stats(monkeypatch) -> list:

@@ -10,14 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import document_array
 from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompose, optimize_alpha,
                     user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
                              qutrit4, singlet)
-from vurkit.io import (load_observable, parse_observable, parse_state,
+from vurkit.io import (_to_array, load_observable, parse_observable, parse_state,
                        serialize_observable, serialize_state)
 from vurkit.oracle import random_hermitian
 
@@ -93,6 +96,58 @@ def test_parse_rejects_bad_pairs_and_shapes():
     with pytest.raises(FileFormatError, match="eigenvectors must be square; row 1 has length 1"):
         parse_observable({"spectral": {"eigenvalues": [0.0, 1.0],
                                        "eigenvectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}})
+
+
+def _mostly(good, bad, odds):
+    """``good``, or ``bad`` once in ``odds`` draws."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == 1 else good)
+
+
+# the largest int that float() rounds to a finite value; one more overflows
+_EDGE = 2**1024 - 2**970 - 1
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_numbers = _mostly(
+    st.one_of(st.integers(-9, 9), _floats, _floats.map(np.float64),
+              st.integers(-2**1023, 2**1023), st.sampled_from([_EDGE, -_EDGE])),
+    st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.integers(-3, 3).map(np.int64),
+              st.sampled_from([math.nan, math.inf, -math.inf, 10**400, _EDGE + 1, "0.5"]),
+              st.dictionaries(st.text(max_size=1), st.integers(), max_size=2),
+              st.lists(st.integers(-3, 3), max_size=2)),
+    odds=16)
+_pairs = _mostly(
+    st.tuples(_numbers, _numbers).flatmap(lambda p: st.sampled_from([list(p), p])),
+    st.one_of(_numbers, st.lists(_numbers, max_size=3), st.tuples(_floats, _floats).map(np.array)),
+    odds=16)
+
+
+@st.composite
+def _document_arrays(draw):
+    kind = draw(st.sampled_from(["eigenvalues", "pure", "density", "eigenvectors"]))
+    n = draw(st.integers(1, 3))
+    if kind in ("eigenvalues", "pure"):
+        return kind, draw(st.lists(_numbers if kind == "eigenvalues" else _pairs, min_size=n, max_size=n))
+    row = st.lists(_pairs, min_size=n, max_size=n)
+    bad_row = st.one_of(st.lists(_pairs, max_size=4), row.map(tuple), _numbers)
+    return kind, draw(st.lists(_mostly(row, bad_row, odds=8), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document_arrays())
+def test_document_arrays_convert_as_the_per_entry_reference(doc):
+    # valid entries include numpy floats, tuple pairs and big ints; the
+    # reference's first refusal in row order must be io's message too
+    kind, items = doc
+    square, pairs = kind in ("density", "eigenvectors"), kind != "eigenvalues"
+    try:
+        expected = document_array(items, kind)
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as refused:
+            _to_array(items, kind, square, pairs)
+        assert str(refused.value) == str(exc)
+    else:
+        out = _to_array(items, kind, square, pairs)
+        assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_parse_spectral_document_checks():
@@ -237,6 +292,19 @@ def test_cli_one_observable_set_has_no_constant(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need at least two observables\n"
+
+
+def test_cli_auto_constant_in_dimension_one(tmp_path, capsys):
+    paths = []
+    for name, value in (("one", 0.5), ("two", -1.0), ("three", 2.0)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps({"matrix": [[[value, 0.0]]]}))
+    assert main(["bound", *paths, "--auto-C", "--optimize", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["constant"]["value"] == 0.0
+    assert payload["lower_bound"] == 0.0
+    assert main(["entropic", *paths]) == 0
+    assert "selected: C = 0.000000000 nats (pairwise_matching" in capsys.readouterr().out
 
 
 def test_cli_closed_pipe_exits_quietly():

@@ -84,6 +84,13 @@ def test_sample_random_pure_dimension_one_is_phase_fixed():
     assert np.allclose(state.vector, [1.0])
 
 
+@pytest.mark.parametrize("sampler", [sample_random_pure, random_hermitian])
+@pytest.mark.parametrize("dim", [0, -2, 2.5, True, "2"])
+def test_samplers_refuse_bad_dimension_by_name(sampler, dim):
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        sampler(dim, np.random.default_rng(0))
+
+
 def test_sample_random_pure_determinism():
     a = sample_random_pure(2, np.random.default_rng(1234))
     b = sample_random_pure(2, np.random.default_rng(1234))
