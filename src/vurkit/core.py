@@ -138,6 +138,25 @@ def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservabl
     return obs
 
 
+def _psd_certified(mat: np.ndarray, tol: float) -> bool:
+    """True when a Cholesky factor of ``mat + (tol/2) I`` proves that the
+    smallest eigenvalue of Hermitian ``mat`` is at least -tol.  A factor that
+    completes is exact for the matrix plus some E with ||E||_2 below about
+    (n+1) eps tr(mat + (tol/2) I) (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), so it certifies only where tol/2 is at least 8 times
+    that; False leaves the decision to ``eigvalsh``."""
+    n = mat.shape[0]
+    shift = 0.5 * tol
+    rounding = (n + 1) * np.finfo(float).eps * float(np.abs(mat.diagonal().real).sum() + n * shift)
+    if shift < 8.0 * rounding:
+        return False
+    try:
+        np.linalg.cholesky(mat + shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Pure state vector or density matrix; construct via ``pure`` or ``density``."""
@@ -170,10 +189,11 @@ class QuantumState:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > tol.trace:
             raise InvalidStateError(f"density matrix must have unit trace, got {trace!r}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < -tol.density_eigenvalue:
-            raise InvalidStateError(f"density matrix must be positive semidefinite "
-                                    f"(smallest eigenvalue {smallest:.3e})")
+        if not _psd_certified(mat, tol.density_eigenvalue):
+            smallest = float(np.linalg.eigvalsh(mat)[0])
+            if smallest < -tol.density_eigenvalue:
+                raise InvalidStateError(f"density matrix must be positive semidefinite "
+                                        f"(smallest eigenvalue {smallest:.3e})")
         return cls(matrix=_readonly(mat.copy()))
 
     @property

@@ -119,14 +119,15 @@ def select_constant(observables,
     m, dim = len(obs), common_dim(obs)
     stats = {(i, j): overlap_stats(obs[i], obs[j]) for i in range(m) for j in range(i + 1, m)}
     overlaps = tuple((i, j, pair.c) for (i, j), pair in stats.items())
-    mub = all(np.max(np.abs(pair.overlap_matrix - 1.0 / math.sqrt(dim))) <= mub_tol
-              for pair in stats.values())
+    # in dimension 1 every overlap is 1 = 1/sqrt(1), yet one basis is no set of unbiased ones
+    mub = dim >= 2 and all(np.max(np.abs(pair.overlap_matrix - 1.0 / math.sqrt(dim))) <= mub_tol
+                           for pair in stats.values())
     if m == 2:
         c = min(overlaps[0][2], 1.0)
         candidates = [maassen_uffink(c)]
         if c >= DE_VICENTE_DEFAULT_MIN_C:
             candidates.append(de_vicente_analytic(c))
-    elif mub and dim >= 2:  # in dimension 1 every overlap is 1 and no floor is above 0
+    elif mub:
         candidates = [wu_mub_bound(m, dim)]
     else:
         total, chosen = 0.0, []

@@ -1,16 +1,21 @@
 """JSON interchange: observable and state documents, plus run reports.
 
-Complex numbers are always [re, im] pairs.  Each document array converts in
-one numpy call each way; a walk in row order runs only to name the first bad
-entry when that call or its type checks refuse.  An observable serializes to
-its spectral form, so parse(serialize(x)) reproduces x exactly.  A report's
-payload is a result's own dataclass fields, its schema declared there once.
+Complex numbers are always [re, im] pairs.  A document array converts in one
+pass per nesting level, which checks that level's types and lengths, and one
+``np.fromiter`` over its numbers; a walk in row order runs only to name the
+first bad entry when a check refuses.  A whole file load runs with the cyclic
+garbage collector paused: the parsed document is an acyclic tree, which
+reference counting frees.  An observable serializes to its spectral form, so
+parse(serialize(x)) reproduces x exactly.  A report's payload is a result's
+own dataclass fields, its schema declared there once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+from contextlib import contextmanager
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -28,21 +33,24 @@ def _to_array(items: list, what: str, square: bool, pairs: bool = True) -> np.nd
     complex) or, when ``square``, n rows of n of them.  Rows are lists, pairs
     lists or tuples of two, numbers finite ints or floats (numpy floats too,
     never bools); anything else raises, naming the first bad entry."""
-    shape = (len(items),) * (1 + square) + (2,) * pairs
-    try:
-        out = np.array(items, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out.shape != shape or not np.isfinite(out).all():
-        _refuse(items, what, square, pairs)
-    # numpy alone reads bools and numeric strings as numbers and any sequence as a row or pair
-    for depth, kinds in enumerate([(list,)] * square + [(list, tuple)] * pairs + [(int, float)]):
-        entries = items
-        for _ in range(depth):
-            entries = chain.from_iterable(entries)
+    n = len(items)
+    entries = items
+    for kinds, size in [((list,), n)] * square + [((list, tuple), 2)] * pairs:
+        # one level of the tree: its types and lengths, then the level below
         types = set(map(type, entries))
-        if bool in types or not all(issubclass(t, kinds) for t in types):
+        if not all(issubclass(t, kinds) for t in types) or set(map(len, entries)) != {size}:
             _refuse(items, what, square, pairs)
+        entries = list(chain.from_iterable(entries))
+    types = set(map(type, entries))
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        _refuse(items, what, square, pairs)
+    try:
+        out = np.fromiter(entries, dtype=float, count=len(entries))
+    except OverflowError:  # an int beyond the float range
+        _refuse(items, what, square, pairs)
+    if not np.isfinite(out).all():
+        _refuse(items, what, square, pairs)
+    out = out.reshape((n,) * (1 + square) + (2,) * pairs)
     return out.view(complex)[..., 0] if pairs else out
 
 
@@ -132,6 +140,21 @@ def serialize_state(state: QuantumState) -> dict:
     return {key: np.stack([z.real, z.imag], -1).tolist()}
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for one document load.  A parsed
+    document is an acyclic tree of lists that reference counting frees; left
+    on, the collector scans its lists every few hundred allocations, and once
+    they outnumber the older objects, all of them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -144,11 +167,13 @@ def _load_json(path) -> Any:
 
 
 def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
-    return parse_observable(_load_json(path), tol)
+    with _collector_paused():
+        return parse_observable(_load_json(path), tol)
 
 
 def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
-    return parse_state(_load_json(path), tol)
+    with _collector_paused():
+        return parse_state(_load_json(path), tol)
 
 
 # --- run reports -----------------------------------------------------------

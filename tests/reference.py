@@ -8,6 +8,7 @@ use them.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,13 @@ def gaussian_sum(eigenvalues, alpha, beta):
     to 0 once every term does."""
     evals = np.asarray(eigenvalues, dtype=float)
     return float(np.exp(-alpha * (evals - beta) ** 2).sum())
+
+
+def exact_gaussian_sum(eigenvalues, alpha, beta):
+    """sum_k exp(-alpha (a_k - beta)^2) with each term from ``math.exp`` and
+    the terms summed exactly (``math.fsum``), so that the sum adds no rounding
+    of its own."""
+    return math.fsum(math.exp(-alpha * (float(a) - beta) ** 2) for a in eigenvalues)
 
 
 def moment_variance(matrix, rho):
@@ -178,3 +186,32 @@ def document_array(items, kind):
         for j, x in enumerate(row):
             out[i, j] = pair(x, f"{kind}[{i}][{j}]")
     return out
+
+
+def nested_document_array(items, kind):
+    """A document array converted by one nested ``np.array(items, dtype=float)``
+    call, then checked for shape, finiteness and, level by level, entry types;
+    ``kind`` as in ``document_array``, which names the first bad entry of a
+    refused array."""
+
+    def refuse():
+        document_array(items, kind)
+        raise FileFormatError(f"{kind} is not an array numpy can read")
+
+    square, pairs = kind not in ("eigenvalues", "pure"), kind != "eigenvalues"
+    shape = (len(items),) * (1 + square) + (2,) * pairs
+    try:
+        out = np.array(items, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        refuse()
+    if out.shape != shape or not np.isfinite(out).all():
+        refuse()
+    # numpy alone reads bools and numeric strings as numbers and any sequence as a row or pair
+    for depth, kinds in enumerate([(list,)] * square + [(list, tuple)] * pairs + [(int, float)]):
+        entries = items
+        for _ in range(depth):
+            entries = chain.from_iterable(entries)
+        types = set(map(type, entries))
+        if bool in types or not all(issubclass(t, kinds) for t in types):
+            refuse()
+    return out.view(complex)[..., 0] if pairs else out

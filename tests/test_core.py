@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import phase_fixed_columns, robertson_bound, validate_hermitian
-from vurkit import (DimensionMismatchError, NotHermitianError, QuantumState,
+from vurkit import (DimensionMismatchError, InvalidStateError, NotHermitianError, QuantumState,
                     SpectralObservable, eigendecompose, expectation,
                     measurement_distribution, overlap_stats, select_constant,
                     shannon_entropy, variance)
+from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.core import phase_fix_columns
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
@@ -259,3 +261,47 @@ def test_density_state_validation():
         QuantumState.density(np.diag([1.5, -0.5]))
     with pytest.raises(Exception, match="norm"):
         QuantumState.pure([1.0, 1.0])
+
+
+def test_density_refusal_names_the_smallest_eigenvalue():
+    # just past the default 1e-9: the Cholesky certificate fails and eigvalsh names it
+    with pytest.raises(InvalidStateError, match=re.escape(
+            "density matrix must be positive semidefinite (smallest eigenvalue -2.000e-09)")):
+        QuantumState.density(np.diag([1.0 + 2e-9, -2e-9, 0.0, 0.0]))
+    assert QuantumState.density(np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0])).dim == 4
+
+
+def test_density_certificate_skips_eigvalsh(monkeypatch):
+    # a rank-one density at the default tolerance needs no eigenvalues
+    psi = sample_random_pure(16, np.random.default_rng(3)).vector
+    rho = np.outer(psi, psi.conj())
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert QuantumState.density(rho).dim == 16
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-300, 1e-12, 1e-9]),
+       st.sampled_from([0.0, 0.1, 0.45, 0.5, 0.55, 0.9, 0.99, 1.0, 1.01, 1.5, 3.0]))
+def test_density_verdict_is_the_eigvalsh_rule(size, seed, tol, depth):
+    # a random rank-r density, one null direction pushed to -depth x tol
+    # (1e-15 at tol 0): the certificate may only speed up eigvalsh's verdict
+    n, rank = size
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(n)
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    if rank < n:
+        push = depth * (tol or 1e-15)
+        weights[rank] -= push
+        weights[0] += push
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    rho = (u * weights) @ u.conj().T
+    tols = with_overrides(DEFAULT_TOLERANCES, {"density_eigenvalue": tol})
+    try:
+        QuantumState.density(rho, tols)
+    except InvalidStateError as exc:
+        assert "semidefinite" in str(exc)
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (float(np.linalg.eigvalsh(rho)[0]) >= -tol)

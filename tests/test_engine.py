@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import dense_grid_max, gaussian_sum
+from reference import dense_grid_max, exact_gaussian_sum, gaussian_sum
 from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
                     QuantumState, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, expectation,
@@ -15,7 +15,7 @@ from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError
                     shannon_variance_bound, state_dependent_bound, user_supplied, variance,
                     wu_full_mub)
 from vurkit import engine
-from vurkit.engine import ALPHA_RANGE, GRID_POINTS, _floor_slopes
+from vurkit.engine import ALPHA_RANGE, GRID_POINTS, VALUE_TOL, _floor_slopes
 from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
@@ -416,8 +416,21 @@ _single_start_spectra = st.integers(min_value=2, max_value=40).flatmap(lambda n:
         lambda t: [t[0]] * t[2] + [t[1]] * (n - t[2]))))
 
 
+def _sum_rounding(n):
+    """Relative rounding bound for comparing the engine's M with
+    ``exact_gaussian_sum``: the two's errors against the exact sum at their own
+    centers added, every exponent alpha d^2 being at most 2.  The engine, per
+    term, 4 roundings in alpha d^2 (8u absolute), 1 in the shifted exponent
+    (2u) and 1 ulp of exp (2u); n - 1 in the row-order sum; 2u for exp(-m) and
+    u for the product: (n + 14)u.  The reference's terms 8u + 2u and fsum one
+    rounding: 11u.  u = eps / 2."""
+    return (n + 25) * np.finfo(float).eps / 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(_single_start_spectra, st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+# two independently rounded sums 5 eps apart: the engine 3 eps below fsum, a numpy grid sum 2 eps above
+@example([0.0] * 12 + [-1.0] * 18, 1e-10)
 def test_inner_max_single_start_where_ln_g_is_concave(eigs, product):
     # at alpha L^2 <= 2 the kernel climbs from the mean alone; it must still
     # find the one maximum, above every start the full start set would use
@@ -428,12 +441,15 @@ def test_inner_max_single_start_where_ln_g_is_concave(eigs, product):
     assume(alpha > 0.0 and alpha * (spread * spread) <= 2.0)
     result = inner_max(evals, alpha)
     assert result.modes == 1
+    # the ascent stops once ln g rises by at most VALUE_TOL max(1, ln n), and
+    # both sums round: no exact value at any center may exceed M by more
+    low = math.exp(-VALUE_TOL * max(1.0, math.log(evals.size))) * (1.0 - _sum_rounding(evals.size))
     starts = np.concatenate([evals, 0.5 * (evals[1:] + evals[:-1])])
-    eps = np.finfo(float).eps
-    assert all(result.value >= gaussian_sum(evals, alpha, b) * (1.0 - 4.0 * eps) for b in starts)
+    assert all(result.value >= exact_gaussian_sum(evals, alpha, b) * low for b in starts)
     # ln g'' >= -2 alpha, so the grid's best point lies within 1.3e-9 relative
-    ref, _ = dense_grid_max(evals, alpha, points=20_001)
-    assert ref * (1.0 - 4.0 * eps) <= result.value <= ref * (1.0 + 2e-9)
+    _, beta = dense_grid_max(evals, alpha, points=20_001)
+    ref = exact_gaussian_sum(evals, alpha, beta)
+    assert ref * low <= result.value <= ref * (1.0 + 2e-9)
 
 
 def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):

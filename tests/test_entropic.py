@@ -143,6 +143,7 @@ def test_select_constant_in_dimension_one_matches_pairs():
     # floor exists for n = 1: the pairwise matching gives C = 0, and floor 0
     observables = [eigendecompose(np.array([[value]])) for value in (0.5, -1.0, 2.0)]
     selection = select_constant(observables)
+    assert selection.mutually_unbiased is False
     assert [k.source for k in selection.candidates] == [ConstantSource.PAIRWISE_MATCHING]
     assert selection.selected.value == 0.0
     assert optimize_alpha(observables, selection.selected).lower_bound == 0.0

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import math
@@ -10,17 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import document_array
+from reference import document_array, nested_document_array
 from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompose, optimize_alpha,
                     user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
                              qutrit4, singlet)
-from vurkit.io import (_to_array, load_observable, parse_observable, parse_state,
+from vurkit.io import (_to_array, load_observable, load_state, parse_observable, parse_state,
                        serialize_observable, serialize_state)
 from vurkit.oracle import random_hermitian
 
@@ -131,23 +132,83 @@ def _document_arrays(draw):
     return kind, draw(st.lists(_mostly(row, bad_row, odds=8), min_size=n, max_size=n))
 
 
+def _io_array(items, kind):
+    return _to_array(items, kind, kind in ("density", "eigenvectors"), kind != "eigenvalues")
+
+
+def _outcome(convert, items, kind):
+    """A conversion's array as (dtype, shape, bytes), or its refusal message."""
+    try:
+        out = convert(items, kind)
+    except FileFormatError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+_edge_numbers = [[[0, -0.0], [1e308, -1e308]], [[np.float64(0.25), 2**60], (1, np.float64(-0.0))]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_document_arrays())
+@example(("eigenvalues", [0, -0.0, 1e308, np.float64(-2.5), 10**300]))
+@example(("pure", [(0, -0.0), [1e308, np.float64(0.5)]]))
+@example(("density", _edge_numbers))
 def test_document_arrays_convert_as_the_per_entry_reference(doc):
     # valid entries include numpy floats, tuple pairs and big ints; the
-    # reference's first refusal in row order must be io's message too
+    # reference's first refusal in row order must be io's message too, and
+    # the nested np.array conversion io used before must give the same bytes
     kind, items = doc
-    square, pairs = kind in ("density", "eigenvectors"), kind != "eigenvalues"
+    expected = _outcome(document_array, items, kind)
+    assert _outcome(_io_array, items, kind) == expected
+    assert _outcome(nested_document_array, items, kind) == expected
+
+
+_good_rows = '[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]'
+
+
+@pytest.mark.parametrize("text", [
+    _good_rows.replace("0.5, 0]]]", "true, 0]]]"),
+    _good_rows.replace("0.5, 0]]]", '"1.5", 0]]]'),
+    _good_rows.replace("0.5, 0]]]", "null, 0]]]"),
+    _good_rows.replace("0.5, 0]]]", "1e400, 0]]]"),
+    _good_rows.replace("0.5, 0]]]", f"{10**400}, 0]]]"),
+    '[[[0.5, 0], [0, 0]], [[0.5, 0]]]',  # a ragged row
+    _good_rows.replace("[0.5, 0]]]", "[0.5, 0, 0]]]"),  # a 3-entry pair
+    '[[[0.5, 0], [0, 0]], {"re": 0.5}]',  # an object as a row
+])
+def test_refused_document_arrays_name_what_the_nested_reference_names(text):
+    items = json.loads(text)
+    refusal = _outcome(nested_document_array, items, "density")
+    assert isinstance(refusal, str)
+    assert _outcome(_io_array, items, "density") == refusal
+
+
+_loads = {
+    "state": (load_state, serialize_state(singlet()), {"pure": [[True, 0.0]]}, "pure[0]"),
+    "observable": (load_observable, _matrix_doc(PAULI_X), {"matrix": [[[True, 0.0]]]}, "matrix[0][0]"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("good", [True, False])
+@pytest.mark.parametrize("kind", sorted(_loads))
+def test_load_restores_the_collector(tmp_path, kind, good, enabled):
+    # a load pauses the cyclic collector and hands back the caller's setting,
+    # after a refused document too
+    load, doc, bad, label = _loads[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc if good else bad))
+    was = gc.isenabled()
     try:
-        expected = document_array(items, kind)
-    except FileFormatError as exc:
-        with pytest.raises(FileFormatError) as refused:
-            _to_array(items, kind, square, pairs)
-        assert str(refused.value) == str(exc)
-    else:
-        out = _to_array(items, kind, square, pairs)
-        assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
-        assert out.tobytes() == expected.tobytes()
+        gc.enable() if enabled else gc.disable()
+        if good:
+            assert load(path).dim == (4 if kind == "state" else 2)
+        else:
+            with pytest.raises(FileFormatError, match=re.escape(f"{label} must be a number, got True")):
+                load(path)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_parse_spectral_document_checks():
@@ -294,17 +355,35 @@ def test_cli_one_observable_set_has_no_constant(capsys, argv):
     assert captured.err == "error: need at least two observables\n"
 
 
-def test_cli_auto_constant_in_dimension_one(tmp_path, capsys):
+def _one_by_one_files(tmp_path) -> list[str]:
     paths = []
     for name, value in (("one", 0.5), ("two", -1.0), ("three", 2.0)):
         paths.append(str(tmp_path / f"{name}.json"))
         Path(paths[-1]).write_text(json.dumps({"matrix": [[[value, 0.0]]]}))
+    return paths
+
+
+def test_cli_auto_constant_in_dimension_one(tmp_path, capsys):
+    paths = _one_by_one_files(tmp_path)
     assert main(["bound", *paths, "--auto-C", "--optimize", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["constant"]["value"] == 0.0
     assert payload["lower_bound"] == 0.0
     assert main(["entropic", *paths]) == 0
     assert "selected: C = 0.000000000 nats (pairwise_matching" in capsys.readouterr().out
+
+
+def test_cli_entropic_in_dimension_one_reports_no_unbiased_bases(tmp_path, capsys):
+    # every overlap of 1x1 observables is 1 = 1/sqrt(1), but the report must
+    # agree with the selection, which is the pairwise matching
+    paths = _one_by_one_files(tmp_path)
+    assert main(["entropic", *paths]) == 0
+    assert ("mutually unbiased: no\ncandidate: C = 0.000000000 nats (pairwise_matching"
+            in capsys.readouterr().out)
+    assert main(["entropic", *paths, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["mutually_unbiased"] is False
+    assert payload["selected"]["source"] == "pairwise_matching"
 
 
 def test_cli_closed_pipe_exits_quietly():
