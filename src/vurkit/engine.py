@@ -9,11 +9,13 @@ code that sums g, in the log domain so that it cannot underflow, and every
 reported M and raw floor is that kernel's own value at the reported width.
 
 The maxima of g are the modes of a homoscedastic Gaussian mixture, found by
-hill climbing from every eigenvalue and every midpoint of two adjacent
-eigenvalues (Carreira-Perpinan, IEEE TPAMI 22(11), 2000), or from the mean
-alone where alpha L^2 <= 2 (L = a_n - a_1): there (ln g)'' = 2 alpha (2 alpha
-Var_w - 1) <= 0, the Gaussian-weighted variance Var_w being at most L^2 / 4
-(Popoviciu), so g has one maximum.  ``_ascend`` climbs from those starts for
+hill climbing from every eigenvalue, the mixture's centroids, as in
+Carreira-Perpinan's mode search (IEEE TPAMI 22(11), 2000); no proof that they
+reach the highest mode is claimed, but a property test checks them on
+adversarial spectra.  Where alpha L^2 <= 2 (L = a_n - a_1) the climb starts
+at the mean alone: there (ln g)'' = 2 alpha (2 alpha Var_w - 1) <= 0, the
+Gaussian-weighted variance Var_w being at most L^2 / 4 (Popoviciu), so g has
+one maximum.  ``_ascend`` climbs from those starts for
 a whole vector of widths at once: Newton steps where g is concave and their
 mirror images where it is convex, scaled by a trust factor, or mean-shift
 steps where those do not raise g.  Its blocks are eigenvalue-major, one column
@@ -86,28 +88,25 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
 
 
 def _ascend(spectra: np.ndarray, alphas: np.ndarray):
-    """Climb g from every eigenvalue and adjacent midpoint, for every row of the
-    (S, n) stack of ascending spectra and every alpha, or from the row's mean
-    alone where alpha L^2 <= 2 (L its spread): the other columns keep their
-    start, ln g = -inf, 0 iterations and no maximum.
+    """Climb g from every eigenvalue, for every row of the (S, n) stack of
+    ascending spectra and every alpha, or from the row's mean alone where
+    alpha L^2 <= 2 (L its spread): the other columns keep their start,
+    ln g = -inf, 0 iterations and no maximum.
 
-    Returns arrays of shape (S, len(alphas), 2n - 1): the final beta, ln g
-    there, the iterations run, and whether the end point is a maximum
-    (g'' <= 0) rather than a minimum that a symmetric start sat on.  A column
-    whose weights overflow (alpha near the float limit, far from every
-    eigenvalue) ends at once with ln g = -inf; the eigenvalue starts never do.
+    Returns arrays of shape (S, len(alphas), n): the final beta, ln g there,
+    the iterations run, and whether the end point is a maximum (g'' <= 0)
+    rather than a minimum that a symmetric start sat on.
     """
-    starts = np.sort(np.concatenate([spectra, 0.5 * (spectra[:, 1:] + spectra[:, :-1])], axis=1), axis=1)
-    shape = (spectra.shape[0], alphas.size, starts.shape[1])
-    beta = np.repeat(starts[:, None, :], alphas.size, axis=1)
+    shape = (spectra.shape[0], alphas.size, spectra.shape[1])
+    beta = np.repeat(spectra[:, None, :], alphas.size, axis=1)
     log_g = np.full(beta.size, -np.inf)
     concave, iters = np.zeros(beta.size, dtype=bool), np.zeros(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
     block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
     columns = np.ascontiguousarray(spectra.T)
-    # alpha d^2 overflows only far from every eigenvalue at alpha near the
-    # float limit; such columns end as NaN at once.  Where g'' = 0 the model
-    # step is infinite, and the clip to the spectrum's ends takes over
+    # alpha d^2 overflows to a weight of 0 at alpha near the float limit, and a
+    # trial point far from every eigenvalue then sums to NaN and does not rise.
+    # Where g'' = 0 the model step is infinite, and the clip to the ends takes over
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # ln g is concave where alpha L^2 <= 2 (module docstring): one start, at the mean, climbs it
         one = alphas * np.square(spectra[:, -1] - spectra[:, 0])[:, None] <= 2.0
@@ -168,9 +167,8 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
     columns (beta*, M, the ascent iterations of the slowest start, the number
     of distinct maxima (modes) the starts reached), each of shape (S, len(alphas)).
 
-    g has at most n modes and each is reached from an eigenvalue or an
-    adjacent midpoint, so the best end point of the ascent is the global
-    maximum; where alpha L^2 <= 2 it has one, reached from any start.
+    The best end point of the climbs is taken as the global maximum (the
+    module docstring says on what grounds); where alpha L^2 <= 2 it is the one.
     """
     beta, log_g, iters, concave = _ascend(spectra, alphas)
     pick = np.argmax(log_g, axis=2)[..., None]

@@ -33,6 +33,41 @@ def dense_grid_max(eigenvalues, alpha, points=1_000_001, chunk=250_000):
     return best_val, best_beta
 
 
+def _log_gaussian_sums(evals, alpha, betas):
+    """ln sum_k exp(-alpha (a_k - beta)^2) at each beta, the largest term
+    factored out so that a sum of underflowing terms still has its logarithm."""
+    exponents = -alpha * (evals[None, :] - np.asarray(betas, dtype=float)[:, None]) ** 2
+    top = exponents.max(axis=1)
+    return top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
+
+
+def polished_grid_maxima(eigenvalues, alpha, points=20_001, steps=80):
+    """Every local maximum of sum_k exp(-alpha (a_k - beta)^2) over beta in
+    [min eigenvalue, max eigenvalue], ascending in beta: each point of a
+    uniform grid that is above its left neighbour and not below its right one
+    (beyond the interval counts as lower) brackets one between those
+    neighbours, golden-section search on the log of the sum narrows the
+    bracket to a few ulps, and the best of the 9 floats about its middle by
+    ``exact_gaussian_sum`` is the maximum: at a narrow Gaussian width one ulp
+    of beta already moves the sum by more than its rounding.  Returns the
+    centers and their sums."""
+    evals = np.sort(np.asarray(eigenvalues, dtype=float))
+    if evals[0] == evals[-1]:
+        return evals[:1], np.array([float(evals.size)])
+    betas = np.linspace(evals[0], evals[-1], points)
+    log_g = np.concatenate([[-np.inf], _log_gaussian_sums(evals, alpha, betas), [-np.inf]])
+    peaks = np.flatnonzero((log_g[1:-1] > log_g[:-2]) & (log_g[1:-1] >= log_g[2:]))
+    lo, hi = betas[np.maximum(peaks - 1, 0)], betas[np.minimum(peaks + 1, points - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(steps):
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        keep_left = _log_gaussian_sums(evals, alpha, left) >= _log_gaussian_sums(evals, alpha, right)
+        lo, hi = np.where(keep_left, lo, left), np.where(keep_left, right, hi)
+    near = np.clip(0.5 * (lo + hi)[:, None] + np.spacing(hi)[:, None] * np.arange(-4, 5), evals[0], evals[-1])
+    sums = np.array([[exact_gaussian_sum(evals, alpha, float(b)) for b in row] for row in near])
+    return near[np.arange(peaks.size), sums.argmax(axis=1)], sums.max(axis=1)
+
+
 def gaussian_sum(eigenvalues, alpha, beta):
     """sum_k exp(-alpha (a_k - beta)^2) by the direct formula; it underflows
     to 0 once every term does."""

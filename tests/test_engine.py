@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import dense_grid_max, exact_gaussian_sum, gaussian_sum
+from reference import dense_grid_max, exact_gaussian_sum, gaussian_sum, polished_grid_maxima
 from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
                     QuantumState, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, expectation,
@@ -30,6 +30,11 @@ BETA_PAULI_0597 = 0.6514825
 EXAMPLE1_BOUND = 1.724314500148838
 EXAMPLE2_BOUND = 0.908368013453724
 OPTIMIZED_PAULI = 1.7243150136795742       # optimize_alpha(pauli3, 2 ln 2)
+# bound_at_alpha(C = 1) on the default_rng(1) n = 32 GUE triple at alpha h^2 = 1,
+# 30 and 1e3: the raw floor and each operator's mode count, frozen from the
+# kernel that also climbed from every midpoint of two adjacent eigenvalues
+GUE32_PINS = [(1.0, -938.0933652821149, [1, 1, 1]), (30.0, -16.387602618785767, [2, 2, 2]),
+              (1e3, -0.11068698350047328, [22, 19, 24])]
 
 
 def test_gaussian_sum_examples():
@@ -423,7 +428,12 @@ def _sum_rounding(n):
     term, 4 roundings in alpha d^2 (8u absolute), 1 in the shifted exponent
     (2u) and 1 ulp of exp (2u); n - 1 in the row-order sum; 2u for exp(-m) and
     u for the product: (n + 14)u.  The reference's terms 8u + 2u and fsum one
-    rounding: 11u.  u = eps / 2."""
+    rounding: 11u.  u = eps / 2.  A larger exponent x rounds by 4u x, but its
+    term weighs e^(m - x) against the largest, and 4u x e^(m - x) <= 8u for
+    x >= m where m <= 2: at an eigenvalue m = 0, and at a maximum m <= 1/2,
+    since there the curvature 2 alpha <d^2>_w - 1 is not positive.  A
+    midpoint with m > 2 is no maximum: it lies in the dip between two
+    eigenvalues more than 2.8 Gaussian widths apart."""
     return (n + 25) * np.finfo(float).eps / 2
 
 
@@ -452,10 +462,73 @@ def test_inner_max_single_start_where_ln_g_is_concave(eigs, product):
     assert ref * low <= result.value <= ref * (1.0 + 2e-9)
 
 
+# spectra of n = 2-40 eigenvalues: free, clustered about 1-4 centers with a
+# spread of 1e-6 to 1e-1, repeated, geometric, or heavy-tailed (Cauchy-like)
+_adversarial_spectra = st.integers(min_value=2, max_value=40).flatmap(lambda n: st.one_of(
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n),
+    st.builds(lambda centers, spread, picks, offsets: [centers[p % len(centers)] + spread * u
+                                                       for p, u in zip(picks, offsets)],
+              st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4),
+              st.floats(min_value=math.log(1e-6), max_value=math.log(1e-1)).map(math.exp),
+              st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+              st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)),
+    st.builds(lambda pool, picks: [pool[p % len(pool)] for p in picks],
+              st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=3),
+              st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)),
+    st.builds(lambda ratio, sign: [sign * ratio ** k for k in range(n)],
+              st.floats(min_value=1.05, max_value=3.0), st.sampled_from([-1.0, 1.0])),
+    st.lists(st.floats(min_value=-1.55, max_value=1.55).map(math.tan), min_size=n, max_size=n)))
+
+# a shallow mode, 1e-7 above the dip beside it, that no climb from an eigenvalue
+# reaches: the climbs count 5 modes of the grid's 6
+_SHALLOW_MODE = [-2.855990997619432, -2.5564736487148036, -2.0609698896122968, -1.6516703513769546,
+                 -1.1186339198841928, -0.953407346357428, -0.9355868868778172, -0.9338756122538019,
+                 -0.5782010032726626, 0.36757388548804304, 0.712983996589112, 1.4920799583392528,
+                 2.2213096360173266, 2.3792442688501456, 2.8757678917813987, 2.9155202165693517]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adversarial_spectra, st.floats(min_value=math.log(0.1), max_value=math.log(1e5)).map(math.exp))
+@example(_SHALLOW_MODE, 207.36503296062193)
+@example([0.0, 2.0, 3.0, 6.0], 108.0)  # the highest of four modes is climbed from 2.0 alone
+def test_eigenvalue_starts_reach_the_highest_mode(eigs, product):
+    # the climbs start at the eigenvalues alone; M must still be the highest
+    # maximum of a polished dense grid, and above every eigenvalue and midpoint
+    evals = np.sort(np.array(eigs))
+    spread = float(evals[-1] - evals[0])
+    # a spread of a few ulps of the eigenvalues has no grid to resolve it
+    assume(spread > 1e-9 * max(1.0, float(np.max(np.abs(evals)))))
+    alpha = product / (spread * spread)
+    result = inner_max(evals, alpha)
+    # the stop rule and both sums' rounding, as in the single-start property
+    low = math.exp(-VALUE_TOL * max(1.0, math.log(evals.size))) * (1.0 - _sum_rounding(evals.size))
+    starts = np.concatenate([evals, 0.5 * (evals[1:] + evals[:-1])])
+    assert all(result.value >= exact_gaussian_sum(evals, alpha, b) * low for b in starts)
+    centers, values = polished_grid_maxima(evals, alpha)
+    assert values.max() * low <= result.value <= values.max() * (1.0 + 2.0 * _sum_rounding(evals.size))
+    # every maximum the climbs reach is one of the grid's, maxima a thousandth
+    # of the Gaussian width apart counting as one; a shallow mode that no
+    # eigenvalue climbs to can go uncounted
+    width = 1e-3 / math.sqrt(alpha)
+    beta, _, _, concave = engine._ascend(evals[None], np.array([alpha]))
+    assert all(np.min(np.abs(centers - b)) <= width for b in beta[concave])
+    assert 1 <= result.modes <= 1 + np.count_nonzero(np.diff(centers) > width)
+
+
+def test_gue32_floors_and_modes_at_fixed_widths():
+    rng = np.random.default_rng(1)
+    observables = [eigendecompose(random_hermitian(32, rng)) for _ in range(3)]
+    h = 0.5 * max(float(o.eigenvalues[-1] - o.eigenvalues[0]) for o in observables)
+    for product, raw, modes in GUE32_PINS:
+        report = bound_at_alpha(observables, product / (h * h), user_supplied(1.0))
+        assert report.raw_bound == pytest.approx(raw, rel=1e-12)
+        assert [r.modes for r in report.per_operator] == modes
+
+
 def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
-    # optimize_alpha's 200-width grid on one n = 8 GUE triple: 3 x 200 x 15 =
-    # 9000 columns, of which every (spectrum, width) with alpha L^2 <= 2
-    # climbs one
+    # optimize_alpha's 200-width grid on one n = 8 GUE triple: 3 x 200 x 8 =
+    # 4800 columns, one per eigenvalue start, of which every (spectrum, width)
+    # with alpha L^2 <= 2 climbs one
     rng = np.random.default_rng(1)
     observables = [eigendecompose(random_hermitian(8, rng)) for _ in range(3)]
     calls, ascend = [], engine._ascend
@@ -466,14 +539,14 @@ def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     columns, kernel = [], engine._log_gaussian_sum
     monkeypatch.setattr(engine, "_log_gaussian_sum", lambda e, a, b: columns.append(b.size) or kernel(e, a, b))
     iters = ascend(stack, alphas)[2]
-    assert iters.size == 9000
+    assert iters.size == 4800
     climbed = np.count_nonzero(iters)
-    assert climbed == 5150
+    assert climbed == 2875
     # a column that stops after k iterations is summed k times, and its
     # trial step k - 1 times
     assert sum(columns) == 2 * int(iters.sum()) - climbed
     concave = alphas * (stack[:, -1] - stack[:, 0])[:, None] ** 2 <= 2.0
-    np.testing.assert_array_equal(iters[..., 1:] > 0, np.repeat(~concave[..., None], 14, axis=2))
+    np.testing.assert_array_equal(iters[..., 1:] > 0, np.repeat(~concave[..., None], 7, axis=2))
     assert np.all(iters[..., 0] > 0)
 
 
