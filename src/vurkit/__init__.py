@@ -14,23 +14,21 @@ from .entropic import (ConstantSelection, ConstantSource, EntropicConstant,
                        select_constant, user_supplied, wu_full_mub, wu_mub_bound)
 from .errors import (DimensionMismatchError, FileFormatError, InvalidAlphaError,
                      InvalidStateError, NotHermitianError, RegimeError, VurkitError)
-from .lur import LurReport, Verdict, lur_test, sample_random_separable
-from .oracle import (LemmaSweepReport, OracleConfig, OracleResult, lemma_sweep,
-                     minimize_variance_sum, random_hermitian, sample_random_pure)
+from .lur import LurReport, Verdict, lur_test
+from .oracle import (OracleConfig, OracleResult, minimize_variance_sum, random_hermitian,
+                     sample_random_pure)
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "BoundReport", "ConstantSelection", "ConstantSource", "DEFAULT_TOLERANCES",
     "DimensionMismatchError", "EntropicConstant", "FileFormatError", "InnerMaxResult",
-    "InvalidAlphaError", "InvalidStateError", "LemmaSweepReport", "LurReport",
-    "NotHermitianError", "OracleConfig", "OracleResult", "OverlapStats", "QuantumState",
-    "RegimeError", "SpectralObservable", "Tolerances", "Verdict", "VurkitError",
-    "best_entropic_constant", "bound_at_alpha", "continuous_pair_bound",
-    "de_vicente_analytic", "eigendecompose", "expectation", "inner_max", "lemma_sweep",
-    "lur_test", "maassen_uffink", "measurement_distribution", "minimize_variance_sum",
-    "optimize_alpha", "overlap_stats", "random_hermitian", "sample_random_pure",
-    "sample_random_separable", "select_constant", "shannon_entropy",
-    "shannon_variance_bound", "state_dependent_bound", "user_supplied", "variance",
-    "wu_full_mub", "wu_mub_bound",
+    "InvalidAlphaError", "InvalidStateError", "LurReport", "NotHermitianError",
+    "OracleConfig", "OracleResult", "OverlapStats", "QuantumState", "RegimeError",
+    "SpectralObservable", "Tolerances", "Verdict", "VurkitError", "best_entropic_constant",
+    "bound_at_alpha", "continuous_pair_bound", "de_vicente_analytic", "eigendecompose",
+    "expectation", "inner_max", "lur_test", "maassen_uffink", "measurement_distribution",
+    "minimize_variance_sum", "optimize_alpha", "overlap_stats", "random_hermitian",
+    "sample_random_pure", "select_constant", "shannon_entropy", "shannon_variance_bound",
+    "state_dependent_bound", "user_supplied", "variance", "wu_full_mub", "wu_mub_bound",
 ]

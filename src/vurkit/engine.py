@@ -22,7 +22,7 @@ steps where those do not raise g.  Its blocks are eigenvalue-major, one column
 per (spectrum, alpha, start).  ``_floors`` is the one reduction of its end
 points: each spectrum's argmax and mode count, g summed once more there for M
 and the moments of the offsets in units of the Gaussian width, and the raw
-floor.  A floor evaluation is one ``_floors`` call over a set's distinct
+floor with its first two derivatives in ln alpha.  A floor evaluation is one ``_floors`` call over a set's distinct
 spectra: ``bound_at_alpha`` makes one, ``inner_max`` one on a single spectrum,
 and ``optimize_alpha`` one on a log-spaced width grid and one per refinement
 step, reporting the best point evaluated.
@@ -161,11 +161,16 @@ def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
 def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
     """One kernel call over the (S, n) stack of distinct spectra, spectrum k
     counted c_k times.  Returns the raw floor (C - sum_k c_k ln M_k) / alpha at
-    each alpha, M_k = g(beta*) at spectrum k's argmax beta*; the moments nu_j =
-    <u^j>_w, j = 2, 3, 4, of the offsets u = sqrt(alpha) (a - beta*) in units of
-    the Gaussian width, of shape (3, S, len(alphas)); and the per-spectrum
-    columns (beta*, M, the ascent iterations of the slowest start, the number
-    of distinct maxima (modes) the starts reached), each of shape (S, len(alphas)).
+    each alpha, M_k = g(beta*) at spectrum k's argmax beta*; its slope D =
+    d raw / dt in t = ln alpha and D' = dD / dt; and the per-spectrum columns
+    (beta*, M, the ascent iterations of the slowest start, the number of
+    distinct maxima (modes) the starts reached), each of shape (S, len(alphas)).
+
+    D and D' are exact from the moments nu_j = <u^j>_w, j = 2, 3, 4, of the
+    offsets u = sqrt(alpha) (a - beta*) in units of the Gaussian width, which
+    do not scale with the spectra: d ln M / dt = -nu2 (envelope theorem) and
+    d nu2 / dt - nu2 = nu2^2 - nu4 + 2 nu3^2 / (2 nu2 - 1), the last term from
+    beta*'s drift.
 
     The best end point of the climbs is taken as the global maximum (the
     module docstring says on what grounds); where alpha L^2 <= 2 it is the one.
@@ -183,13 +188,17 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
         log_m, d, w, s0, m = _log_gaussian_sum(np.repeat(spectra.T, alphas.size, axis=1), a, beta.ravel())
         u = np.sqrt(a) * d
         w = w * u * u
-        moments = np.stack([_column_sums(x) / s0 for x in (w, w * u, w * u * u)])
+        nu2, nu3, nu4 = np.stack([_column_sums(x) / s0 for x in (w, w * u, w * u * u)]).reshape(
+            (3, *beta.shape))
     # summed in row order, so that a width's floor does not depend on the others;
-    # a floor past the float range is inf, for the caller to refuse
-    with np.errstate(over="ignore"):
+    # a floor past the float range is inf, for the caller to refuse, and so may
+    # be its slopes; 2 nu2 = 1 where modes merge
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         raw = (c - _column_sums(counts[:, None] * log_m.reshape(beta.shape))) / alphas
-    return (raw, moments.reshape((3, *beta.shape)),
-            (beta, (s0 * np.exp(-m)).reshape(beta.shape), iters.max(axis=2), modes))
+        slope = (counts @ nu2) / alphas - raw
+        dnu2 = nu2 * nu2 - nu4 + 2.0 * nu3 * nu3 / (2.0 * nu2 - 1.0)
+        curv = (counts @ dnu2) / alphas - slope
+    return raw, slope, curv, (beta, (s0 * np.exp(-m)).reshape(beta.shape), iters.max(axis=2), modes)
 
 
 @dataclass(frozen=True)
@@ -216,7 +225,7 @@ def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = check_spectrum(eigenvalues)
-    return _inner_results([0], _floors(evals[None], np.ones(1), 0.0, np.array([a]))[2], 0)[0]
+    return _inner_results([0], _floors(evals[None], np.ones(1), 0.0, np.array([a]))[3], 0)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -271,27 +280,10 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     """
     a = _check_alpha(alpha)
     stack, rows = _spectra(list(observables))
-    raw, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
+    raw, _, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
     if not math.isfinite(raw[0]):
         raise InvalidAlphaError(f"alpha {alpha!r} is too small: the floor runs past the float range")
     return _report(rows, a, constant, raw, columns, 0)
-
-
-def _floor_slopes(spectra: np.ndarray, counts: np.ndarray, c: float, logs: np.ndarray, found=None):
-    """Raw floor (C - sum_k c_k ln M_k) / alpha at each t = ln alpha in ``logs``
-    (spectrum k counted c_k times), its slope D = d raw / dt and D' = dD / dt,
-    exact from the width-unit moments nu_j at each argmax, which do not scale
-    with the spectra: d ln M / dt = -nu2 (envelope theorem) and d nu2 / dt - nu2
-    = nu2^2 - nu4 + 2 nu3^2 / (2 nu2 - 1), the last term from beta*'s drift.
-    Appends (logs, raw, alphas, argmax, M, iterations, modes) to ``found`` if given."""
-    alphas = np.exp(logs)
-    raw, (nu2, nu3, nu4), columns = _floors(spectra, counts, c, alphas)
-    if found is not None:
-        found.append((logs, raw, alphas, *columns))
-    slope = (counts @ nu2) / alphas - raw
-    with np.errstate(divide="ignore", invalid="ignore"):  # 2 nu2 = 1 where modes merge
-        dnu2 = nu2 * nu2 - nu4 + 2.0 * nu3 * nu3 / (2.0 * nu2 - 1.0)
-    return raw, slope, (counts @ dnu2) / alphas - slope
 
 
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
@@ -314,10 +306,18 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
     logs = np.linspace(lo, hi, GRID_POINTS)
     step = logs[1] - logs[0]
-    found = []
-    vals, slopes, curvs = _floor_slopes(stack, counts, constant.value, logs, found)
+    found = []  # (logs, raw, alphas, *columns) of every evaluation
+
+    def evaluate(logs):
+        alphas = np.exp(logs)
+        raw, slope, curv, columns = _floors(stack, counts, constant.value, alphas)
+        found.append((logs, raw, alphas, *columns))
+        return raw, slope, curv
+
+    vals, slopes, curvs = evaluate(logs)
     padded = np.concatenate([[-np.inf], vals, [-np.inf]])
-    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
+    # a run of equal values is one peak, refined from its first point
+    peaks = np.flatnonzero((vals > padded[:-2]) & (vals >= padded[2:]))
     t, slope, curv = logs[peaks], slopes[peaks], curvs[peaks]
     # each peak's maximum lies between it and the grid neighbour its slope
     # points to; both bracket ends keep their t, value, D and D'
@@ -345,7 +345,7 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
             break
         k = np.flatnonzero(live)
         t[k] = np.where(use, newton, np.where(cut, np.where(last, meet, aim), 0.5 * (left + right)))[k]
-        v, slope[k], curv[k] = _floor_slopes(stack, counts, constant.value, t[k], found)
+        v, slope[k], curv[k] = evaluate(t[k])
         side = (slope[k] <= 0.0).astype(int)  # t becomes the left end where the floor still rises
         end[:, side, k] = t[k], v, slope[k], curv[k]
         live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0) & ~last[k]

@@ -5,7 +5,8 @@ where U_A and U_B are state-independent floors on the local variance sums.
 Violation certifies entanglement; non-violation proves nothing (the criterion
 is sufficient only).  The pair sum "A_i + B_i" is read as the joint operator
 A_i (x) I + I (x) B_i, the only interpretation that typechecks across
-subsystems.
+subsystems.  The floors are the caller's: this module computes the pair
+variances and the margin from a given state, U_A and U_B.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .core import QuantumState, common_dim
 from .errors import DimensionMismatchError
-from .oracle import sample_random_pure
-
-MAX_SEPARABLE_TERMS = 8  # product states in one sample_random_separable mixture
 
 
 class Verdict(str, Enum):
@@ -75,17 +73,3 @@ def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
     verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED
     return LurReport(lhs=lhs, pair_variances=pair_variances, u_a=float(u_a), u_b=float(u_b),
                      margin=margin, verdict=verdict)
-
-
-def sample_random_separable(dim_a: int, dim_b: int, rng: np.random.Generator) -> QuantumState:
-    """Random convex mixture of 1 to ``MAX_SEPARABLE_TERMS`` Haar product
-    states with Dirichlet weights; covers the interior of the separable set."""
-    terms = int(rng.integers(1, MAX_SEPARABLE_TERMS + 1))
-    weights = rng.dirichlet(np.ones(terms))
-    dim = dim_a * dim_b
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        v = np.kron(sample_random_pure(dim_a, rng).vector, sample_random_pure(dim_b, rng).vector)
-        rho += w * np.outer(v, v.conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    return QuantumState.density(rho)

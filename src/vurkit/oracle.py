@@ -1,31 +1,26 @@
-"""Brute-force ground truth: minimize variance sums over pure states, and
-randomized sweeps that back the property suites.
+"""Brute-force ground truth: minimize variance sums over pure states; and the
+two random ensembles random cases are drawn from, Haar pure states and
+Gaussian-ensemble Hermitian matrices.
 
-All sampling goes through per-task seed streams derived from one root seed,
-so a seed fixes every start point and every result.
+The restarts draw their start points from per-restart seed streams derived
+from one root seed, so a seed fixes every start point and every result.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import (QuantumState, SpectralObservable, check_integer, common_dim, eigendecompose,
-                   measurement_distribution, phase_fix_columns, shannon_entropy)
-from .engine import state_dependent_bound
-from .entropic import user_supplied
+from .core import QuantumState, check_integer, common_dim, phase_fix_columns
 
 _ARMIJO = 0.25  # share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
-# lemma_sweep counts a floor above the variance by more than this as a violation
-VIOLATION_TOL = 1e-9
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
 
 
@@ -202,49 +197,3 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
         argmin_restart=best,
         gradient_norms=tuple(np.linalg.norm(_evaluate(*forms, _real(x), order=1)[1], axis=1).tolist()),
         argmin_state=QuantumState.pure(phase_fix_columns(x[best][:, None])[:, 0]))
-
-
-@dataclass(frozen=True)
-class LemmaSweepReport:
-    """Worst case seen while stress-testing the single-operator entropy-variance
-    floor on random (state, observable, alpha) triples."""
-
-    samples: int
-    dims: tuple[int, ...]
-    max_violation: float
-    violations: int
-    worst_alpha: float
-    worst_observable: SpectralObservable
-    worst_state: QuantumState
-
-
-def lemma_sweep(n_samples: int, dims=(2, 3, 4, 5), seed: int = 0) -> LemmaSweepReport:
-    """Evaluate V >= (H - ln g(mean)) / alpha, g the Gaussian sum, on random
-    triples; returns the maximum violation (positive = floor exceeded variance)
-    and the worst triple for regression pinning."""
-    check_integer("n_samples", n_samples, 1)
-    check_integer("seed", seed, 0)
-    dims = tuple(check_integer("dims entry", d, 1) for d in dims)
-    if not dims:
-        raise ValueError("need at least one dimension in dims, got ()")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    max_violation, violations, worst = -math.inf, 0, None
-    for i in range(n_samples):
-        n = dims[i % len(dims)]
-        obs = eigendecompose(random_hermitian(n, rng))
-        state = sample_random_pure(n, rng)
-        alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-        p = measurement_distribution(obs, state)
-        mu = float(p @ obs.eigenvalues)
-        v = float(p @ (obs.eigenvalues - mu) ** 2)
-        floor = state_dependent_bound([obs], state, alpha, user_supplied(shannon_entropy(p)))
-        violation = floor - v
-        if violation > VIOLATION_TOL:
-            violations += 1
-        if violation > max_violation:
-            max_violation = violation
-            worst = (alpha, obs, state)
-    worst_alpha, worst_obs, worst_state = worst
-    return LemmaSweepReport(samples=n_samples, dims=dims, max_violation=max_violation,
-                            violations=violations, worst_alpha=worst_alpha,
-                            worst_observable=worst_obs, worst_state=worst_state)

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from reference import dense_grid_max
+from sampling import lemma_sweep, sample_random_separable
 from vurkit import (OracleConfig, Verdict, bound_at_alpha, continuous_pair_bound,
-                    eigendecompose, inner_max, lemma_sweep, lur_test, maassen_uffink,
+                    eigendecompose, inner_max, lur_test, maassen_uffink,
                     minimize_variance_sum, optimize_alpha, overlap_stats,
-                    sample_random_separable, shannon_variance_bound,
-                    state_dependent_bound, wu_full_mub, wu_mub_bound)
+                    shannon_variance_bound, state_dependent_bound, wu_full_mub, wu_mub_bound)
 from vurkit.fixtures import ket00, maximally_mixed, pauli3, pauli_pairs, qutrit4, singlet
 from vurkit.oracle import random_hermitian, sample_random_pure
 
@@ -88,10 +88,10 @@ def test_criterion_06_entropic_constants():
 
 
 def test_criterion_07_lemma_sweep():
-    report = lemma_sweep(10_000, dims=(2, 3, 4, 5), seed=20260810)
-    ok = report.violations == 0 and report.max_violation <= 1e-9
-    _report(7, ok, f"10^4 triples, max violation {report.max_violation:.3e}, "
-                   f"{report.violations} beyond tolerance")
+    max_violation, violations = lemma_sweep(10_000, dims=(2, 3, 4, 5), seed=20260810)
+    ok = violations == 0 and max_violation <= 1e-9
+    _report(7, ok, f"10^4 triples, max violation {max_violation:.3e}, "
+                   f"{violations} beyond tolerance")
 
 
 def test_criterion_08_chain_monotonicity():

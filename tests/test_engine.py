@@ -15,7 +15,7 @@ from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError
                     shannon_variance_bound, state_dependent_bound, user_supplied, variance,
                     wu_full_mub)
 from vurkit import engine
-from vurkit.engine import ALPHA_RANGE, GRID_POINTS, VALUE_TOL, _floor_slopes
+from vurkit.engine import ALPHA_RANGE, GRID_POINTS, VALUE_TOL, _floors
 from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
@@ -237,6 +237,17 @@ def test_optimize_alpha_single_observable_zero_constant():
     assert report.lower_bound == 0.0
 
 
+def test_optimize_alpha_refines_a_flat_run_once(monkeypatch):
+    # sigma-z's floor at C = 0 is -ln(1 + e^(-4 alpha)) / alpha, exactly 0 on the
+    # grid's last 68 widths, where 1 + e^(-4 alpha) rounds to 1: one peak, at
+    # the run's first point
+    widths, ascend = [], engine._ascend
+    monkeypatch.setattr(engine, "_ascend", lambda s, a: widths.append(a.size) or ascend(s, a))
+    report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(0.0))
+    assert widths[:2] == [GRID_POINTS, 1]
+    assert report.refine_steps <= 23
+
+
 def test_optimize_alpha_reports_range_edge():
     assert not optimize_alpha(pauli3(), wu_full_mub(2)).at_range_edge
     assert not bound_at_alpha(pauli3(), 0.597, wu_full_mub(2)).at_range_edge
@@ -299,10 +310,10 @@ def test_floor_slopes_match_central_differences(spectra):
     stack = np.array(spectra)
     counts = np.ones(len(spectra))
     logs = np.log([0.3, 0.597, 1.7, 4.0, 11.0])
-    raw, slope, curv = _floor_slopes(stack, counts, 1.2, logs)
+    raw, slope, curv, _ = _floors(stack, counts, 1.2, np.exp(logs))
 
     def central(h):
-        up, down = (_floor_slopes(stack, counts, 1.2, logs + s) for s in (h, -h))
+        up, down = (_floors(stack, counts, 1.2, np.exp(logs + s)) for s in (h, -h))
         return (up[0] - down[0]) / (2 * h), (up[1] - down[1]) / (2 * h)
 
     # Richardson-extrapolated, with steps large enough that the argmax's
@@ -319,7 +330,7 @@ def _dense_scan_gain(observables, constant, report):
     stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     logs = np.linspace(*(math.log(r / (h * h)) for r in ALPHA_RANGE), 20 * GRID_POINTS)
-    best = float(np.max(_floor_slopes(stack, counts, constant.value, logs)[0]))
+    best = float(np.max(_floors(stack, counts, constant.value, np.exp(logs))[0]))
     terms = abs(constant.value) + sum(math.log(r.value) for r in report.per_operator)
     return (best - report.raw_bound) / (abs(report.raw_bound) + terms / report.alpha)
 
@@ -371,8 +382,8 @@ def test_optimize_alpha_at_a_mode_switch():
     constant = user_supplied(0.85)
     report = optimize_alpha(obs, constant)
     t = math.log(report.alpha)
-    _, slope, _ = _floor_slopes(np.array([obs[0].eigenvalues]), np.ones(1), 0.85,
-                                np.array([t - 1e-6, t + 1e-6]))
+    _, slope, _, _ = _floors(np.array([obs[0].eigenvalues]), np.ones(1), 0.85,
+                             np.exp([t - 1e-6, t + 1e-6]))
     assert slope[0] > 1e-3 * report.raw_bound and slope[1] < -1e-3 * report.raw_bound
     assert _dense_scan_gain(obs, constant, report) <= 1e-12
     # nothing within a few bracket widths of the optimum is higher either

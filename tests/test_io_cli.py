@@ -699,7 +699,7 @@ def test_scripts_exit_zero():
     # are errors here, as in pytest's filterwarnings
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     for argv in (["alpha_landscape.py", "pauli3"], ["alpha_landscape.py", "qutrit4"],
-                 ["alpha_landscape.py", "sigma-x", "sigma-z"], ["lemma_stress.py", "--samples", "1000"]):
+                 ["alpha_landscape.py", "sigma-x", "sigma-z"]):
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(scripts / argv[0]), *argv[1:]],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -715,6 +715,16 @@ def test_benchmark_traced_layers_resolve():
     for name in layers:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"vurkit.{module}"), function, None)), name
+
+
+@pytest.mark.parametrize("module, allowed", [("oracle", {"config", "core"}),
+                                             ("lur", {"config", "core", "errors"})])
+def test_library_layers_import_only_below(module, allowed):
+    # the oracle and the separability test stand on the core alone: the
+    # engine's floors reach lur through its caller
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "vurkit" / f"{module}.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported <= allowed, imported - allowed
 
 
 def _tolerance_cases(tmp_path):

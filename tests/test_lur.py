@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import moment_variance
+from sampling import sample_random_separable
 from vurkit import (DimensionMismatchError, QuantumState, Verdict, eigendecompose,
-                    lur_test, optimize_alpha, sample_random_separable, wu_full_mub)
+                    lur_test, optimize_alpha, wu_full_mub)
 from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
 from vurkit.oracle import random_hermitian, sample_random_pure
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import gaussian_sum, scalar_descent, variance_sum
+from sampling import lemma_sweep
 from vurkit import (DEFAULT_TOLERANCES, OracleConfig, QuantumState, eigendecompose, expectation,
-                    lemma_sweep, measurement_distribution, minimize_variance_sum,
+                    measurement_distribution, minimize_variance_sum,
                     sample_random_pure, shannon_entropy, variance)
 from vurkit.fixtures import PAULI_Z, pauli3, qutrit4
 from vurkit.oracle import (STOP_REASONS, ambient_variance_sum,
@@ -248,17 +249,19 @@ def test_gradient_norms_follow_restart_order():
 
 
 def test_lemma_sweep_no_violations():
-    report = lemma_sweep(2000, dims=(2, 3, 4, 5), seed=8)
-    assert report.samples == 2000
-    assert report.max_violation <= 1e-9
-    assert report.violations == 0
-    # the recorded worst triple re-evaluates to its reported slack
-    obs, state, alpha = report.worst_observable, report.worst_state, report.worst_alpha
+    max_violation, violations = lemma_sweep(2000, dims=(2, 3, 4, 5), seed=8)
+    assert max_violation <= 1e-9
+    assert violations == 0
+    # a one-triple sweep reports the slack of the direct formula on the triple its seed draws
+    rng = np.random.default_rng(np.random.SeedSequence(8))
+    obs = eigendecompose(random_hermitian(2, rng))
+    state = sample_random_pure(2, rng)
+    alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
     p = measurement_distribution(obs, state)
     mu = float(p @ obs.eigenvalues)
     v = float(p @ (obs.eigenvalues - mu) ** 2)
     floor = (shannon_entropy(p) - math.log(gaussian_sum(obs.eigenvalues, alpha, mu))) / alpha
-    assert floor - v == pytest.approx(report.max_violation, abs=1e-12)
+    assert floor - v == pytest.approx(lemma_sweep(1, dims=(2,), seed=8)[0], abs=1e-12)
 
 
 def test_lemma_tiny_alpha_is_trivially_satisfied():
@@ -329,5 +332,5 @@ def test_lemma_sweep_refuses_bad_arguments_by_name(kwargs, name):
 
 def test_lemma_sweep_accepts_dimension_one():
     # a 1x1 observable has zero variance and floor (H - ln 1) / alpha = 0
-    report = lemma_sweep(3, dims=(1,), seed=0)
-    assert report.dims == (1,) and report.violations == 0
+    max_violation, violations = lemma_sweep(3, dims=(1,), seed=0)
+    assert violations == 0 and max_violation == pytest.approx(0.0, abs=1e-12)
