@@ -49,8 +49,9 @@ def main() -> int:
     print()
 
     best = optimize_alpha(obs, constant)
-    print(f"optimized: floor {best.lower_bound:.9f} at alpha {best.alpha:.6f} "
-          f"({best.refine_steps} refine steps)")
+    print(f"optimized: floor {best.lower_bound:.9f} at alpha {best.alpha:.6f}, "
+          f"{best.refine_steps + 1} kernel calls")
+    print(f"alpha bracket = {list(best.bracket) if best.bracket else 'none: floor 0 at every alpha'}")
     oracle = minimize_variance_sum(obs, OracleConfig(restarts=args.restarts, seed=args.seed))
     print(f"brute-force minimum over pure states: {oracle.minimum:.9f} "
           f"({oracle.restarts_agreeing}/{args.restarts} restarts agree)")

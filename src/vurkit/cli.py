@@ -92,8 +92,8 @@ def cmd_bound(args, tol: Tolerances):
               else engine.bound_at_alpha(observables, args.alpha, constant))
     lines = [_constant_line(constant), f"alpha = {report.alpha!r}"]
     if args.optimize:
-        lines.append(f"alpha at search-range edge: {'yes' if report.at_range_edge else 'no'}")
-        lines.append(f"refine steps after the grid: {report.refine_steps}")
+        lines.append(f"alpha bracket = {list(report.bracket) if report.bracket else 'none: floor 0 at every alpha'}")
+        lines.append(f"kernel calls after the first: {report.refine_steps}")
     for k, r in enumerate(report.per_operator, start=1):
         lines.append(f"operator {k}: beta* = {r.beta_star:.9f}, M = {r.value:.9f}, "
                      f"{r.modes} mode(s), {r.iterations} iteration(s)")

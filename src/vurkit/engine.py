@@ -22,15 +22,21 @@ steps where those do not raise g.  Its blocks are eigenvalue-major, one column
 per (spectrum, alpha, start).  ``_floors`` is the one reduction of its end
 points: each spectrum's argmax and mode count, g summed once more there for M
 and the moments of the offsets in units of the Gaussian width, and the raw
-floor with its first two derivatives in ln alpha.  A floor evaluation is one ``_floors`` call over a set's distinct
-spectra: ``bound_at_alpha`` makes one, ``inner_max`` one on a single spectrum,
-and ``optimize_alpha`` one on a log-spaced width grid and one per refinement
-step, reporting the best point evaluated.
+floor with its first two derivatives in ln alpha.  A floor evaluation is
+one ``_floors`` call over a set's distinct spectra: ``bound_at_alpha`` makes
+one, ``inner_max`` one on a single spectrum, and ``optimize_alpha`` one per
+step of its search, reporting the best point evaluated.
 
-alpha only has meaning relative to the spread of the spectra: the floor of
-s A is s^2 times the floor of A, at alpha / s^2.  So the width search range
-is fixed relative to h, the largest half-spread of the observables' spectra:
-alpha h^2 runs over ``ALPHA_RANGE``.
+The floor has one peak in ln alpha: ln g is a log-sum-exp of functions affine
+in alpha, so ln M, its maximum over centers, is convex in alpha, F = C -
+sum_k ln M_k is concave, and F / alpha is quasi-concave (Boyd and
+Vandenberghe, Convex Optimization, 2004, sections 3.1.5 and 3.2.3).  Its ends
+are known: M_k <= n, so C >= sum_k ln n is false and the floor grows without
+bound as alpha -> 0; M_k >= m_k e^(-alpha delta^2), m_k the most eigenvalues
+within 2 delta of one another, so C <= sum_k ln m_k leaves a floor of at most
+sum_k delta^2.  The floor of s A is s^2 times that of A, at alpha / s^2, so
+``optimize_alpha`` searches t = ln(alpha h^2), h the largest half-spread of
+the spectra, where its steps do not depend on the scale.
 """
 
 from __future__ import annotations
@@ -42,13 +48,9 @@ import numpy as np
 
 from .core import QuantumState, check_spectrum, common_dim, expectation
 from .entropic import EntropicConstant
-from .errors import InvalidAlphaError
+from .errors import InvalidAlphaError, RegimeError
 
-# alpha h^2 range searched by optimize_alpha, and the log-spaced grid on it
-ALPHA_RANGE = (1e-3, 1e3)
-GRID_POINTS = 200
-# optimize_alpha refines each grid peak until its bracket, or a Newton or
-# corner step, is this short in ln alpha
+# optimize_alpha refines until a Newton step, or the bracket, is this short in ln alpha
 LOG_ALPHA_TOL = 1e-8
 # eigenvalues x columns per ascent block: bounds the scratch arrays' memory
 BLOCK_ELEMENTS = 1 << 15
@@ -247,10 +249,10 @@ def state_dependent_bound(observables, state: QuantumState, alpha: float,
 class BoundReport:
     """Everything a variance-floor evaluation produced at one alpha.
 
-    ``at_range_edge`` is set by ``optimize_alpha`` when the optimum lies
-    within one grid step of either end of its search range, where the true
-    optimum may lie outside it; ``refine_steps`` counts its kernel calls
-    after the grid.
+    ``optimize_alpha`` sets ``bracket``, the final (alpha_lo, alpha_hi) on
+    which the slope of the floor in ln alpha changes sign from >= 0 to < 0,
+    or None where C <= sum_k ln m_k certifies a floor of 0 at every alpha; and
+    ``refine_steps``, its kernel calls after the first.
     """
 
     alpha: float
@@ -259,7 +261,7 @@ class BoundReport:
     raw_bound: float
     lower_bound: float
     clamped: bool
-    at_range_edge: bool = False
+    bracket: tuple[float, float] | None = None
     refine_steps: int = 0
 
 
@@ -287,72 +289,68 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
 
 
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
-    """Best variance-sum floor over the width parameter.
+    """Best variance-sum floor over the width parameter (module docstring).
 
-    Scans alpha h^2 over ``ALPHA_RANGE`` on a log grid (h the largest
-    half-spread of the spectra, 1 if all are degenerate), then refines every
-    grid-local maximum to ``LOG_ALPHA_TOL`` in ln alpha: by Newton steps on
-    the exact slope, else (at a corner, where the argmax switches modes) by
-    steps to where the bracket ends' quadratic models meet, else by bisection.
-    All distinct spectra share one kernel call per step, and the report is
-    the best point evaluated.
+    C >= sum_k ln n raises ``RegimeError``.  C <= sum_k ln m_k, with delta =
+    1e-8 h (h the largest half-spread, 1 if all spectra are degenerate), gets
+    floor 0 from one kernel call at t = 0, and no bracket.  Otherwise 17 widths
+    over alpha h^2 in [1e-2, 1e2], and 16 more past an end while the best is
+    there, find the peak's neighbours.  Newton steps on the exact slope D
+    inside the bracket where D changes sign, else bisections, close in until a
+    step or the bracket is ``LOG_ALPHA_TOL`` short; a bracket so closed, as
+    where the argmax switches modes, gets one evaluation where its ends'
+    tangent lines meet.  The report is the best point evaluated.
     """
     stack, rows = _spectra(list(observables))
     counts = np.bincount(rows)
+    c = constant.value
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
-    if h * h == 0.0 or not math.isfinite(h * h) or not math.isfinite(ALPHA_RANGE[1] / (h * h)):
-        raise ValueError(f"half-spread {h!r} is too {'large' if h > 1.0 else 'small'}: "
-                         "the alpha range runs past the float range")
-    lo, hi = (math.log(r / (h * h)) for r in ALPHA_RANGE)
-    logs = np.linspace(lo, hi, GRID_POINTS)
-    step = logs[1] - logs[0]
-    found = []  # (logs, raw, alphas, *columns) of every evaluation
+    found = []  # (raw, alphas, *columns) of every evaluation
 
-    def evaluate(logs):
-        alphas = np.exp(logs)
-        raw, slope, curv, columns = _floors(stack, counts, constant.value, alphas)
-        found.append((logs, raw, alphas, *columns))
-        return raw, slope, curv
+    def evaluate(t):
+        """The rows t, raw, D, D' and alpha at each t = ln(alpha h^2)."""
+        with np.errstate(over="ignore", divide="ignore"):
+            alphas = np.exp(t) / (h * h)
+        if not np.all((alphas > 0.0) & (alphas < np.inf)):
+            raise ValueError(f"half-spread {h!r} is too {'large' if h > 1.0 else 'small'}: "
+                             "the alpha search runs past the float range")
+        raw, slope, curv, columns = _floors(stack, counts, c, alphas)
+        found.append((raw, alphas, *columns))
+        return np.stack([t, raw, slope, curv, alphas])
 
-    vals, slopes, curvs = evaluate(logs)
-    padded = np.concatenate([[-np.inf], vals, [-np.inf]])
-    # a run of equal values is one peak, refined from its first point
-    peaks = np.flatnonzero((vals > padded[:-2]) & (vals >= padded[2:]))
-    t, slope, curv = logs[peaks], slopes[peaks], curvs[peaks]
-    # each peak's maximum lies between it and the grid neighbour its slope
-    # points to; both bracket ends keep their t, value, D and D'
-    ends = np.stack([np.where(slope > 0.0, peaks, np.maximum(peaks - 1, 0)),
-                     np.where(slope < 0.0, peaks, np.minimum(peaks + 1, GRID_POINTS - 1))])
-    end = np.stack([logs, vals, slopes, curvs])[:, ends]
-    (left, right), (vl, vr), (dl, dr), (cl, cr) = end
-    live = (right - left > LOG_ALPHA_TOL) & (slope != 0.0)
+    def report(bracket):
+        raw, alphas, *columns = (np.concatenate(x, axis=-1) for x in zip(*found))
+        best = int(np.argmax(raw))
+        return _report(rows, float(alphas[best]), constant, raw, columns, best,
+                       bracket=bracket, refine_steps=len(found) - 1)
+
+    # m_k: the most eigenvalues of spectrum k within 2 delta = 2e-8 h of one another
+    near = [(np.searchsorted(r, r + 2e-8 * h, side="right") - np.arange(r.size)).max() for r in stack]
+    if c <= counts @ np.log(near):
+        evaluate(np.zeros(1))
+        return report(None)
+    if c >= (top := float(counts.sum() * math.log(stack.shape[1]))):
+        raise RegimeError(f"entropy constant {c!r} is not below sum_k ln n = {top!r}: the floor grows without bound")
+    step = math.log(1e4) / 16
+    grid = evaluate(np.linspace(math.log(1e-2), math.log(1e2), 17))
+    while (i := int(np.argmax(grid[1]))) in (0, grid.shape[1] - 1):
+        more = evaluate(grid[0, i] + (step if i else -step) * np.arange(1, 17))  # the peak lies past the end
+        grid = np.hstack([more[:, ::-1], grid] if i == 0 else [grid, more])
+    lo, point, hi = grid[:, i - 1:i + 2].T
     while True:
-        newton = t - slope / np.where((curv < 0.0) & (curv > -np.inf), curv, np.nan)
-        use = (newton > left) & (newton < right)
-        # at a corner (the argmax switches modes) the ends' quadratic models meet; aim
-        # past that, toward the end not evaluated last, by as far as it is uncertain
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tangent = (vr - vl + dl * left - dr * right) / (dl - dr)
-            ql, qr = cl * (tangent - left) ** 2, cr * (tangent - right) ** 2
-            meet = tangent + (qr - ql) / (2.0 * (dl - dr))
-            aim = meet + np.where(t == left, 1.0, -1.0) * (np.abs(ql) + np.abs(qr)) / (2.0 * (dl - dr))
-        cut = ~use & (np.minimum(meet, aim) > left) & (np.maximum(meet, aim) < right)
-        # a short Newton step has converged; a short corner step goes to the meeting
-        # point and is the peak's last; a bisection step never counts
-        last = cut & (np.abs(aim - t) <= LOG_ALPHA_TOL)
-        live &= ~(np.abs(newton - t) <= LOG_ALPHA_TOL)
-        if not live.any():
+        t, _, d, curv, _ = point
+        lo, hi = (point, hi) if d >= 0.0 else (lo, point)  # a NaN slope counts as falling
+        newton = t - d / curv if -np.inf < curv < 0.0 else np.nan
+        inside = lo[0] < newton < hi[0]
+        if inside and abs(newton - t) <= LOG_ALPHA_TOL:
             break
-        k = np.flatnonzero(live)
-        t[k] = np.where(use, newton, np.where(cut, np.where(last, meet, aim), 0.5 * (left + right)))[k]
-        v, slope[k], curv[k] = evaluate(t[k])
-        side = (slope[k] <= 0.0).astype(int)  # t becomes the left end where the floor still rises
-        end[:, side, k] = t[k], v, slope[k], curv[k]
-        live[k] = (right[k] - left[k] > LOG_ALPHA_TOL) & (slope[k] != 0.0) & ~last[k]
-    t, raw, alphas, *columns = (np.concatenate(x, axis=-1) for x in zip(*found))
-    best = int(np.argmax(raw))
-    return _report(rows, float(alphas[best]), constant, raw, columns, best,
-                   at_range_edge=bool(t[best] - lo <= step or hi - t[best] <= step), refine_steps=len(found) - 1)
+        if hi[0] - lo[0] <= LOG_ALPHA_TOL:  # as at a mode switch, where D jumps from + to -
+            (tl, vl, dl), (tr, vr, dr) = lo[:3], hi[:3]
+            if dl > dr and tl < (meet := (vr - vl + dl * tl - dr * tr) / (dl - dr)) < tr:
+                evaluate(np.array([meet]))
+            break
+        point = evaluate(np.array([newton if inside else 0.5 * (lo[0] + hi[0])]))[:, 0]
+    return report((float(lo[4]), float(hi[4])))
 
 
 def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -> tuple[float, float]:

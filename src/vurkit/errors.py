@@ -37,4 +37,4 @@ class InvalidAlphaError(VurkitError):
 
 
 class RegimeError(VurkitError):
-    """Input outside the validity region of an analytic bound."""
+    """Input outside an analytic bound's validity region, or an entropy constant no state reaches."""

@@ -192,7 +192,7 @@ def payload(value) -> Any:
     state its ``serialize_state`` document and an enum its value."""
     if isinstance(value, Enum):  # before str: ConstantSource and Verdict subclass it
         return value.value
-    if isinstance(value, (str, int, float)):
+    if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, QuantumState):
         return serialize_state(value)

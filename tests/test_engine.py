@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from reference import dense_grid_max, exact_gaussian_sum, gaussian_sum, polished_grid_maxima
 from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError,
-                    QuantumState, SpectralObservable, best_entropic_constant,
+                    QuantumState, RegimeError, SpectralObservable, best_entropic_constant,
                     bound_at_alpha, continuous_pair_bound, eigendecompose, expectation,
                     inner_max, lur_test, maassen_uffink, measurement_distribution,
                     optimize_alpha, overlap_stats, select_constant, shannon_entropy,
                     shannon_variance_bound, state_dependent_bound, user_supplied, variance,
                     wu_full_mub)
 from vurkit import engine
-from vurkit.engine import ALPHA_RANGE, GRID_POINTS, VALUE_TOL, _floors
+from vurkit.engine import VALUE_TOL, _floors
 from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
                            sample_random_pure)
@@ -237,24 +237,54 @@ def test_optimize_alpha_single_observable_zero_constant():
     assert report.lower_bound == 0.0
 
 
-def test_optimize_alpha_refines_a_flat_run_once(monkeypatch):
-    # sigma-z's floor at C = 0 is -ln(1 + e^(-4 alpha)) / alpha, exactly 0 on the
-    # grid's last 68 widths, where 1 + e^(-4 alpha) rounds to 1: one peak, at
-    # the run's first point
+def test_optimize_alpha_certifies_a_zero_floor(monkeypatch):
+    # sigma-z's floor at C = 0 is -ln(1 + e^(-4 alpha)) / alpha < 0, rising to 0
+    # as alpha -> infinity: C <= ln m = 0 certifies it after one kernel call
     widths, ascend = [], engine._ascend
     monkeypatch.setattr(engine, "_ascend", lambda s, a: widths.append(a.size) or ascend(s, a))
     report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(0.0))
-    assert widths[:2] == [GRID_POINTS, 1]
-    assert report.refine_steps <= 23
+    assert widths == [1]
+    assert report.alpha == 1.0 and report.lower_bound == 0.0 and report.clamped
+    assert report.bracket is None and report.refine_steps == 0
+    # two eigenvalues 1e-200 apart count as a double one: ln 2 > C = 0.5 leaves a
+    # floor of at most 1e-16 h^2, where the peak lies past alpha ~ 1e400
+    report = optimize_alpha([SpectralObservable(np.array([0.0, 1e-200, 1.0]), np.eye(3))], user_supplied(0.5))
+    assert report.lower_bound == 0.0 and report.bracket is None and report.refine_steps == 0
 
 
-def test_optimize_alpha_reports_range_edge():
-    assert not optimize_alpha(pauli3(), wu_full_mub(2)).at_range_edge
-    assert not bound_at_alpha(pauli3(), 0.597, wu_full_mub(2)).at_range_edge
-    # one observable with C > 0: the floor grows without bound as alpha -> 0
-    report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(1.0))
-    assert report.at_range_edge
-    assert report.alpha == pytest.approx(1e-3, rel=1e-9)
+def test_optimize_alpha_certifies_gell_mann_d4():
+    # the 15 generalized Gell-Mann matrices of d = 4, from their formula: 14
+    # spectra with a double eigenvalue, one with a triple, so sum_k ln m_k =
+    # 14 ln 2 + ln 3 = 10.80 lies above any entropy constant the set gets
+    d, mats = 4, []
+    for j in range(d):
+        for k in range(j + 1, d):
+            for entry in (1.0, -1j):
+                m = np.zeros((d, d), dtype=complex)
+                m[j, k], m[k, j] = entry, np.conj(entry)
+                mats.append(m)
+    for l in range(1, d):
+        mats.append(math.sqrt(2.0 / (l * (l + 1))) * np.diag([1.0] * l + [-l] + [0.0] * (d - l - 1)))
+    observables = [eigendecompose(m) for m in mats]
+    # eigh's repeated eigenvalues may differ in the last bits
+    multiplicities = [int(np.unique(np.round(o.eigenvalues, 9), return_counts=True)[1].max()) for o in observables]
+    assert sorted(multiplicities) == [2] * 14 + [3]
+    constant = best_entropic_constant(observables)
+    assert constant.value == pytest.approx(4.159, abs=1e-3)
+    report = optimize_alpha(observables, constant)
+    assert report.lower_bound == 0.0 and report.raw_bound < 0.0
+    assert report.bracket is None and report.refine_steps == 0
+
+
+@pytest.mark.parametrize("observables, n", [([eigendecompose(PAULI_Z)], 2), (pauli3, 2), (qutrit4, 3)])
+def test_optimize_alpha_refuses_a_false_constant(observables, n):
+    # C >= sum_k ln n: no state reaches it, and the floor grows without bound as alpha -> 0
+    observables = observables() if callable(observables) else observables
+    top = len(observables) * math.log(n)
+    for c in (top, 1.0 + top):
+        with pytest.raises(RegimeError, match=f"{top!r}"):
+            optimize_alpha(observables, user_supplied(c))
+    assert optimize_alpha(observables, user_supplied(0.99 * top)).lower_bound > 0.0
 
 
 def test_optimize_alpha_refines_fixtures_in_few_steps():
@@ -323,14 +353,13 @@ def test_floor_slopes_match_central_differences(spectra):
     np.testing.assert_allclose(curv, (4 * dd2 - dd1) / 3, rtol=2e-5, atol=1e-8)
 
 
-def _dense_scan_gain(observables, constant, report):
-    """How far the best raw floor on a log alpha scan 20 times denser than
-    the optimizer's grid lies above the optimized one, relative to the size
-    of the floor's terms."""
+def _dense_scan_gain(observables, constant, report, widths=4000):
+    """How far the best raw floor on a log scan of alpha h^2 over [1e-4, 1e6]
+    (h the largest half-spread of the spectra) lies above the optimized one,
+    relative to the size of the floor's terms."""
     stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
-    logs = np.linspace(*(math.log(r / (h * h)) for r in ALPHA_RANGE), 20 * GRID_POINTS)
-    best = float(np.max(_floors(stack, counts, constant.value, np.exp(logs))[0]))
+    best = float(np.max(_floors(stack, counts, constant.value, np.geomspace(1e-4, 1e6, widths) / (h * h))[0]))
     terms = abs(constant.value) + sum(math.log(r.value) for r in report.per_operator)
     return (best - report.raw_bound) / (abs(report.raw_bound) + terms / report.alpha)
 
@@ -338,16 +367,37 @@ def _dense_scan_gain(observables, constant, report):
 _eigenvalue = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
 _stacks = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.lists(st.lists(_eigenvalue, min_size=n, max_size=n), min_size=1, max_size=4))
+# where C falls between sum_k ln m_k, below which the floor is 0, and sum_k ln n
+_between = st.floats(min_value=0.02, max_value=0.98)
+
+
+def _searched(spectra, u):
+    """The observables of ``spectra`` and the constant a fraction ``u`` of the
+    way from sum_k ln m_k to sum_k ln n, m_k being the most eigenvalues within
+    2e-8 h of one another (h the largest half-spread), as optimize_alpha counts."""
+    h = 0.5 * max(max(e) - min(e) for e in spectra)
+    assume(h > 5e-4)
+    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
+    low = sum(math.log(max(np.count_nonzero((e >= x) & (e <= x + 2e-8 * h)) for x in e))
+              for e in map(np.array, spectra))
+    top = len(obs) * math.log(obs[0].dim)
+    assume(top - low > 1e-3)
+    return obs, user_supplied(low + u * (top - low))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_stacks, st.floats(min_value=0.05, max_value=3.0))
-def test_optimize_alpha_beats_a_dense_scan(spectra, c):
-    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
-    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
-    constant = user_supplied(c)
+@given(_stacks, _between)
+@example([[0.0, 7.170473478692481e-224, -1.0]], 0.5)
+def test_optimize_alpha_beats_a_dense_scan(spectra, u):
+    # one peak, bracketed by the sign of the slope D = d raw / d ln alpha
+    obs, constant = _searched(spectra, u)
     report = optimize_alpha(obs, constant)
     assert _dense_scan_gain(obs, constant, report) <= 1e-12
+    lo, hi = report.bracket
+    assert lo <= hi and math.log(hi / lo) <= 1.2
+    stack, counts = np.unique(np.stack([o.eigenvalues for o in obs]), axis=0, return_counts=True)
+    _, slope, _, _ = _floors(stack, counts, constant.value, np.array([lo, hi]))
+    assert slope[0] >= 0.0 >= slope[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,19 +440,22 @@ def test_optimize_alpha_at_a_mode_switch():
     near = [bound_at_alpha(obs, report.alpha * math.exp(d), constant).raw_bound
             for d in np.linspace(-3e-7, 3e-7, 61)]
     assert max(near) <= report.raw_bound * (1 + 1e-12)
-    assert report.refine_steps <= 8
+    # Newton steps leave the bracket there: about 26 halvings to 1e-8 in ln alpha,
+    # and one evaluation where the ends' tangent lines meet
+    assert report.refine_steps <= 30
+    lo, hi = report.bracket
+    assert math.log(hi / lo) <= 1e-8 and abs(math.log(report.alpha / lo)) <= 2e-8
 
 
 @settings(max_examples=50, deadline=None)
-@given(_stacks, st.floats(min_value=0.05, max_value=3.0))
-def test_optimize_alpha_reports_its_own_evaluation(spectra, c):
+@given(_stacks, _between)
+def test_optimize_alpha_reports_its_own_evaluation(spectra, u):
     # the report comes from the kernel call at the winning width, so it is
     # what a fresh evaluation there gives, bit for bit
-    assume(max(max(e) - min(e) for e in spectra) > 1e-3)
-    obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
-    report = optimize_alpha(obs, user_supplied(c))
-    again = bound_at_alpha(obs, report.alpha, user_supplied(c))
-    assert replace(report, at_range_edge=False, refine_steps=0) == again
+    obs, constant = _searched(spectra, u)
+    report = optimize_alpha(obs, constant)
+    again = bound_at_alpha(obs, report.alpha, constant)
+    assert replace(report, bracket=None, refine_steps=0) == again
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,8 +590,8 @@ def test_gue32_floors_and_modes_at_fixed_widths():
 
 
 def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
-    # optimize_alpha's 200-width grid on one n = 8 GUE triple: 3 x 200 x 8 =
-    # 4800 columns, one per eigenvalue start, of which every (spectrum, width)
+    # optimize_alpha's 17 starting widths on one n = 8 GUE triple: 3 x 17 x 8 =
+    # 408 columns, one per eigenvalue start, of which every (spectrum, width)
     # with alpha L^2 <= 2 climbs one
     rng = np.random.default_rng(1)
     observables = [eigendecompose(random_hermitian(8, rng)) for _ in range(3)]
@@ -546,19 +599,38 @@ def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     monkeypatch.setattr(engine, "_ascend", lambda *args: calls.append(args) or ascend(*args))
     optimize_alpha(observables, user_supplied(1.0))
     stack, alphas = calls[0]
-    assert alphas.size == GRID_POINTS
+    assert alphas.size == 17
     columns, kernel = [], engine._log_gaussian_sum
     monkeypatch.setattr(engine, "_log_gaussian_sum", lambda e, a, b: columns.append(b.size) or kernel(e, a, b))
     iters = ascend(stack, alphas)[2]
-    assert iters.size == 4800
+    assert iters.size == 408
     climbed = np.count_nonzero(iters)
-    assert climbed == 2875
+    assert climbed == 247
     # a column that stops after k iterations is summed k times, and its
     # trial step k - 1 times
     assert sum(columns) == 2 * int(iters.sum()) - climbed
     concave = alphas * (stack[:, -1] - stack[:, 0])[:, None] ** 2 <= 2.0
     np.testing.assert_array_equal(iters[..., 1:] > 0, np.repeat(~concave[..., None], 7, axis=2))
     assert np.all(iters[..., 0] > 0)
+
+
+@pytest.mark.parametrize("seed, skip, count, floor, places", [(1, 0, 3, 0.016969066, 9), (5, 4, 4, 0.09502, 5)])
+def test_gue32_floors_beyond_the_old_range(seed, skip, count, floor, places):
+    # the optimum lies past alpha h^2 = 1e3, the end of the range once
+    # searched, which printed 0 (raw -0.0273) for seed 1 and 0.08808 for seed 5,
+    # drawn after four n = 8 matrices
+    rng = np.random.default_rng(seed)
+    for _ in range(skip):
+        random_hermitian(8, rng)
+    observables = [eigendecompose(random_hermitian(32, rng)) for _ in range(count)]
+    constant = best_entropic_constant(observables)
+    report = optimize_alpha(observables, constant)
+    assert report.lower_bound == pytest.approx(floor, abs=0.5 * 10.0 ** -places)
+    assert _dense_scan_gain(observables, constant, report, widths=1000) <= 1e-12
+    # a scan 1e-5 apart in ln alpha around the optimum comes within 1e-9 of it
+    stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
+    near = _floors(stack, counts, constant.value, report.alpha * np.exp(np.linspace(-1e-3, 1e-3, 200)))[0]
+    assert -1e-9 <= near.max() / report.raw_bound - 1.0 <= 1e-12
 
 
 @pytest.mark.parametrize("evals, alpha", [([-1.0, 1.0], 1e308), ([-1e200, 1e200], 1.0), ([3.0, 3.0], 1e308)])
@@ -580,8 +652,9 @@ def test_optimize_alpha_rescaled_pauli_triple(scale):
     # refinement fell back to bisection (23 kernel calls)
     report = optimize_alpha(_scaled(pauli3(), scale), wu_full_mub(2))
     assert report.lower_bound == pytest.approx(scale ** 2 * OPTIMIZED_PAULI, rel=1e-9)
-    assert not report.at_range_edge
-    assert report.refine_steps == optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps
+    # the argmax, and so D, is resolved to about 1e-8: the last Newton step, about
+    # that long, is taken at some scales and not at others
+    assert abs(report.refine_steps - optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps) <= 1
 
 
 def test_optimize_alpha_deduplicates_equal_spectra():
@@ -661,8 +734,8 @@ def _spread_pair(s):
 
 @pytest.mark.parametrize("s", [1e-160, 1e-200])
 def test_optimize_alpha_rejects_spreads_below_the_float_range(s):
-    # alpha h^2 = 1e3 needs an alpha past the largest float: the grid was NaN
-    # at 1e-160, and h^2 underflowed to 0 at 1e-200
+    # alpha h^2 = 1e-2 needs an alpha past the largest float at 1e-160, and h^2
+    # underflows to 0 at 1e-200
     with pytest.raises(ValueError, match="half-spread"):
         optimize_alpha(_spread_pair(s), user_supplied(0.5))
     # 1e-150 is still in range, and its floor scales as s^2

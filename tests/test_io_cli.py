@@ -296,9 +296,9 @@ def test_cli_bound_auto_constant_json(capsys):
     assert payload["lower_bound"] == pytest.approx(0.908368013, abs=1e-8)
     # the schema is the result dataclasses' fields, in declaration order
     assert list(payload) == ["alpha", "constant", "per_operator", "raw_bound", "lower_bound",
-                             "clamped", "at_range_edge", "refine_steps"]
+                             "clamped", "bracket", "refine_steps"]
     assert list(payload["per_operator"][0]) == ["beta_star", "max_value", "iterations", "modes"]
-    assert payload["at_range_edge"] is False
+    assert payload["bracket"] is None
     assert payload["per_operator"][0]["modes"] == 1
 
 
@@ -314,18 +314,32 @@ def test_cli_bound_optimize(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert 1.7243 <= payload["lower_bound"] <= 2.0
-    assert payload["at_range_edge"] is False
+    lo, hi = payload["bracket"]
+    assert lo * (1 - 1e-7) <= payload["alpha"] <= hi
     assert [r["modes"] for r in payload["per_operator"]] == [2, 2, 2]
     assert 1 <= payload["refine_steps"] <= 8
 
     assert main(["bound", "pauli3", "--auto-C", "--optimize"]) == 0
     out = capsys.readouterr().out
-    assert "alpha at search-range edge: no" in out
-    assert f"refine steps after the grid: {payload['refine_steps']}" in out
+    assert f"alpha bracket = [{lo!r}, {hi!r}]" in out
+    assert f"kernel calls after the first: {payload['refine_steps']}" in out
     assert "2 mode(s)" in out and "iteration(s)" in out
 
     assert main(["bound", "pauli3", "--auto-C", "--alpha", "0.597", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["refine_steps"] == 0
+
+
+def test_cli_bound_optimize_ends(capsys):
+    # C >= ln 2 is false for one qubit observable: refused, not searched
+    assert main(["bound", "sigma-z", "--C", "1", "--optimize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "0.6931471805599453" in captured.err
+    # C <= ln 1 = 0: the floor is 0 at every alpha, certified without a search
+    assert main(["bound", "sigma-z", "--C", "0", "--optimize", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["bracket"] is None and payload["refine_steps"] == 0 and payload["lower_bound"] == 0.0
+    assert main(["bound", "sigma-z", "--C", "0", "--optimize"]) == 0
+    assert "alpha bracket = none" in capsys.readouterr().out
 
 
 def test_cli_entropic(capsys):
