@@ -36,7 +36,11 @@ bound as alpha -> 0; M_k >= m_k e^(-alpha delta^2), m_k the most eigenvalues
 within 2 delta of one another, so C <= sum_k ln m_k leaves a floor of at most
 sum_k delta^2.  The floor of s A is s^2 times that of A, at alpha / s^2, so
 ``optimize_alpha`` searches t = ln(alpha h^2), h the largest half-spread of
-the spectra, where its steps do not depend on the scale.
+the spectra, where its steps do not depend on the scale.  Its first grid is
+centred near alpha h^2 = (n - 1)^2, a Gaussian as wide as the mean spacing of
+n eigenvalues, and its refine loop is Newton's on D with Brent's safeguard
+(Algorithms for Minimization without Derivatives, 1973): a Newton step
+longer than half the step before last is replaced by a bisection.
 """
 
 from __future__ import annotations
@@ -294,12 +298,17 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     C >= sum_k ln n raises ``RegimeError``.  C <= sum_k ln m_k, with delta =
     1e-8 h (h the largest half-spread, 1 if all spectra are degenerate), gets
     floor 0 from one kernel call at t = 0, and no bracket.  Otherwise 17 widths
-    over alpha h^2 in [1e-2, 1e2], and 16 more past an end while the best is
-    there, find the peak's neighbours.  Newton steps on the exact slope D
-    inside the bracket where D changes sign, else bisections, close in until a
-    step or the bracket is ``LOG_ALPHA_TOL`` short; a bracket so closed, as
-    where the argmax switches modes, gets one evaluation where its ends'
-    tangent lines meet.  The report is the best point evaluated.
+    of the lattice t_k = ln 1e-2 + k step, step = ln(1e4) / 16, from k =
+    round(2 ln(n - 1) / step) on, so centred near alpha h^2 = (n - 1)^2 (alpha
+    h^2 in [1e-2, 1e2] at n = 2), and 16 more past an end while the best is
+    there, find the peak's neighbours.  The first step inside them goes to
+    the root of the cubic that matches the exact slope D and D' at both; then
+    Newton steps inside the bracket where D changes sign, each at most half
+    the step before last, else bisections, close in.  The search stops on a
+    Newton step at most ``LOG_ALPHA_TOL`` long, not taken, or on a bracket
+    that short; a bracket so closed, as where the argmax switches modes, gets
+    one evaluation where its ends' tangent lines meet.  The report is the best
+    point evaluated.
     """
     stack, rows = _spectra(list(observables))
     counts = np.bincount(rows)
@@ -332,25 +341,48 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     if c >= (top := float(counts.sum() * math.log(stack.shape[1]))):
         raise RegimeError(f"entropy constant {c!r} is not below sum_k ln n = {top!r}: the floor grows without bound")
     step = math.log(1e4) / 16
-    grid = evaluate(np.linspace(math.log(1e-2), math.log(1e2), 17))
+    # centred on the lattice point nearest alpha h^2 = (n - 1)^2, a Gaussian as wide as the mean spacing
+    first = round(2.0 * math.log(stack.shape[1] - 1) / step)
+    grid = evaluate(np.linspace(math.log(1e-2), math.log(1e2), 17) + first * step)
     while (i := int(np.argmax(grid[1]))) in (0, grid.shape[1] - 1):
         more = evaluate(grid[0, i] + (step if i else -step) * np.arange(1, 17))  # the peak lies past the end
         grid = np.hstack([more[:, ::-1], grid] if i == 0 else [grid, more])
     lo, point, hi = grid[:, i - 1:i + 2].T
+    before = last = math.inf  # the lengths of the step before last and of the last step
     while True:
         t, _, d, curv, _ = point
         lo, hi = (point, hi) if d >= 0.0 else (lo, point)  # a NaN slope counts as falling
         newton = t - d / curv if -np.inf < curv < 0.0 else np.nan
-        inside = lo[0] < newton < hi[0]
-        if inside and abs(newton - t) <= LOG_ALPHA_TOL:
+        # point is an end of the bracket, so a step that rounds onto it still stops here
+        if lo[0] <= newton <= hi[0] and abs(newton - t) <= LOG_ALPHA_TOL:
             break
         if hi[0] - lo[0] <= LOG_ALPHA_TOL:  # as at a mode switch, where D jumps from + to -
             (tl, vl, dl), (tr, vr, dr) = lo[:3], hi[:3]
             if dl > dr and tl < (meet := (vr - vl + dl * tl - dr * tr) / (dl - dr)) < tr:
                 evaluate(np.array([meet]))
             break
-        point = evaluate(np.array([newton if inside else 0.5 * (lo[0] + hi[0])]))[:, 0]
+        if last == math.inf:  # the first step, between two grid widths
+            newton = _cubic_root(lo, hi, t, newton)
+        # Brent's safeguard: a Newton step longer than half the step before last is a bisection
+        if not (lo[0] < newton < hi[0] and abs(newton - t) <= 0.5 * before):
+            newton = 0.5 * (lo[0] + hi[0])
+        before, last = last, abs(newton - t)
+        point = evaluate(np.array([newton]))[:, 0]
     return report((float(lo[4]), float(hi[4])))
+
+
+def _cubic_root(lo, hi, t: float, newton: float) -> float:
+    """The root inside the bracket of the cubic in t that matches D and D' at
+    both ends, the one nearest t where there are several, else ``newton``."""
+    (tl, _, dl, cl), (tr, _, dr, cr) = lo[:4], hi[:4]
+    w = tr - tl
+    # in s = (t - tl) / w, from the Hermite basis polynomials
+    coef = np.array([2.0 * (dl - dr) + w * (cl + cr), 3.0 * (dr - dl) - w * (2.0 * cl + cr), w * cl, dl])
+    if not np.all(np.isfinite(coef)):
+        return newton
+    s = np.roots(coef)
+    s = s.real[(s.imag == 0.0) & (s.real > 0.0) & (s.real < 1.0)]
+    return float(tl + w * s[np.argmin(np.abs(tl + w * s - t))]) if s.size else newton
 
 
 def continuous_pair_bound(entropy_constant: float, alpha: float | None = None) -> tuple[float, float]:

@@ -288,8 +288,54 @@ def test_optimize_alpha_refuses_a_false_constant(observables, n):
 
 
 def test_optimize_alpha_refines_fixtures_in_few_steps():
-    assert 1 <= optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps <= 8
-    assert 1 <= optimize_alpha(qutrit4(), wu_full_mub(3)).refine_steps <= 8
+    assert optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps == 3
+    assert optimize_alpha(qutrit4(), wu_full_mub(3)).refine_steps == 2
+
+
+@pytest.mark.parametrize("n, steps", [(8, 3), (32, 3), (128, 8)])
+def test_optimize_alpha_refine_steps_on_gue_triples(n, steps):
+    # the first grid is centred near alpha h^2 = (n - 1)^2 and the first
+    # refine step is the cubic's root between two of its widths
+    rng = np.random.default_rng(1)
+    observables = [eigendecompose(random_hermitian(n, rng)) for _ in range(3)]
+    assert optimize_alpha(observables, best_entropic_constant(observables)).refine_steps == steps
+
+
+def test_optimize_alpha_stops_on_a_newton_step_that_rounds_onto_the_bracket(monkeypatch):
+    # a set of the floors benchmark (n = 8) read D = 2^-60 where its search
+    # converged: the Newton step from there rounds onto that end of the
+    # bracket, which must stop the search rather than start bisecting
+    constant = wu_full_mub(2)
+    report, floors = optimize_alpha(pauli3(), constant), engine._floors
+
+    def tiny(stack, counts, c, alphas):
+        raw, slope, curv, columns = floors(stack, counts, c, alphas)
+        return raw, np.where(alphas == report.alpha, 2.0 ** -60, slope), curv, columns
+
+    monkeypatch.setattr(engine, "_floors", tiny)
+    again = optimize_alpha(pauli3(), constant)
+    assert again.alpha == report.alpha and again.refine_steps == report.refine_steps
+
+
+def test_optimize_alpha_bisects_newton_steps_that_alternate(monkeypatch):
+    # a slope that jumps from 0.1 to -0.1 at t*, with a D' that sends every
+    # Newton step to -0.9 times its start's offset x from t*: unguarded, the
+    # steps alternate sides of t* and shrink by only 0.9 each.  D' is bounded,
+    # as on either side of a real kink, so within 1e-6 of t* they overshoot
+    star, floors = 0.3, engine._floors
+
+    def jump(stack, counts, c, alphas):
+        x = np.log(alphas) - star  # h = 1
+        size = 0.1 + np.abs(x)
+        return (1.0 - 0.1 * np.abs(x) - 0.5 * x * x, -np.sign(x) * size,
+                -size / (1.9 * np.maximum(np.abs(x), 1e-6)), floors(stack, counts, c, alphas)[3])
+
+    monkeypatch.setattr(engine, "_floors", jump)
+    report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(0.5))
+    lo, hi = np.log(report.bracket)
+    assert lo <= star <= hi and hi - lo <= 1e-8
+    # a bisection at least every other step, from a grid step's bracket
+    assert report.refine_steps <= 2 * math.ceil(math.log2(math.log(1e4) / 16 / 1e-8)) + 2
 
 
 _QUBIT, _QUTRIT = eigendecompose(PAULI_Z), qutrit4()[0]
@@ -592,7 +638,8 @@ def test_gue32_floors_and_modes_at_fixed_widths():
 def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     # optimize_alpha's 17 starting widths on one n = 8 GUE triple: 3 x 17 x 8 =
     # 408 columns, one per eigenvalue start, of which every (spectrum, width)
-    # with alpha L^2 <= 2 climbs one
+    # with alpha L^2 <= 2 climbs one; centred near alpha h^2 = 49, the grid
+    # has two such pairs
     rng = np.random.default_rng(1)
     observables = [eigendecompose(random_hermitian(8, rng)) for _ in range(3)]
     calls, ascend = [], engine._ascend
@@ -605,7 +652,7 @@ def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     iters = ascend(stack, alphas)[2]
     assert iters.size == 408
     climbed = np.count_nonzero(iters)
-    assert climbed == 247
+    assert climbed == 394
     # a column that stops after k iterations is summed k times, and its
     # trial step k - 1 times
     assert sum(columns) == 2 * int(iters.sum()) - climbed
