@@ -240,6 +240,8 @@ def shannon_entropy(p) -> float:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty probability vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite")
     if np.any(arr < 0):
         raise ValueError(f"probabilities must be nonnegative, got min {arr.min()!r}")
     total = float(arr.sum())

@@ -12,20 +12,18 @@ The maxima of g are the modes of a homoscedastic Gaussian mixture, found by
 hill climbing from every eigenvalue, the mixture's centroids, as in
 Carreira-Perpinan's mode search (IEEE TPAMI 22(11), 2000); no proof that they
 reach the highest mode is claimed, but a property test checks them on
-adversarial spectra.  Where alpha L^2 <= 2 (L = a_n - a_1) the climb starts
-at the mean alone: there (ln g)'' = 2 alpha (2 alpha Var_w - 1) <= 0, the
-Gaussian-weighted variance Var_w being at most L^2 / 4 (Popoviciu), so g has
-one maximum.  ``_ascend`` climbs from those starts for
-a whole vector of widths at once: Newton steps where g is concave and their
-mirror images where it is convex, scaled by a trust factor, or mean-shift
-steps where those do not raise g.  Its blocks are eigenvalue-major, one column
-per (spectrum, alpha, start).  ``_floors`` is the one reduction of its end
-points: each spectrum's argmax and mode count, g summed once more there for M
-and the moments of the offsets in units of the Gaussian width, and the raw
-floor with its first two derivatives in ln alpha.  A floor evaluation is
-one ``_floors`` call over a set's distinct spectra: ``bound_at_alpha`` makes
-one, ``inner_max`` one on a single spectrum, and ``optimize_alpha`` one per
-step of its search, reporting the best point evaluated.
+adversarial spectra.  ``_ascend`` climbs from those starts for a whole
+vector of widths at once: Newton steps where g is concave and their mirror
+images where it is convex, scaled by a trust factor, or mean-shift steps where
+those do not raise ln g by more than the stop tolerance.  Its blocks are
+eigenvalue-major, one column per (spectrum, alpha, start).  ``_floors`` is
+the one reduction of its end points: each spectrum's argmax and mode count,
+g summed once more there for M and the moments of the offsets in units of
+the Gaussian width, and the raw floor with its first two derivatives in ln
+alpha.  A floor evaluation is one ``_floors`` call over a set's distinct
+spectra: ``bound_at_alpha`` makes one, ``inner_max`` one on a single
+spectrum, and ``optimize_alpha`` one per step of its search, reporting the
+best point evaluated.
 
 The floor has one peak in ln alpha: ln g is a log-sum-exp of functions affine
 in alpha, so ln M, its maximum over centers, is convex in alpha, F = C -
@@ -95,17 +93,18 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
 
 def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     """Climb g from every eigenvalue, for every row of the (S, n) stack of
-    ascending spectra and every alpha, or from the row's mean alone where
-    alpha L^2 <= 2 (L its spread): the other columns keep their start,
-    ln g = -inf, 0 iterations and no maximum.
+    ascending spectra and every alpha.  A trial step is taken only where it
+    raises ln g by more than the stop tolerance, else the mean-shift step, so
+    a climb ends after a mean-shift step, never on a point of equal value
+    across a symmetric maximum that a trial step rounded onto.
 
     Returns arrays of shape (S, len(alphas), n): the final beta, ln g there,
     the iterations run, and whether the end point is a maximum (g'' <= 0)
     rather than a minimum that a symmetric start sat on.
     """
     shape = (spectra.shape[0], alphas.size, spectra.shape[1])
-    beta = np.repeat(spectra[:, None, :], alphas.size, axis=1)
-    log_g = np.full(beta.size, -np.inf)
+    beta = np.repeat(spectra[:, None, :], alphas.size, axis=1).ravel()
+    log_g = np.empty(beta.size)
     concave, iters = np.zeros(beta.size, dtype=bool), np.zeros(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
     block = max(256, BLOCK_ELEMENTS // spectra.shape[1])
@@ -114,13 +113,8 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     # trial point far from every eigenvalue then sums to NaN and does not rise.
     # Where g'' = 0 the model step is infinite, and the clip to the ends takes over
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # ln g is concave where alpha L^2 <= 2 (module docstring): one start, at the mean, climbs it
-        one = alphas * np.square(spectra[:, -1] - spectra[:, 0])[:, None] <= 2.0
-        mean = np.clip(_column_sums(columns) / spectra.shape[1], spectra[:, 0], spectra[:, -1])
-        beta[..., 0] = np.where(one, mean[:, None], beta[..., 0])
-        beta, climb = beta.ravel(), np.flatnonzero((np.arange(shape[2]) == 0) | ~one[..., None])
-        for first in range(0, climb.size, block):
-            cols = climb[first:first + block]
+        for first in range(0, beta.size, block):
+            cols = np.arange(first, min(first + block, beta.size))
             # each column carries its spectrum, its alpha and its beta; take and
             # compress keep the blocks C-ordered, where a boolean index would not
             e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
@@ -148,7 +142,7 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
                 # where convex; where |curv| > 1 the mean-shift step is longer
                 factor = np.where(curv < 0.0, np.minimum(gain, 1.0), gain)
                 trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), e[0]), e[-1])
-                rises = _log_gaussian_sum(e, a, trial)[0] > lg
+                rises = _log_gaussian_sum(e, a, trial)[0] > lg + tol
                 b = np.where(rises, trial, b + shift)
                 gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
                 prev = lg
@@ -179,7 +173,7 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
     beta*'s drift.
 
     The best end point of the climbs is taken as the global maximum (the
-    module docstring says on what grounds); where alpha L^2 <= 2 it is the one.
+    module docstring says on what grounds).
     """
     beta, log_g, iters, concave = _ascend(spectra, alphas)
     pick = np.argmax(log_g, axis=2)[..., None]
@@ -210,8 +204,9 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
 @dataclass(frozen=True)
 class InnerMaxResult:
     """Argmax and value of the Gaussian sum over the eigenvalue interval, with
-    the ascent iterations of its slowest start (its only one, from the mean,
-    where alpha L^2 <= 2) and the number of distinct maxima (modes) reached."""
+    the ascent iterations of its slowest start and the number of distinct
+    maxima (modes) that the climbs from the eigenvalues reach; a shallow mode
+    that no climb reaches goes uncounted."""
 
     beta_star: float
     value: float = field(metadata={"json": "max_value"})

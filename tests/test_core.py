@@ -151,6 +151,10 @@ def test_shannon_entropy_rejects_bad_input():
         shannon_entropy([-0.1, 1.1])
     with pytest.raises(ValueError):
         shannon_entropy([0.5, 0.6])
+    # NaN passes both the sign and the sum test
+    for p in ([math.nan], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            shannon_entropy(p)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
