@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
-from .core import SpectralObservable
+from .core import SpectralObservable, eigendecompose_many
 from .errors import FileFormatError, VurkitError
 from .lur import lur_test
 from .oracle import OracleConfig, minimize_variance_sum
@@ -50,9 +50,13 @@ def _lookup(token: str, registry: dict, loader, tol: Tolerances):
 
 
 def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
-    """Each token's list of observables, a fixture's or a file's one, joined in order."""
-    return [o for token in tokens for o in _lookup(
-        token, fixtures.OBSERVABLES, lambda path, tol: [io.load_observable(path, tol)], tol)]
+    """Each token's list of observables, a fixture's or a file's one, joined in order.  Each distinct token
+    is read once, in order, so the first bad file refuses; then one pass decomposes every file's matrix."""
+    read = {token: _lookup(token, fixtures.OBSERVABLES, lambda path, tol: [io.read_observable(path, tol)], tol)
+            for token in dict.fromkeys(tokens)}
+    done = iter(eigendecompose_many([o for items in read.values() for o in items], tol))
+    resolved = {token: [next(done) for _ in items] for token, items in read.items()}
+    return [o for token in tokens for o in resolved[token]]
 
 
 def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple[SpectralObservable, SpectralObservable]]:
@@ -61,10 +65,10 @@ def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple[SpectralObservable, Sp
     if len(tokens) % 2 != 0:
         raise FileFormatError("--pairs expects a pair-set fixture or an even number of "
                               "observables, alternating first-side and second-side")
-    sides = [_resolve_observables([token], tol) for token in tokens]
-    if any(len(side) != 1 for side in sides):
+    observables = _resolve_observables(tokens, tol)
+    if len(observables) != len(tokens):  # every token names at least one
         raise FileFormatError("each --pairs entry must name a single observable")
-    return [(a, b) for [a], [b] in zip(sides[::2], sides[1::2])]
+    return list(zip(observables[::2], observables[1::2]))
 
 
 def _set_inputs(args, observables, **extra) -> dict:

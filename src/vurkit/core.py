@@ -70,12 +70,12 @@ def as_square_matrix(m) -> np.ndarray:
 
 
 def phase_fix_columns(vectors: np.ndarray) -> np.ndarray:
-    """Rotate every column so its first component of modulus above 1e-12 is
-    real positive; a column with no such component is left as it is."""
+    """Rotate every column of a matrix, or of each matrix in a stack, so its first
+    component of modulus above 1e-12 is real positive; a column with none is left as it is."""
     fixed = np.array(vectors, dtype=complex)
     big = np.abs(fixed) > 1e-12
-    pivot = fixed[np.argmax(big, axis=0), np.arange(fixed.shape[1])]
-    pivot[~big.any(axis=0)] = 1.0
+    pivot = np.take_along_axis(fixed, np.argmax(big, axis=-2)[..., None, :], axis=-2)
+    pivot[~big.any(axis=-2, keepdims=True)] = 1.0
     return fixed * (np.abs(pivot) / pivot)
 
 
@@ -117,25 +117,37 @@ class SpectralObservable:
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
 
-def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
-    """Spectral decomposition of a Hermitian matrix with ascending eigenvalues
-    and phase-fixed eigenvectors."""
+def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The Hermitian part (m + m^H)/2 of a nonempty finite square matrix, refused where m departs from
+    it by more than ``tol.hermiticity``: decomposed in m's place, it leaks no asymmetry into the guard."""
     arr = as_square_matrix(m)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > tol.hermiticity:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.hermiticity:.1e}"
-        )
-    # decompose the Hermitized form so a loosened gate cannot leak asymmetry
-    # into the reconstruction guard
-    herm = 0.5 * (arr + arr.conj().T)
-    evals, evecs = np.linalg.eigh(herm)
-    obs = SpectralObservable(evals, phase_fix_columns(evecs))
-    # a correct eigh leaves a residual that grows with the matrix's scale
-    residual = float(np.max(np.abs(obs.matrix - herm)))
-    if residual > tol.reconstruction * max(1.0, float(np.max(np.abs(herm)))):
-        raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual:.3e})")
-    return obs
+        raise NotHermitianError(f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.hermiticity:.1e}")
+    return 0.5 * (arr + arr.conj().T)
+
+
+def eigendecompose_many(items, tol: Tolerances = DEFAULT_TOLERANCES) -> list[SpectralObservable]:
+    """Each item as an observable: an observable as it is, a ``hermitized`` matrix by its ascending eigenvalues
+    and phase-fixed eigenvectors, from one ``eigh`` per dimension's stack, bit for bit as it gets alone."""
+    out = list(items)
+    for n in dict.fromkeys(m.shape[0] for m in out if isinstance(m, np.ndarray)):
+        at = [i for i, m in enumerate(out) if isinstance(m, np.ndarray) and m.shape[0] == n]
+        herm = np.stack([out[i] for i in at])
+        evals, evecs = np.linalg.eigh(herm)
+        evecs = phase_fix_columns(evecs)
+        # a correct eigh leaves a residual that grows with the matrix's scale
+        residual = np.abs((evecs * evals[:, None, :]) @ evecs.conj().swapaxes(1, 2) - herm).max(axis=(1, 2))
+        if np.any(residual > tol.reconstruction * np.maximum(1.0, np.abs(herm).max(axis=(1, 2)))):
+            raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual.max():.3e})")
+        for k, i in enumerate(at):
+            out[i] = SpectralObservable(evals[k], evecs[k])
+    return out
+
+
+def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
+    """Spectral decomposition of one Hermitian matrix, as ``eigendecompose_many`` gives it."""
+    return eigendecompose_many([hermitized(m, tol)], tol)[0]
 
 
 def _psd_certified(mat: np.ndarray, tol: float) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QuantumState, SpectralObservable, eigendecompose
+from .core import QuantumState, SpectralObservable, eigendecompose_many, hermitized
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,13 +43,13 @@ def qutrit4_matrices() -> list[np.ndarray]:
 
 def qutrit4() -> list[SpectralObservable]:
     """The built-in qutrit quadruple, with its exact shared spectrum -1, 0, 1."""
-    return [SpectralObservable(np.array([-1.0, 0.0, 1.0]), eigendecompose(m).eigenvectors)
-            for m in qutrit4_matrices()]
+    return [SpectralObservable(np.array([-1.0, 0.0, 1.0]), o.eigenvectors)
+            for o in eigendecompose_many(map(hermitized, qutrit4_matrices()))]
 
 
 def pauli3() -> list[SpectralObservable]:
     """The three qubit spin observables; their eigenbases are mutually unbiased."""
-    return [eigendecompose(m) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
+    return eigendecompose_many(map(hermitized, (PAULI_X, PAULI_Y, PAULI_Z)))
 
 
 def singlet() -> QuantumState:
@@ -79,9 +79,7 @@ def pauli_pairs() -> list[tuple[SpectralObservable, SpectralObservable]]:
 OBSERVABLES = {
     "pauli3": pauli3,
     "qutrit4": qutrit4,
-    "sigma-x": lambda: [eigendecompose(PAULI_X)],
-    "sigma-y": lambda: [eigendecompose(PAULI_Y)],
-    "sigma-z": lambda: [eigendecompose(PAULI_Z)],
+    **{f"sigma-{axis}": lambda k=k: [pauli3()[k]] for k, axis in enumerate("xyz")},
     **{f"qutrit-sigma{k}": lambda k=k: [qutrit4()[k]] for k in range(4)},
 }
 

@@ -24,7 +24,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
-from .core import QuantumState, SpectralObservable, eigendecompose
+from .core import QuantumState, SpectralObservable, eigendecompose_many, hermitized
 from .errors import FileFormatError
 
 
@@ -86,13 +86,18 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     """Build an observable from a document holding exactly one of ``matrix``
     (dense Hermitian entries) or ``spectral`` (eigenvalues plus eigenvector
     columns)."""
+    return eigendecompose_many([_checked_observable(doc, tol)], tol)[0]
+
+
+def _checked_observable(doc: Any, tol: Tolerances) -> SpectralObservable | np.ndarray:
+    """``parse_observable`` short of the decomposition: an observable or a ``hermitized`` matrix."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"observable document must be an object, got {type(doc).__name__}")
     has_matrix, has_spectral = "matrix" in doc, "spectral" in doc
     if has_matrix == has_spectral:
         raise FileFormatError("observable document must contain exactly one of 'matrix' or 'spectral'")
     if has_matrix:
-        return eigendecompose(_matrix(doc["matrix"], "matrix"), tol)
+        return hermitized(_matrix(doc["matrix"], "matrix"), tol)
 
     spectral = doc["spectral"]
     if not isinstance(spectral, dict) or set(spectral) != {"eigenvalues", "eigenvectors"}:
@@ -167,8 +172,13 @@ def _load_json(path) -> Any:
 
 
 def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
+    return eigendecompose_many([read_observable(path, tol)], tol)[0]
+
+
+def read_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | np.ndarray:
+    """``load_observable`` short of the decomposition, left to ``eigendecompose_many``."""
     with _collector_paused():
-        return parse_observable(_load_json(path), tol)
+        return _checked_observable(_load_json(path), tol)
 
 
 def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:

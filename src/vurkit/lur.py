@@ -47,7 +47,8 @@ def _pair_variances(a_side, b_side, rho: QuantumState) -> tuple[float, ...]:
     a = a - np.einsum("ik,pki->p", rho_a, a).real[:, None, None] * np.eye(n_a)
     b = b - np.einsum("ik,pki->p", rho_b, b).real[:, None, None] * np.eye(n_b)
     local = np.einsum("ik,pkj,pji->p", rho_a, a, a) + np.einsum("ik,pkj,pji->p", rho_b, b, b)
-    cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=True)
+    # the path that optimize=True's search returns at every size tried, fixed so no call searches
+    cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=["einsum_path", (0, 1) if n_a >= n_b else (0, 2), (0, 1)])
     return tuple((local + 2.0 * cross).real.tolist())
 
 

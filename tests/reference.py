@@ -125,6 +125,41 @@ def phase_fixed_columns(vectors):
     return fixed
 
 
+def one_matrix_eigendecompose(m, tol=DEFAULT_TOLERANCES):
+    """Ascending eigenvalues and phase-fixed eigenvector columns of one
+    Hermitian matrix, by the library's earlier one-matrix path: its own
+    Hermiticity gate, one ``eigh`` on the Hermitized matrix, the column phase
+    fix by one fancy index, and the reconstruction guard.  The stacked
+    decomposition must reproduce it bit for bit."""
+    arr = np.asarray(m, dtype=complex)
+    if hermiticity_defect(arr) > tol.hermiticity:
+        raise ValueError("matrix is not Hermitian")
+    herm = 0.5 * (arr + arr.conj().T)
+    evals, evecs = np.linalg.eigh(herm)
+    big = np.abs(evecs) > 1e-12
+    pivot = evecs[np.argmax(big, axis=0), np.arange(evecs.shape[1])]
+    pivot[~big.any(axis=0)] = 1.0
+    evecs = evecs * (np.abs(pivot) / pivot)
+    residual = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - herm)))
+    if residual > tol.reconstruction * max(1.0, float(np.max(np.abs(herm)))):
+        raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual:.3e})")
+    return evals, evecs
+
+
+def searched_pair_variances(a_side, b_side, rho):
+    """Every pair's V(A (x) I + I (x) B), by the library's contraction with
+    numpy's path search (``optimize=True``) in place of its fixed path."""
+    a, b = (np.stack([o.matrix for o in side]) for side in (a_side, b_side))
+    n_a, n_b = a.shape[1], b.shape[1]
+    r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
+    rho_a, rho_b = np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+    a = a - np.einsum("ik,pki->p", rho_a, a).real[:, None, None] * np.eye(n_a)
+    b = b - np.einsum("ik,pki->p", rho_b, b).real[:, None, None] * np.eye(n_b)
+    local = np.einsum("ik,pkj,pji->p", rho_a, a, a) + np.einsum("ik,pkj,pji->p", rho_b, b, b)
+    cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=True)
+    return tuple((local + 2.0 * cross).real.tolist())
+
+
 def robertson_bound(a, b, state):
     """Half the modulus of the commutator expectation (the classic product-form
     floor), from dense matrices."""

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import phase_fixed_columns, robertson_bound, validate_hermitian
+from reference import one_matrix_eigendecompose, phase_fixed_columns, robertson_bound, validate_hermitian
 from vurkit import (DimensionMismatchError, InvalidStateError, NotHermitianError, QuantumState,
                     SpectralObservable, eigendecompose, expectation,
                     measurement_distribution, overlap_stats, select_constant,
                     shannon_entropy, variance)
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
-from vurkit.core import phase_fix_columns
+from vurkit.core import eigendecompose_many, hermitized, phase_fix_columns
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
 
@@ -130,6 +130,68 @@ def test_phase_fix_columns_matches_per_column_reference():
                 assert abs(col[big[0]].imag) <= 1e-15 and col[big[0]].real > 0.0
             else:
                 assert not np.any(col)
+        # a stack is fixed matrix by matrix, bit for bit as each alone
+        stack = np.stack([m, m[::-1], 1j * m, np.roll(m, 1, axis=1)])
+        for matrix, fixed in zip(stack, phase_fix_columns(stack)):
+            assert fixed.tobytes() == phase_fix_columns(matrix).tobytes()
+            np.testing.assert_allclose(fixed, phase_fixed_columns(matrix), rtol=0.0, atol=1e-15)
+
+
+def _degenerate_hermitian(n, rng):
+    """A spectrum of values from {-1, 0, 1}, most of them repeated, in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = (q * rng.integers(-1, 2, n).astype(float)) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+# exactly Hermitian, as every scaled copy then is: the Hermiticity gate is absolute
+_FIXTURE_MATRICES = [0.5 * (m + m.conj().T) for m in (PAULI_X, PAULI_Y, PAULI_Z, *qutrit4_matrices())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=6),
+       st.booleans(), st.sampled_from(["random", "degenerate", "fixture"]),
+       st.integers(min_value=-150, max_value=150))
+def test_stacked_decomposition_matches_one_matrix_path_bit_for_bit(seed, dims, mixed, kind, exponent):
+    # 1-6 matrices of one n or of mixed n in 1-16, with random, repeated or
+    # fixture (Pauli, qutrit4) spectra, scaled by 10^(+-150) to reach both ends
+    # of the reconstruction guard's scale
+    rng = np.random.default_rng(seed)
+    make = {"random": random_hermitian, "degenerate": _degenerate_hermitian,
+            "fixture": lambda n, rng: _FIXTURE_MATRICES[int(rng.integers(len(_FIXTURE_MATRICES)))]}[kind]
+    mats = [make(n, rng) * 10.0 ** exponent for n in (dims if mixed else dims[:1] * len(dims))]
+    for obs, m in zip(eigendecompose_many([hermitized(m) for m in mats]), mats):
+        evals, evecs = one_matrix_eigendecompose(m)
+        assert obs.eigenvalues.tobytes() == evals.tobytes()
+        assert obs.eigenvectors.tobytes() == evecs.tobytes()
+
+
+def test_fixtures_decompose_as_one_matrix_each():
+    for obs, m in zip(pauli3(), (PAULI_X, PAULI_Y, PAULI_Z)):
+        evals, evecs = one_matrix_eigendecompose(m)
+        assert obs.eigenvalues.tobytes() == evals.tobytes()
+        assert obs.eigenvectors.tobytes() == evecs.tobytes()
+    for obs, m in zip(qutrit4(), qutrit4_matrices()):
+        assert obs.eigenvectors.tobytes() == one_matrix_eigendecompose(m)[1].tobytes()
+        assert obs.eigenvalues.tolist() == [-1.0, 0.0, 1.0]
+
+
+def test_eigendecompose_many_keeps_order_and_observables():
+    # observables pass through as they are, between matrices of two dimensions
+    sz = eigendecompose(PAULI_Z)
+    items = [hermitized(PAULI_X), sz, hermitized(qutrit4_matrices()[2]), hermitized(PAULI_Y), sz]
+    out = eigendecompose_many(items)
+    assert out[1] is sz and out[4] is sz
+    for obs, m in zip([out[0], out[2], out[3]], [PAULI_X, qutrit4_matrices()[2], PAULI_Y]):
+        assert obs.eigenvectors.tobytes() == eigendecompose(m).eigenvectors.tobytes()
+    assert eigendecompose_many([]) == []
+
+
+def test_eigendecompose_many_guards_the_reconstruction():
+    # eigh reads one triangle: a matrix that skipped ``hermitized`` is refused
+    with pytest.raises(ValueError, match="reconstruct"):
+        eigendecompose_many([hermitized(PAULI_Z), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
 
 
 def test_dimension_mismatch_raises():

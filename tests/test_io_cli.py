@@ -605,6 +605,52 @@ def test_cli_exit_code_non_hermitian(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _order_files(tmp_path) -> dict:
+    """A good, a non-Hermitian and a malformed observable document, and a path to no file."""
+    files = {"ok": _matrix_doc(PAULI_X), "nonherm": {"matrix": [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]},
+             "malformed": {"matrix": [[[0.0, 0.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]]]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp_path / f"{name}.json") for name in [*files, "missing"]}
+
+
+@pytest.mark.parametrize("names, code", [
+    (["ok", "nonherm", "malformed"], 4),
+    (["malformed", "nonherm"], 2),
+    (["nonherm", "missing"], 4),    # a file is looked for only when its turn comes
+    (["missing", "nonherm"], 2),
+    (["ok", "ok", "nonherm"], 4),
+])
+def test_cli_first_bad_file_in_token_order_decides(tmp_path, capsys, names, code):
+    files = _order_files(tmp_path)
+    assert main(["bound", *[files[n] for n in names], "--C", "0", "--alpha", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first_bad = next(n for n in names if n != "ok")
+    assert {"nonherm": "not Hermitian", "malformed": "matrix[0][1]", "missing": "no such file"}[first_bad] in captured.err
+
+
+def test_cli_resolves_fixtures_and_files_in_token_order(tmp_path, monkeypatch):
+    from vurkit import cli, io
+    files = _order_files(tmp_path)
+    reads, read = [], io.read_observable
+    monkeypatch.setattr(io, "read_observable", lambda path, tol: reads.append(path) or read(path, tol))
+    got = cli._resolve_observables(["sigma-z", files["ok"], "pauli3", files["ok"], "sigma-y"], DEFAULT_TOLERANCES)
+    expected = [pauli3()[2], eigendecompose(PAULI_X), *pauli3(), eigendecompose(PAULI_X), pauli3()[1]]
+    assert [o.eigenvectors.tobytes() for o in got] == [o.eigenvectors.tobytes() for o in expected]
+    # each distinct file is read once, and its observable is shared
+    assert reads == [Path(files["ok"])] and got[1] is got[5]
+
+
+def test_cli_odd_pairs_refuses_before_reading_a_file(tmp_path, capsys, monkeypatch):
+    from vurkit import io
+    files = _order_files(tmp_path)
+    monkeypatch.setattr(io, "read_observable", lambda path, tol: pytest.fail(f"read {path}"))
+    assert main(["lur", "--state", "ket00", "--pairs", files["nonherm"], files["ok"], files["ok"],
+                 "--u-a", "1", "--u-b", "1"]) == 2
+    assert "an even number of observables" in capsys.readouterr().err
+
+
 def test_cli_exit_code_invalid_state(tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"density": [[[1.0, 0.0], [0.0, 0.0]],

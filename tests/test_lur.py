@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import moment_variance
+from reference import moment_variance, searched_pair_variances
 from sampling import sample_random_separable
 from vurkit import (DimensionMismatchError, QuantumState, Verdict, eigendecompose,
                     lur_test, optimize_alpha, wu_full_mub)
 from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
+from vurkit.lur import _pair_variances
 from vurkit.oracle import random_hermitian, sample_random_pure
 
 
@@ -111,6 +112,30 @@ def test_lhs_spectral_path_matches_matrix_moments(n_a, n_b, count, pure, seed):
         joint = np.kron(a, np.eye(n_b)) + np.kron(np.eye(n_a), b)
         want = moment_variance(joint, rho.density_matrix())
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n_a, n_b", [(2, 2), (2, 3), (3, 2), (4, 4), (16, 16)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("pure", [True, False])
+def test_fixed_contraction_path_matches_the_searched_one_bit_for_bit(n_a, n_b, count, pure):
+    rng = np.random.default_rng([n_a, n_b, count, pure])
+    a_side = [eigendecompose(random_hermitian(n_a, rng)) for _ in range(count)]
+    b_side = [eigendecompose(random_hermitian(n_b, rng)) for _ in range(count)]
+    rho = sample_random_pure(n_a * n_b, rng) if pure else sample_random_separable(n_a, n_b, rng)
+    got, want = _pair_variances(a_side, b_side, rho), searched_pair_variances(a_side, b_side, rho)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_lur_test_runs_no_contraction_path_search(monkeypatch):
+    # np.einsum reaches einsum_path and its searches through its own module's
+    # globals, not through the np namespace, so the guard patches the searches there
+    for name in ("_greedy_path", "_optimal_path"):
+        monkeypatch.setitem(np.einsum.__wrapped__.__globals__, name,
+                            lambda *args: pytest.fail("contraction path searched"))
+    for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
+        rng = np.random.default_rng(n_a * n_b)
+        pairs = [(eigendecompose(random_hermitian(n_a, rng)), eigendecompose(random_hermitian(n_b, rng)))] * 2
+        lur_test(pairs, sample_random_pure(n_a * n_b, rng), u_a=0.0, u_b=0.0)
 
 
 def test_no_false_positives_on_separable_mixtures():
