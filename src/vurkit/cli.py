@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
-from .core import SpectralObservable, eigendecompose_many
+from .core import HermitianMatrix, SpectralObservable, eigendecompose_many
 from .errors import FileFormatError, VurkitError
 from .lur import lur_test
 from .oracle import OracleConfig, minimize_variance_sum
@@ -49,23 +49,26 @@ def _lookup(token: str, registry: dict, loader, tol: Tolerances):
     return loader(path, tol)
 
 
-def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
-    """Each token's list of observables, a fixture's or a file's one, joined in order.  Each distinct token
-    is read once, in order, so the first bad file refuses; then one pass decomposes every file's matrix."""
+def _read_observables(tokens, tol: Tolerances) -> list[SpectralObservable | HermitianMatrix]:
+    """Each token's list of observables, a fixture's or a file's one, joined in order; a file's matrix stays
+    undecomposed.  Each distinct token is read once, in order, so the first bad file refuses."""
     read = {token: _lookup(token, fixtures.OBSERVABLES, lambda path, tol: [io.read_observable(path, tol)], tol)
             for token in dict.fromkeys(tokens)}
-    done = iter(eigendecompose_many([o for items in read.values() for o in items], tol))
-    resolved = {token: [next(done) for _ in items] for token, items in read.items()}
-    return [o for token in tokens for o in resolved[token]]
+    return [o for token in tokens for o in read[token]]
 
 
-def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple[SpectralObservable, SpectralObservable]]:
+def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
+    """``_read_observables``, then one pass that decomposes every file's matrix, for commands that read spectra."""
+    return eigendecompose_many(_read_observables(tokens, tol), tol)
+
+
+def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple]:
     if len(tokens) == 1 and tokens[0] in fixtures.PAIR_SETS:
         return list(fixtures.PAIR_SETS[tokens[0]]())
     if len(tokens) % 2 != 0:
         raise FileFormatError("--pairs expects a pair-set fixture or an even number of "
                               "observables, alternating first-side and second-side")
-    observables = _resolve_observables(tokens, tol)
+    observables = _read_observables(tokens, tol)
     if len(observables) != len(tokens):  # every token names at least one
         raise FileFormatError("each --pairs entry must name a single observable")
     return list(zip(observables[::2], observables[1::2]))
@@ -124,7 +127,7 @@ def cmd_entropic(args, tol: Tolerances):
 
 
 def cmd_oracle(args, tol: Tolerances):
-    observables = _resolve_observables(args.observables, tol)
+    observables = _read_observables(args.observables, tol)
     config = OracleConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     result = minimize_variance_sum(observables, config, agreement_tol=tol.oracle_agreement)
     amplitudes = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in result.argmin_state.vector)
@@ -145,15 +148,17 @@ def cmd_oracle(args, tol: Tolerances):
 def cmd_lur(args, tol: Tolerances):
     state = _lookup(args.state, fixtures.STATES, io.load_state, tol)
     pairs = _resolve_pairs(args.pairs, tol)
-    # each side's floor: --u-x as given, else the optimized floor for --auto-C or --C-x
-    floors = []
-    for side, u, c, observables in zip("ab", (args.u_a, args.u_b), (args.c_a, args.c_b),
-                                       map(list, zip(*pairs))):
-        if u is None:
-            if c is None and not args.auto_constant:
-                raise FileFormatError(f"lur needs --u-{side}, --C-{side} or --auto-C for side {side.upper()}")
-            u = engine.optimize_alpha(observables, _constant(args, c, observables, tol)).lower_bound
-        floors.append(u)
+    # each side's floor: --u-x as given, else the optimized floor for --auto-C or --C-x, from the spectra
+    # of one pass that decomposes the matrices of only the sides whose floor it computes
+    floors, constants = [args.u_a, args.u_b], (args.c_a, args.c_b)
+    computed = [k for k in (0, 1) if floors[k] is None]
+    for k in computed:
+        if constants[k] is None and not args.auto_constant:
+            raise FileFormatError(f"lur needs --u-{'ab'[k]}, --C-{'ab'[k]} or --auto-C for side {'AB'[k]}")
+    spectra = iter(eigendecompose_many([pair[k] for k in computed for pair in pairs], tol))
+    for k in computed:
+        observables = [next(spectra) for _ in pairs]
+        floors[k] = engine.optimize_alpha(observables, _constant(args, constants[k], observables, tol)).lower_bound
     report = lur_test(pairs, state, *floors, margin_tol=tol.lur_margin)
     lines = [
         f"lhs (variance sum of the pair operators) = {report.lhs:.9f}",

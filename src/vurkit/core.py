@@ -1,5 +1,6 @@
-"""Dense complex Hermitian linear algebra: spectral observables, quantum states,
-measurement statistics, variances, Shannon entropies, and basis overlaps.
+"""Dense complex Hermitian linear algebra: checked Hermitian matrices, spectral
+observables, quantum states, measurement statistics, variances, Shannon
+entropies, and basis overlaps.
 
 Everything here is a pure function of immutable values; arrays are frozen after
 construction and safe to share across threads.
@@ -117,32 +118,46 @@ class SpectralObservable:
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
 
-def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+@dataclass(frozen=True)
+class HermitianMatrix:
+    """A dense observable that passed ``hermitized``'s checks, the only place one is built: its
+    exactly Hermitian, read-only ``matrix`` and its ``dim``, as a ``SpectralObservable`` has them."""
+
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrix.shape[0])
+
+
+def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
     """The Hermitian part (m + m^H)/2 of a nonempty finite square matrix, refused where m departs from
     it by more than ``tol.hermiticity``: decomposed in m's place, it leaks no asymmetry into the guard."""
     arr = as_square_matrix(m)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > tol.hermiticity:
         raise NotHermitianError(f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.hermiticity:.1e}")
-    return 0.5 * (arr + arr.conj().T)
+    return HermitianMatrix(_readonly(0.5 * (arr + arr.conj().T)))
 
 
 def eigendecompose_many(items, tol: Tolerances = DEFAULT_TOLERANCES) -> list[SpectralObservable]:
-    """Each item as an observable: an observable as it is, a ``hermitized`` matrix by its ascending eigenvalues
-    and phase-fixed eigenvectors, from one ``eigh`` per dimension's stack, bit for bit as it gets alone."""
-    out = list(items)
-    for n in dict.fromkeys(m.shape[0] for m in out if isinstance(m, np.ndarray)):
-        at = [i for i, m in enumerate(out) if isinstance(m, np.ndarray) and m.shape[0] == n]
-        herm = np.stack([out[i] for i in at])
+    """Each item as an observable: an observable as it is, a ``HermitianMatrix`` by its ascending eigenvalues
+    and phase-fixed eigenvectors, from one ``eigh`` per dimension's stack, bit for bit as it gets alone.
+    An item given more than once is decomposed once, and every place it held gets the same observable."""
+    items = list(items)
+    todo = list({id(m): m for m in items if isinstance(m, HermitianMatrix)}.values())
+    done = {}
+    for n in dict.fromkeys(m.dim for m in todo):
+        group = [m for m in todo if m.dim == n]
+        herm = np.stack([m.matrix for m in group])
         evals, evecs = np.linalg.eigh(herm)
         evecs = phase_fix_columns(evecs)
         # a correct eigh leaves a residual that grows with the matrix's scale
         residual = np.abs((evecs * evals[:, None, :]) @ evecs.conj().swapaxes(1, 2) - herm).max(axis=(1, 2))
         if np.any(residual > tol.reconstruction * np.maximum(1.0, np.abs(herm).max(axis=(1, 2)))):
             raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual.max():.3e})")
-        for k, i in enumerate(at):
-            out[i] = SpectralObservable(evals[k], evecs[k])
-    return out
+        done.update((id(m), SpectralObservable(a, v)) for m, a, v in zip(group, evals, evecs))
+    return [done.get(id(m), m) for m in items]
 
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:

@@ -24,7 +24,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
-from .core import QuantumState, SpectralObservable, eigendecompose_many, hermitized
+from .core import HermitianMatrix, QuantumState, SpectralObservable, eigendecompose_many, hermitized
 from .errors import FileFormatError
 
 
@@ -89,7 +89,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     return eigendecompose_many([_checked_observable(doc, tol)], tol)[0]
 
 
-def _checked_observable(doc: Any, tol: Tolerances) -> SpectralObservable | np.ndarray:
+def _checked_observable(doc: Any, tol: Tolerances) -> SpectralObservable | HermitianMatrix:
     """``parse_observable`` short of the decomposition: an observable or a ``hermitized`` matrix."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"observable document must be an object, got {type(doc).__name__}")
@@ -175,8 +175,9 @@ def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObser
     return eigendecompose_many([read_observable(path, tol)], tol)[0]
 
 
-def read_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | np.ndarray:
-    """``load_observable`` short of the decomposition, left to ``eigendecompose_many``."""
+def read_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | HermitianMatrix:
+    """``load_observable`` short of the decomposition: a matrix document, every check passed, as the
+    ``HermitianMatrix`` that ``eigendecompose_many`` decomposes where a spectrum is read."""
     with _collector_paused():
         return _checked_observable(_load_json(path), tol)
 

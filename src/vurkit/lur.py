@@ -56,7 +56,9 @@ def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
              margin_tol: float = DEFAULT_TOLERANCES.lur_margin) -> LurReport:
     """Evaluate the separability inequality on a bipartite state, given the
     floors U_A and U_B of the two sides' local variance sums.  ``pairs`` holds
-    ``(A, B)`` tuples, one observable per subsystem; dimensions may differ.
+    ``(A, B)`` tuples, one observable per subsystem; dimensions may differ.  An
+    observable is a ``SpectralObservable`` or a checked ``HermitianMatrix``:
+    only its ``matrix`` and ``dim`` are read.
 
     The verdict is Entangled when the margin is below ``-margin_tol``.
     """

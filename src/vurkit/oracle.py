@@ -68,12 +68,9 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _operator_matrices(observables) -> tuple[np.ndarray, np.ndarray]:
     """(k, 2n, 2n) real forms with x^H A x = z^T A z for z = [Re x, Im x], one
-    per observable, and the (2n, 2n) form S of the sum of their squares."""
-    v = np.stack([o.eigenvectors for o in observables])
-    lam = np.stack([o.eigenvalues for o in observables])[:, None, :]
-    vh = v.conj().transpose(0, 2, 1)
-    mats = (v * lam) @ vh
-    squares = ((v * lam ** 2) @ vh).sum(axis=0)
+    per observable's ``matrix``, and the (2n, 2n) form S of the sum of their squares."""
+    mats = np.stack([o.matrix for o in observables])
+    squares = (mats @ mats).sum(axis=0)
     return (np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]),
             np.block([[squares.real, -squares.imag], [squares.imag, squares.real]]))
 
@@ -172,7 +169,8 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
 
 def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
                           agreement_tol: float = DEFAULT_TOLERANCES.oracle_agreement) -> OracleResult:
-    """Minimum of the variance sum over pure states by multi-start Newton descent.
+    """Minimum of the variance sum over pure states by multi-start Newton descent, for
+    ``SpectralObservable``s and checked ``HermitianMatrix`` values alike: only each ``matrix`` is read.
 
     Every restart starts from its own derived seed stream, and all restarts
     descend together as one block; the minimum goes to the lowest restart

@@ -19,8 +19,8 @@ from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompo
                     user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
-from vurkit.fixtures import (PAULI_X, ket00, maximally_mixed, pauli3,
-                             qutrit4, singlet)
+from vurkit.fixtures import (PAULI_X, PAULI_Z, ket00, maximally_mixed, pauli3,
+                             qutrit4, qutrit4_matrices, singlet)
 from vurkit.io import (_to_array, load_observable, load_state, parse_observable, parse_state,
                        serialize_observable, serialize_state)
 from vurkit.oracle import random_hermitian
@@ -649,6 +649,54 @@ def test_cli_odd_pairs_refuses_before_reading_a_file(tmp_path, capsys, monkeypat
     assert main(["lur", "--state", "ket00", "--pairs", files["nonherm"], files["ok"], files["ok"],
                  "--u-a", "1", "--u-b", "1"]) == 2
     assert "an even number of observables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names, code", [(["ok", "nonherm", "ok", "malformed"], 4),
+                                         (["ok", "malformed", "ok", "nonherm"], 2)])
+def test_cli_lur_given_floors_still_check_every_pair_file_in_order(tmp_path, capsys, names, code):
+    # with both floors given nothing is decomposed, yet each file is read and checked in turn
+    files = _order_files(tmp_path)
+    assert main(["lur", "--state", "ket00", "--pairs", *[files[n] for n in names], "--u-a", "1", "--u-b", "1"]) == code
+    assert {4: "not Hermitian", 2: "matrix[0][1]"}[code] in capsys.readouterr().err
+
+
+@pytest.fixture
+def core_eigh_stacks(monkeypatch):
+    """The shape of every stack ``vurkit.core`` hands to ``np.linalg.eigh``; other
+    callers, the oracle's Hessian steps among them, go uncounted."""
+    stacks, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "vurkit.core":
+            stacks.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return stacks
+
+
+@pytest.mark.parametrize("argv, stacks, code", [
+    ("lur --state rho4 --pairs a1 b1 a2 b2 --u-a 1 --u-b 1", [], 0),
+    ("lur --state rho6 --pairs a1 t1 a2 t2 --u-a 1 --C-b 1", [(2, 3, 3)], 0),
+    ("lur --state rho6 --pairs a1 t1 a2 t2 --C-a 1 --u-b 1", [(2, 2, 2)], 0),
+    ("lur --state rho4 --pairs a1 b1 a2 b2 --auto-C", [(4, 2, 2)], 0),
+    ("oracle a1 a2 t1 --restarts 4", [], 3),
+    ("oracle a1 a2 --restarts 4", [], 0),
+    ("bound t1 a1 t2 a2 --C 1 --alpha 1", [(2, 3, 3), (2, 2, 2)], 3),   # one per dimension
+    ("bound a1 a2 a1 --C 1 --alpha 1", [(2, 2, 2)], 0),                # a repeated file once
+    ("entropic a1 a2", [(2, 2, 2)], 0),
+])
+def test_cli_decomposes_only_where_a_spectrum_is_read(tmp_path, core_eigh_stacks, argv, stacks, code):
+    # lur's pair variances and the oracle's forms read the checked matrices; the
+    # floors, the entropy constants and the overlaps read spectra
+    docs = {"a1": _matrix_doc(PAULI_X), "a2": _matrix_doc(PAULI_Z),
+            "b1": _matrix_doc(PAULI_X), "b2": _matrix_doc(PAULI_Z),
+            "t1": _matrix_doc(qutrit4_matrices()[0]), "t2": _matrix_doc(qutrit4_matrices()[2]),
+            "rho4": _density_doc(singlet().density_matrix()), "rho6": _density_doc(np.eye(6) / 6)}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert main([str(tmp_path / f"{t}.json") if t in docs else t for t in argv.split()]) == code
+    assert core_eigh_stacks == stacks
 
 
 def test_cli_exit_code_invalid_state(tmp_path, capsys):

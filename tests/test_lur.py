@@ -9,6 +9,7 @@ from reference import moment_variance, searched_pair_variances
 from sampling import sample_random_separable
 from vurkit import (DimensionMismatchError, QuantumState, Verdict, eigendecompose,
                     lur_test, optimize_alpha, wu_full_mub)
+from vurkit.core import eigendecompose_many, hermitized
 from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
 from vurkit.lur import _pair_variances
 from vurkit.oracle import random_hermitian, sample_random_pure
@@ -112,6 +113,23 @@ def test_lhs_spectral_path_matches_matrix_moments(n_a, n_b, count, pure, seed):
         joint = np.kron(a, np.eye(n_b)) + np.kron(np.eye(n_a), b)
         want = moment_variance(joint, rho.density_matrix())
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_checked_matrices_match_their_decompositions(n_a, n_b, count, pure, seed):
+    # lur_test reads only .matrix: a checked matrix and the V diag(a) V^H its
+    # decomposition rebuilds differ by rounding alone
+    rng = np.random.default_rng(seed)
+    pairs = [(hermitized(random_hermitian(n_a, rng)), hermitized(random_hermitian(n_b, rng)))
+             for _ in range(count)]
+    rho = (sample_random_pure(n_a * n_b, rng) if pure
+           else sample_random_separable(n_a, n_b, rng))
+    checked = lur_test(pairs, rho, u_a=0.0, u_b=0.0)
+    spectral = lur_test([tuple(eigendecompose_many(pair)) for pair in pairs], rho, u_a=0.0, u_b=0.0)
+    for got, want in zip((checked.lhs, *checked.pair_variances), (spectral.lhs, *spectral.pair_variances)):
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-15
 
 
 @pytest.mark.parametrize("n_a, n_b", [(2, 2), (2, 3), (3, 2), (4, 4), (16, 16)])
