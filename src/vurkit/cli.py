@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine, entropic, fixtures, io
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances, with_overrides
-from .core import HermitianMatrix, SpectralObservable, eigendecompose_many
+from .core import HermitianMatrix, SpectralObservable, eigendecompose
 from .errors import FileFormatError, VurkitError
 from .lur import lur_test
 from .oracle import OracleConfig, minimize_variance_sum
@@ -52,14 +52,14 @@ def _lookup(token: str, registry: dict, loader, tol: Tolerances):
 def _read_observables(tokens, tol: Tolerances) -> list[SpectralObservable | HermitianMatrix]:
     """Each token's list of observables, a fixture's or a file's one, joined in order; a file's matrix stays
     undecomposed.  Each distinct token is read once, in order, so the first bad file refuses."""
-    read = {token: _lookup(token, fixtures.OBSERVABLES, lambda path, tol: [io.read_observable(path, tol)], tol)
+    read = {token: _lookup(token, fixtures.OBSERVABLES, lambda path, tol: [io.load_observable(path, tol)], tol)
             for token in dict.fromkeys(tokens)}
     return [o for token in tokens for o in read[token]]
 
 
 def _resolve_observables(tokens, tol: Tolerances) -> list[SpectralObservable]:
-    """``_read_observables``, then one pass that decomposes every file's matrix, for commands that read spectra."""
-    return eigendecompose_many(_read_observables(tokens, tol), tol)
+    """``_read_observables``, each file's matrix decomposed, for commands that read spectra."""
+    return [eigendecompose(o, tol) for o in _read_observables(tokens, tol)]
 
 
 def _resolve_pairs(tokens, tol: Tolerances) -> list[tuple]:
@@ -149,15 +149,14 @@ def cmd_lur(args, tol: Tolerances):
     state = _lookup(args.state, fixtures.STATES, io.load_state, tol)
     pairs = _resolve_pairs(args.pairs, tol)
     # each side's floor: --u-x as given, else the optimized floor for --auto-C or --C-x, from the spectra
-    # of one pass that decomposes the matrices of only the sides whose floor it computes
+    # of that side's matrices, decomposed only where the floor is computed
     floors, constants = [args.u_a, args.u_b], (args.c_a, args.c_b)
     computed = [k for k in (0, 1) if floors[k] is None]
     for k in computed:
         if constants[k] is None and not args.auto_constant:
             raise FileFormatError(f"lur needs --u-{'ab'[k]}, --C-{'ab'[k]} or --auto-C for side {'AB'[k]}")
-    spectra = iter(eigendecompose_many([pair[k] for k in computed for pair in pairs], tol))
     for k in computed:
-        observables = [next(spectra) for _ in pairs]
+        observables = [eigendecompose(pair[k], tol) for pair in pairs]
         floors[k] = engine.optimize_alpha(observables, _constant(args, constants[k], observables, tol)).lower_bound
     report = lur_test(pairs, state, *floors, margin_tol=tol.lur_margin)
     lines = [

@@ -140,29 +140,19 @@ def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
     return HermitianMatrix(_readonly(0.5 * (arr + arr.conj().T)))
 
 
-def eigendecompose_many(items, tol: Tolerances = DEFAULT_TOLERANCES) -> list[SpectralObservable]:
-    """Each item as an observable: an observable as it is, a ``HermitianMatrix`` by its ascending eigenvalues
-    and phase-fixed eigenvectors, from one ``eigh`` per dimension's stack, bit for bit as it gets alone.
-    An item given more than once is decomposed once, and every place it held gets the same observable."""
-    items = list(items)
-    todo = list({id(m): m for m in items if isinstance(m, HermitianMatrix)}.values())
-    done = {}
-    for n in dict.fromkeys(m.dim for m in todo):
-        group = [m for m in todo if m.dim == n]
-        herm = np.stack([m.matrix for m in group])
-        evals, evecs = np.linalg.eigh(herm)
-        evecs = phase_fix_columns(evecs)
-        # a correct eigh leaves a residual that grows with the matrix's scale
-        residual = np.abs((evecs * evals[:, None, :]) @ evecs.conj().swapaxes(1, 2) - herm).max(axis=(1, 2))
-        if np.any(residual > tol.reconstruction * np.maximum(1.0, np.abs(herm).max(axis=(1, 2)))):
-            raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual.max():.3e})")
-        done.update((id(m), SpectralObservable(a, v)) for m, a, v in zip(group, evals, evecs))
-    return [done.get(id(m), m) for m in items]
-
-
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
-    """Spectral decomposition of one Hermitian matrix, as ``eigendecompose_many`` gives it."""
-    return eigendecompose_many([hermitized(m, tol)], tol)[0]
+    """An observable as it is; a ``HermitianMatrix``, or any other matrix once ``hermitized``, by its
+    ascending eigenvalues and phase-fixed eigenvectors, refused where they fail to rebuild it."""
+    if isinstance(m, SpectralObservable):
+        return m
+    herm = (m if isinstance(m, HermitianMatrix) else hermitized(m, tol)).matrix
+    evals, evecs = np.linalg.eigh(herm)
+    evecs = phase_fix_columns(evecs)
+    # a correct eigh leaves a residual that grows with the matrix's scale
+    residual = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - herm)))
+    if residual > tol.reconstruction * max(1.0, float(np.max(np.abs(herm)))):
+        raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual:.3e})")
+    return SpectralObservable(evals, evecs)
 
 
 def _psd_certified(mat: np.ndarray, tol: float) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QuantumState, SpectralObservable, eigendecompose_many, hermitized
+from .core import QuantumState, SpectralObservable, eigendecompose
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,12 +44,12 @@ def qutrit4_matrices() -> list[np.ndarray]:
 def qutrit4() -> list[SpectralObservable]:
     """The built-in qutrit quadruple, with its exact shared spectrum -1, 0, 1."""
     return [SpectralObservable(np.array([-1.0, 0.0, 1.0]), o.eigenvectors)
-            for o in eigendecompose_many(map(hermitized, qutrit4_matrices()))]
+            for o in map(eigendecompose, qutrit4_matrices())]
 
 
 def pauli3() -> list[SpectralObservable]:
     """The three qubit spin observables; their eigenbases are mutually unbiased."""
-    return eigendecompose_many(map(hermitized, (PAULI_X, PAULI_Y, PAULI_Z)))
+    return [eigendecompose(m) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
 
 
 def singlet() -> QuantumState:

@@ -24,7 +24,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, TOOL_VERSION, Tolerances
-from .core import HermitianMatrix, QuantumState, SpectralObservable, eigendecompose_many, hermitized
+from .core import HermitianMatrix, QuantumState, SpectralObservable, hermitized
 from .errors import FileFormatError
 
 
@@ -82,15 +82,9 @@ def _matrix(rows, what: str) -> np.ndarray:
     return _to_array(rows, what, square=True)
 
 
-def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
-    """Build an observable from a document holding exactly one of ``matrix``
-    (dense Hermitian entries) or ``spectral`` (eigenvalues plus eigenvector
-    columns)."""
-    return eigendecompose_many([_checked_observable(doc, tol)], tol)[0]
-
-
-def _checked_observable(doc: Any, tol: Tolerances) -> SpectralObservable | HermitianMatrix:
-    """``parse_observable`` short of the decomposition: an observable or a ``hermitized`` matrix."""
+def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | HermitianMatrix:
+    """Check a document holding exactly one of ``matrix`` (dense Hermitian entries), given back as a
+    ``hermitized`` matrix, or ``spectral`` (eigenvalues plus eigenvector columns), as an observable."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"observable document must be an object, got {type(doc).__name__}")
     has_matrix, has_spectral = "matrix" in doc, "spectral" in doc
@@ -171,15 +165,9 @@ def _load_json(path) -> Any:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
-    return eigendecompose_many([read_observable(path, tol)], tol)[0]
-
-
-def read_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | HermitianMatrix:
-    """``load_observable`` short of the decomposition: a matrix document, every check passed, as the
-    ``HermitianMatrix`` that ``eigendecompose_many`` decomposes where a spectrum is read."""
+def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | HermitianMatrix:
     with _collector_paused():
-        return _checked_observable(_load_json(path), tol)
+        return parse_observable(_load_json(path), tol)
 
 
 def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:

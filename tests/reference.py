@@ -127,10 +127,10 @@ def phase_fixed_columns(vectors):
 
 def one_matrix_eigendecompose(m, tol=DEFAULT_TOLERANCES):
     """Ascending eigenvalues and phase-fixed eigenvector columns of one
-    Hermitian matrix, by the library's earlier one-matrix path: its own
+    Hermitian matrix, by the library's one-matrix path written out: its own
     Hermiticity gate, one ``eigh`` on the Hermitized matrix, the column phase
-    fix by one fancy index, and the reconstruction guard.  The stacked
-    decomposition must reproduce it bit for bit."""
+    fix by one fancy index, and the reconstruction guard.
+    ``core.eigendecompose`` must reproduce it bit for bit."""
     arr = np.asarray(m, dtype=complex)
     if hermiticity_defect(arr) > tol.hermiticity:
         raise ValueError("matrix is not Hermitian")

@@ -12,7 +12,7 @@ from vurkit import (DimensionMismatchError, InvalidStateError, NotHermitianError
                     measurement_distribution, overlap_stats, select_constant,
                     shannon_entropy, variance)
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
-from vurkit.core import HermitianMatrix, eigendecompose_many, hermitized, phase_fix_columns
+from vurkit.core import HermitianMatrix, hermitized, phase_fix_columns
 from vurkit.fixtures import PAULI_X, PAULI_Y, PAULI_Z, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import random_hermitian, sample_random_pure
 
@@ -153,7 +153,7 @@ _FIXTURE_MATRICES = [0.5 * (m + m.conj().T) for m in (PAULI_X, PAULI_Y, PAULI_Z,
        st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=6),
        st.booleans(), st.sampled_from(["random", "degenerate", "fixture"]),
        st.integers(min_value=-150, max_value=150))
-def test_stacked_decomposition_matches_one_matrix_path_bit_for_bit(seed, dims, mixed, kind, exponent):
+def test_decomposition_matches_one_matrix_path_bit_for_bit(seed, dims, mixed, kind, exponent):
     # 1-6 matrices of one n or of mixed n in 1-16, with random, repeated or
     # fixture (Pauli, qutrit4) spectra, scaled by 10^(+-150) to reach both ends
     # of the reconstruction guard's scale
@@ -161,8 +161,8 @@ def test_stacked_decomposition_matches_one_matrix_path_bit_for_bit(seed, dims, m
     make = {"random": random_hermitian, "degenerate": _degenerate_hermitian,
             "fixture": lambda n, rng: _FIXTURE_MATRICES[int(rng.integers(len(_FIXTURE_MATRICES)))]}[kind]
     mats = [make(n, rng) * 10.0 ** exponent for n in (dims if mixed else dims[:1] * len(dims))]
-    for obs, m in zip(eigendecompose_many([hermitized(m) for m in mats]), mats):
-        evals, evecs = one_matrix_eigendecompose(m)
+    for m in mats:
+        obs, (evals, evecs) = eigendecompose(m), one_matrix_eigendecompose(m)
         assert obs.eigenvalues.tobytes() == evals.tobytes()
         assert obs.eigenvectors.tobytes() == evecs.tobytes()
 
@@ -177,21 +177,20 @@ def test_fixtures_decompose_as_one_matrix_each():
         assert obs.eigenvalues.tolist() == [-1.0, 0.0, 1.0]
 
 
-def test_eigendecompose_many_keeps_order_and_observables():
-    # observables pass through as they are, between matrices of two dimensions
+def test_eigendecompose_passes_an_observable_through():
+    # an observable comes back as the same object; a checked matrix decomposes as the bare one does
     sz = eigendecompose(PAULI_Z)
-    items = [hermitized(PAULI_X), sz, hermitized(qutrit4_matrices()[2]), hermitized(PAULI_Y), sz]
-    out = eigendecompose_many(items)
-    assert out[1] is sz and out[4] is sz
-    for obs, m in zip([out[0], out[2], out[3]], [PAULI_X, qutrit4_matrices()[2], PAULI_Y]):
-        assert obs.eigenvectors.tobytes() == eigendecompose(m).eigenvectors.tobytes()
-    assert eigendecompose_many([]) == []
+    assert eigendecompose(sz) is sz
+    for m in (PAULI_X, qutrit4_matrices()[2]):
+        obs, bare = eigendecompose(hermitized(m)), eigendecompose(m)
+        assert obs.eigenvalues.tobytes() == bare.eigenvalues.tobytes()
+        assert obs.eigenvectors.tobytes() == bare.eigenvectors.tobytes()
 
 
-def test_eigendecompose_many_guards_the_reconstruction():
+def test_eigendecompose_guards_the_reconstruction():
     # eigh reads one triangle: a matrix that skipped ``hermitized``'s checks is refused
     with pytest.raises(ValueError, match="reconstruct"):
-        eigendecompose_many([hermitized(PAULI_Z), HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))])
+        eigendecompose(HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
 
 
 def test_dimension_mismatch_raises():

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import document_array, nested_document_array
+from reference import document_array, nested_document_array, one_matrix_eigendecompose
 from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompose, optimize_alpha,
                     user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
+from vurkit.core import HermitianMatrix
 from vurkit.fixtures import (PAULI_X, PAULI_Z, ket00, maximally_mixed, pauli3,
                              qutrit4, qutrit4_matrices, singlet)
 from vurkit.io import (_to_array, load_observable, load_state, parse_observable, parse_state,
@@ -37,8 +38,13 @@ def _density_doc(rho):
 # --- documents ---------------------------------------------------------------
 
 def test_parse_matrix_document():
-    obs = parse_observable(_matrix_doc(PAULI_X))
-    assert np.allclose(obs.eigenvalues, [-1.0, 1.0])
+    # a matrix document is checked, not decomposed; it decomposes as the matrix it holds
+    checked = parse_observable(_matrix_doc(PAULI_X))
+    assert isinstance(checked, HermitianMatrix)
+    obs, (evals, evecs) = eigendecompose(checked), one_matrix_eigendecompose(PAULI_X)
+    assert obs.eigenvalues.tobytes() == evals.tobytes()
+    assert obs.eigenvectors.tobytes() == evecs.tobytes()
+    assert obs.eigenvalues.tolist() == [-1.0, 1.0]
 
 
 def test_parse_rejects_ambiguous_documents():
@@ -633,19 +639,20 @@ def test_cli_first_bad_file_in_token_order_decides(tmp_path, capsys, names, code
 def test_cli_resolves_fixtures_and_files_in_token_order(tmp_path, monkeypatch):
     from vurkit import cli, io
     files = _order_files(tmp_path)
-    reads, read = [], io.read_observable
-    monkeypatch.setattr(io, "read_observable", lambda path, tol: reads.append(path) or read(path, tol))
+    reads, load = [], io.load_observable
+    monkeypatch.setattr(io, "load_observable", lambda path, tol: reads.append(path) or load(path, tol))
     got = cli._resolve_observables(["sigma-z", files["ok"], "pauli3", files["ok"], "sigma-y"], DEFAULT_TOLERANCES)
     expected = [pauli3()[2], eigendecompose(PAULI_X), *pauli3(), eigendecompose(PAULI_X), pauli3()[1]]
+    assert [o.eigenvalues.tobytes() for o in got] == [o.eigenvalues.tobytes() for o in expected]
     assert [o.eigenvectors.tobytes() for o in got] == [o.eigenvectors.tobytes() for o in expected]
-    # each distinct file is read once, and its observable is shared
-    assert reads == [Path(files["ok"])] and got[1] is got[5]
+    # each distinct file is read once, and each place it holds gets the same bits
+    assert reads == [Path(files["ok"])]
 
 
 def test_cli_odd_pairs_refuses_before_reading_a_file(tmp_path, capsys, monkeypatch):
     from vurkit import io
     files = _order_files(tmp_path)
-    monkeypatch.setattr(io, "read_observable", lambda path, tol: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(io, "load_observable", lambda path, tol: pytest.fail(f"read {path}"))
     assert main(["lur", "--state", "ket00", "--pairs", files["nonherm"], files["ok"], files["ok"],
                  "--u-a", "1", "--u-b", "1"]) == 2
     assert "an even number of observables" in capsys.readouterr().err
@@ -661,42 +668,76 @@ def test_cli_lur_given_floors_still_check_every_pair_file_in_order(tmp_path, cap
 
 
 @pytest.fixture
-def core_eigh_stacks(monkeypatch):
-    """The shape of every stack ``vurkit.core`` hands to ``np.linalg.eigh``; other
-    callers, the oracle's Hessian steps among them, go uncounted."""
-    stacks, eigh = [], np.linalg.eigh
+def core_eigh_calls(monkeypatch):
+    """The shape of every matrix ``vurkit.core`` hands to ``np.linalg.eigh``, one per call;
+    other callers, the oracle's Hessian steps among them, go uncounted."""
+    calls, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "vurkit.core":
-            stacks.append(np.shape(a))
+            calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    return stacks
+    return calls
 
 
-@pytest.mark.parametrize("argv, stacks, code", [
-    ("lur --state rho4 --pairs a1 b1 a2 b2 --u-a 1 --u-b 1", [], 0),
-    ("lur --state rho6 --pairs a1 t1 a2 t2 --u-a 1 --C-b 1", [(2, 3, 3)], 0),
-    ("lur --state rho6 --pairs a1 t1 a2 t2 --C-a 1 --u-b 1", [(2, 2, 2)], 0),
-    ("lur --state rho4 --pairs a1 b1 a2 b2 --auto-C", [(4, 2, 2)], 0),
-    ("oracle a1 a2 t1 --restarts 4", [], 3),
-    ("oracle a1 a2 --restarts 4", [], 0),
-    ("bound t1 a1 t2 a2 --C 1 --alpha 1", [(2, 3, 3), (2, 2, 2)], 3),   # one per dimension
-    ("bound a1 a2 a1 --C 1 --alpha 1", [(2, 2, 2)], 0),                # a repeated file once
-    ("entropic a1 a2", [(2, 2, 2)], 0),
-])
-def test_cli_decomposes_only_where_a_spectrum_is_read(tmp_path, core_eigh_stacks, argv, stacks, code):
-    # lur's pair variances and the oracle's forms read the checked matrices; the
-    # floors, the entropy constants and the overlaps read spectra
+def _write_docs(tmp_path) -> dict:
+    """Matrix documents of X and Z on each qubit side and of two qutrit matrices, and two states."""
     docs = {"a1": _matrix_doc(PAULI_X), "a2": _matrix_doc(PAULI_Z),
             "b1": _matrix_doc(PAULI_X), "b2": _matrix_doc(PAULI_Z),
             "t1": _matrix_doc(qutrit4_matrices()[0]), "t2": _matrix_doc(qutrit4_matrices()[2]),
             "rho4": _density_doc(singlet().density_matrix()), "rho6": _density_doc(np.eye(6) / 6)}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return docs
+
+
+_QUBIT, _QUTRIT = (2, 2), (3, 3)
+
+
+@pytest.mark.parametrize("argv, calls, code", [
+    ("lur --state rho4 --pairs a1 b1 a2 b2 --u-a 1 --u-b 1", [], 0),
+    ("lur --state rho6 --pairs a1 t1 a2 t2 --u-a 1 --C-b 1", [_QUTRIT, _QUTRIT], 0),
+    ("lur --state rho6 --pairs a1 t1 a2 t2 --C-a 1 --u-b 1", [_QUBIT, _QUBIT], 0),
+    ("lur --state rho4 --pairs a1 b1 a2 b2 --auto-C", [_QUBIT] * 4, 0),
+    ("oracle a1 a2 t1 --restarts 4", [], 3),
+    ("oracle a1 a2 --restarts 4", [], 0),
+    ("bound t1 a1 t2 a2 --C 1 --alpha 1", [_QUTRIT, _QUBIT, _QUTRIT, _QUBIT], 3),
+    ("bound a1 a2 a1 --C 1 --alpha 1", [_QUBIT] * 3, 0),  # a repeated file at each occurrence
+    ("entropic a1 a2", [_QUBIT] * 2, 0),
+])
+def test_cli_decomposes_only_where_a_spectrum_is_read(tmp_path, core_eigh_calls, argv, calls, code):
+    # lur's pair variances and the oracle's forms read the checked matrices; the
+    # floors, the entropy constants and the overlaps read spectra
+    docs = _write_docs(tmp_path)
     assert main([str(tmp_path / f"{t}.json") if t in docs else t for t in argv.split()]) == code
-    assert core_eigh_stacks == stacks
+    assert core_eigh_calls == calls
+
+
+@pytest.mark.parametrize("argv, loads, decompositions", [
+    ("bound a1 a2 b1 --C 1 --alpha 1", 3, 3),
+    ("lur --state rho4 --pairs a1 b1 a2 b2 --u-a 1 --u-b 1", 4, 0),
+    ("oracle a1 a2 --restarts 4", 2, 0),
+])
+def test_cli_calls_the_layers_the_benchmark_traces(tmp_path, monkeypatch, argv, loads, decompositions):
+    # wrapped in every vurkit module that bound them, as the benchmark's tracer wraps
+    # them: command-line loads and decompositions go through these two names
+    from vurkit import core, io
+    counts = {}
+    for fn in (io.load_observable, core.eigendecompose):
+        def counted(*args, fn=fn, **kwargs):
+            counts[fn.__name__] = counts.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name == "vurkit" or name.startswith("vurkit."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    docs = _write_docs(tmp_path)
+    assert main([str(tmp_path / f"{t}.json") if t in docs else t for t in argv.split()]) == 0
+    assert counts.get("load_observable", 0) == loads
+    assert counts.get("eigendecompose", 0) == decompositions
 
 
 def test_cli_exit_code_invalid_state(tmp_path, capsys):
