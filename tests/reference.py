@@ -167,40 +167,59 @@ def robertson_bound(a, b, state):
     return 0.5 * abs(complex(np.trace(state.density_matrix() @ comm)))
 
 
-def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_tol=1e-12):
-    """One restart of saddle-free Riemannian Newton descent on the unit sphere,
-    written as a plain loop over dense matrices in the real coordinates
-    z = [Re x, Im x], with each square taken as a dense product.  Returns the
-    final variance sum."""
-    n = len(x0)
-    eye = np.eye(2 * n)
+def dense_forms(matrices):
+    """(A, A^2) per observable: the real (2n, 2n) form of each matrix and its dense square."""
     forms = []
     for m in matrices:
         m = np.asarray(m, dtype=complex)
         a = np.block([[m.real, -m.imag], [m.imag, m.real]])
         forms.append((a, a @ a))
+    return forms
 
-    def value(z):
-        return sum(np.sum((a @ z - (z @ a @ z) * z) ** 2) for a, _ in forms)
+
+def _tangent_projector(z):
+    """I - z z^T - Jz (Jz)^T: removes the unit row z and the phase direction Jz."""
+    n = len(z) // 2
+    jz = np.concatenate([-z[n:], z[:n]])
+    return np.eye(2 * n) - np.outer(z, z) - np.outer(jz, jz)
+
+
+def _dense_value(forms, z):
+    return sum(np.sum((a @ z - (z @ a @ z) * z) ** 2) for a, _ in forms)
+
+
+def dense_evaluation(forms, z):
+    """Variance sum, projected gradient and projected Hessian at one unit row
+    z = [Re x, Im x], by a plain loop over the dense ``(A, A^2)`` pairs of
+    ``dense_forms``, projected by ``_tangent_projector``."""
+    eye = np.eye(len(z))
+    grad = np.zeros(len(z))
+    hess = np.zeros((len(z), len(z)))
+    for a, a2 in forms:
+        az = a @ z
+        q = z @ az
+        grad += 2.0 * a2 @ z - 4.0 * q * az
+        hess += 2.0 * a2 - 8.0 * np.outer(az, az) - 4.0 * q * a
+    hess -= (z @ grad) * eye
+    proj = _tangent_projector(z)
+    return _dense_value(forms, z), proj @ grad, proj @ hess @ proj
+
+
+def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_tol=1e-12):
+    """One restart of saddle-free Riemannian Newton descent on the unit sphere,
+    written as a plain loop over dense matrices in the real coordinates
+    z = [Re x, Im x], with each square taken as a dense product.  Returns the
+    final variance sum."""
+    forms = dense_forms(matrices)
 
     def gradient_and_step(z):
-        grad = np.zeros(2 * n)
-        hess = np.zeros((2 * n, 2 * n))
-        for a, a2 in forms:
-            az = a @ z
-            q = z @ az
-            grad += 2.0 * a2 @ z - 4.0 * q * az
-            hess += 2.0 * a2 - 8.0 * np.outer(az, az) - 4.0 * q * a
-        hess -= (z @ grad) * eye
-        jz = np.concatenate([-z[n:], z[:n]])
-        proj = eye - np.outer(z, z) - np.outer(jz, jz)
-        g = proj @ grad
-        lam, u = np.linalg.eigh(proj @ hess @ proj)
-        return g, -proj @ u @ ((u.T @ g) / np.maximum(np.abs(lam), np.linalg.norm(g)))
+        _, g, hess = dense_evaluation(forms, z)
+        lam, u = np.linalg.eigh(hess)
+        return g, -_tangent_projector(z) @ u @ ((u.T @ g) / np.maximum(np.abs(lam), np.linalg.norm(g)))
 
     z = np.concatenate([np.real(x0), np.imag(x0)])
     z = z / np.linalg.norm(z)
-    f = value(z)
+    f = _dense_value(forms, z)
     for _ in range(max_iters):
         g, d = gradient_and_step(z)
         decrement = -(g @ d)
@@ -210,7 +229,7 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
         while step >= step_tol:
             cand = z + step * d
             cand /= np.linalg.norm(cand)
-            fc = value(cand)
+            fc = _dense_value(forms, cand)
             if fc <= f - armijo * step * decrement and fc < f:
                 break
             step *= 0.5

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import gaussian_sum, scalar_descent, variance_sum
+from reference import dense_evaluation, dense_forms, gaussian_sum, scalar_descent, variance_sum
 from sampling import lemma_sweep
 from vurkit import (DEFAULT_TOLERANCES, OracleConfig, QuantumState, eigendecompose, expectation,
                     measurement_distribution, minimize_variance_sum,
                     sample_random_pure, shannon_entropy, variance)
+from vurkit.core import hermitized
 from vurkit.fixtures import PAULI_Z, pauli3, qutrit4
 from vurkit.oracle import (STOP_REASONS, ambient_variance_sum,
                            ambient_variance_sum_gradient, random_hermitian)
@@ -157,6 +158,33 @@ def test_batched_descent_matches_scalar_reference():
             assert final == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.floats(-3.0, 3.0),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_evaluate_matches_dense_reference(n, k, rows, log_scale, seed):
+    # the batched value, gradient and projected Hessian against a plain loop over
+    # dense matrices, one row at a time; rows need not be unit, and the gradient
+    # of f(z / |z|) is the unit row's divided by |z|.  The tolerance is float64
+    # rounding at the scale of S (the worst seen was 1.6e-15 of it)
+    from vurkit.oracle import _evaluate, _operator_matrices
+    rng = np.random.default_rng(seed)
+    obs = [hermitized(10.0 ** log_scale * random_hermitian(n, rng)) for _ in range(k)]
+    forms, s = _operator_matrices(obs)
+    z = rng.standard_normal((rows, 2 * n)) * rng.uniform(0.5, 2.0, (rows, 1))
+    nz = np.linalg.norm(z, axis=1)
+    tol = 1e-12 * max(1.0, np.linalg.norm(s))
+    dense = dense_forms([o.matrix for o in obs])
+    value = _evaluate(forms, s, z)
+    value_1, grad_1 = _evaluate(forms, s, z, order=1)
+    value_2, grad, hess = _evaluate(forms, s, z, order=2)[:3]
+    assert np.array_equal(value_1, value) and np.array_equal(value_2, value) and np.array_equal(grad_1, grad)
+    for r in range(rows):
+        v, g, h = dense_evaluation(dense, z[r] / nz[r])
+        assert abs(value[r] - v) <= tol
+        assert np.abs(grad[r] * nz[r] - g).max() <= tol
+        assert np.abs(hess[r] - h).max() <= tol
+
+
 def test_hessian_matches_finite_differences_of_gradient():
     # on the horizontal space (orthogonal to z and to the phase direction Jz)
     # the Riemannian Hessian is the Jacobian of the ambient gradient at unit z
@@ -236,6 +264,20 @@ def test_rows_at_rounding_stop_instead_of_running_to_the_cap():
         stop, iters = _descend(*_operator_matrices(obs), x0, 250)[2:]
         assert STOP_REASONS.index("max_iters") not in stop
         assert iters.max() <= 40
+
+
+def test_one_dimensional_observables_stop_flat_without_a_division_by_zero():
+    # on 1x1 observables every state has variance 0; a row whose gradient and
+    # projected Hessian are both exactly 0 must stop on its gradient with no 0/0
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        obs = [hermitized(random_hermitian(1, rng)) for _ in range(int(rng.integers(1, 4)))]
+        result = minimize_variance_sum(obs, OracleConfig(restarts=4, seed=0))
+        assert result.minimum == pytest.approx(0.0, abs=1e-12)
+        assert result.stops == {"gradient": 4, "step_underflow": 0, "max_iters": 0}
+        assert result.iterations == 0
+    one = hermitized(np.array([[-1.1530993410463448]]))
+    assert minimize_variance_sum([one], OracleConfig(restarts=16, seed=0)).stops["gradient"] == 16
 
 
 def test_gradient_norms_follow_restart_order():
