@@ -5,9 +5,8 @@ pass per nesting level, which checks that level's types and lengths, and one
 ``np.fromiter`` over its numbers; a walk in row order runs only to name the
 first bad entry when a check refuses.  A whole file load runs with the cyclic
 garbage collector paused: the parsed document is an acyclic tree, which
-reference counting frees.  An observable serializes to its spectral form, so
-parse(serialize(x)) reproduces x exactly.  A report's payload is a result's
-own dataclass fields, its schema declared there once.
+reference counting frees.  A report's payload is a result's own dataclass
+fields, its schema declared there once.
 """
 
 from __future__ import annotations
@@ -109,13 +108,6 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     if defect > tol.orthonormality:
         raise FileFormatError(f"eigenvector columns are not orthonormal (defect {defect:.3e})")
     return obs
-
-
-def serialize_observable(obs: SpectralObservable) -> dict:
-    """Canonical spectral document for an observable."""
-    cols = obs.eigenvectors.T
-    return {"spectral": {"eigenvalues": obs.eigenvalues.tolist(),
-                         "eigenvectors": np.stack([cols.real, cols.imag], -1).tolist()}}
 
 
 def parse_state(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:

@@ -5,8 +5,8 @@ where U_A and U_B are state-independent floors on the local variance sums.
 Violation certifies entanglement; non-violation proves nothing (the criterion
 is sufficient only).  The pair sum "A_i + B_i" is read as the joint operator
 A_i (x) I + I (x) B_i, the only interpretation that typechecks across
-subsystems.  The floors are the caller's: this module computes the pair
-variances and the margin from a given state, U_A and U_B.
+subsystems.  The floors are the caller's: from a given state this module computes
+the covariance matrices, the pair variances on their diagonals, and the margin.
 """
 
 from __future__ import annotations
@@ -37,19 +37,18 @@ class LurReport:
     verdict: Verdict
 
 
-def _pair_variances(a_side, b_side, rho: QuantumState) -> tuple[float, ...]:
-    """V(A (x) I + I (x) B) = <A'^2>_rhoA + <B'^2>_rhoB + 2 <A' (x) B'>_rho for every pair, with
-    A' = A - <A> and B' = B - <B> (Hofmann and Takeuchi, PRA 68, 032103, 2003)."""
-    a, b = (np.stack([o.matrix for o in side]) for side in (a_side, b_side))
-    n_a, n_b = a.shape[1], b.shape[1]
+def _covariances(a_side, b_side, rho: QuantumState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sigma_A[p, q] = Re <A'_p A'_q>_rhoA, Sigma_B likewise and C[p, q] = <A'_p (x) B'_q>_rho, A' = A - <A>
+    (Guhne, Hyllus, Gittsovich and Eisert, PRL 99, 130504, 2007), on rows vec(A'^T): tr(X Y) = vec(X) . vec(Y^T)."""
+    n_a, n_b = a_side[0].dim, b_side[0].dim
     r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
-    rho_a, rho_b = np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
-    a = a - np.einsum("ik,pki->p", rho_a, a).real[:, None, None] * np.eye(n_a)
-    b = b - np.einsum("ik,pki->p", rho_b, b).real[:, None, None] * np.eye(n_b)
-    local = np.einsum("ik,pkj,pji->p", rho_a, a, a) + np.einsum("ik,pkj,pji->p", rho_b, b, b)
-    # the path that optimize=True's search returns at every size tried, fixed so no call searches
-    cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=["einsum_path", (0, 1) if n_a >= n_b else (0, 2), (0, 1)])
-    return tuple((local + 2.0 * cross).real.tolist())
+    rows, sigmas = [], []
+    for side, reduced in ((a_side, r.trace(axis1=1, axis2=3)), (b_side, r.trace(axis1=0, axis2=2))):
+        m = np.stack([o.matrix for o in side])
+        m = m - (m.reshape(len(side), -1) @ reduced.T.ravel()).real[:, None, None] * np.eye(len(reduced))
+        rows.append(m.transpose(0, 2, 1).reshape(len(side), -1))
+        sigmas.append(((reduced @ m).reshape(len(side), -1) @ rows[-1].T).real)
+    return (*sigmas, (rows[0] @ r.transpose(0, 2, 1, 3).reshape(n_a * n_a, n_b * n_b) @ rows[1].T).real)
 
 
 def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
@@ -58,8 +57,8 @@ def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
     floors U_A and U_B of the two sides' local variance sums.  ``pairs`` holds
     ``(A, B)`` tuples, one observable per subsystem; dimensions may differ.  An
     observable is a ``SpectralObservable`` or a checked ``HermitianMatrix``:
-    only its ``matrix`` and ``dim`` are read.
-
+    only its ``matrix`` and ``dim`` are read.  Pair p's variance <A'_p^2> + <B'_p^2> +
+    2 <A'_p (x) B'_p> sums the covariance diagonals (Hofmann and Takeuchi, PRA 68, 032103, 2003).
     The verdict is Entangled when the margin is below ``-margin_tol``.
     """
     a_side, b_side = tuple(zip(*pairs)) or ((), ())
@@ -70,7 +69,8 @@ def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
     for name, u in (("u_a", u_a), ("u_b", u_b)):
         if not math.isfinite(u):
             raise ValueError(f"{name} must be finite, got {u!r}")
-    pair_variances = _pair_variances(a_side, b_side, rho)
+    sigma_a, sigma_b, c = _covariances(a_side, b_side, rho)
+    pair_variances = tuple((np.diag(sigma_a) + np.diag(sigma_b) + 2.0 * np.diag(c)).tolist())
     lhs = sum(pair_variances)
     margin = lhs - (u_a + u_b)
     verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED

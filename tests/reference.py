@@ -147,8 +147,9 @@ def one_matrix_eigendecompose(m, tol=DEFAULT_TOLERANCES):
 
 
 def searched_pair_variances(a_side, b_side, rho):
-    """Every pair's V(A (x) I + I (x) B), by the library's contraction with
-    numpy's path search (``optimize=True``) in place of its fixed path."""
+    """Every pair's V(A (x) I + I (x) B) from the local moments, each an
+    ``einsum`` on the reshaped state whose cross term numpy's path search
+    (``optimize=True``) contracts."""
     a, b = (np.stack([o.matrix for o in side]) for side in (a_side, b_side))
     n_a, n_b = a.shape[1], b.shape[1]
     r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
@@ -158,6 +159,22 @@ def searched_pair_variances(a_side, b_side, rho):
     local = np.einsum("ik,pkj,pji->p", rho_a, a, a) + np.einsum("ik,pkj,pji->p", rho_b, b, b)
     cross = np.einsum("ijkl,pki,plj->p", r, a, b, optimize=True)
     return tuple((local + 2.0 * cross).real.tolist())
+
+
+def dense_covariances(a_mats, b_mats, rho):
+    """(Sigma_A, Sigma_B, C) with Sigma_A[p, q] = Re tr(rho A'_p A'_q), Sigma_B
+    likewise and C[p, q] = Re tr(rho A'_p B'_q), from the joint operators
+    A'_p = A_p (x) I - <A_p> and B'_q = I (x) B_q - <B_q> and tr(rho X) alone."""
+    rho = np.asarray(rho, dtype=complex)
+    n_a, n_b = len(a_mats[0]), len(b_mats[0])
+
+    def centered(x):
+        return x - np.trace(rho @ x).real * np.eye(len(x))
+
+    a = [centered(np.kron(m, np.eye(n_b))) for m in a_mats]
+    b = [centered(np.kron(np.eye(n_a), m)) for m in b_mats]
+    return tuple(np.array([[np.trace(rho @ x @ y).real for y in right] for x in left])
+                 for left, right in ((a, a), (b, b), (a, b)))
 
 
 def robertson_bound(a, b, state):

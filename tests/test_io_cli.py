@@ -22,8 +22,7 @@ from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.core import HermitianMatrix
 from vurkit.fixtures import (PAULI_X, PAULI_Z, ket00, maximally_mixed, pauli3,
                              qutrit4, qutrit4_matrices, singlet)
-from vurkit.io import (_to_array, load_observable, load_state, parse_observable, parse_state,
-                       serialize_observable, serialize_state)
+from vurkit.io import _to_array, load_observable, load_state, parse_observable, parse_state, serialize_state
 from vurkit.oracle import random_hermitian
 
 
@@ -33,6 +32,12 @@ def _matrix_doc(m):
 
 def _density_doc(rho):
     return {"density": [[[z.real, z.imag] for z in row] for row in np.asarray(rho, complex)]}
+
+
+def _spectral_doc(obs):
+    """The spectral document of an observable: its eigenvalues and its eigenvector columns as pairs."""
+    return {"spectral": {"eigenvalues": obs.eigenvalues.tolist(),
+                         "eigenvectors": [[[z.real, z.imag] for z in col] for col in obs.eigenvectors.T.tolist()]}}
 
 
 # --- documents ---------------------------------------------------------------
@@ -218,7 +223,7 @@ def test_load_restores_the_collector(tmp_path, kind, good, enabled):
 
 
 def test_parse_spectral_document_checks():
-    good = serialize_observable(eigendecompose(PAULI_X))
+    good = _spectral_doc(eigendecompose(PAULI_X))
     parsed = parse_observable(good)
     assert np.allclose(parsed.eigenvalues, [-1.0, 1.0])
 
@@ -241,12 +246,12 @@ def test_parse_spectral_document_checks():
 
 def test_observable_roundtrip_is_exact_for_fixtures():
     for obs in [*pauli3(), *qutrit4()]:
-        doc = json.loads(json.dumps(serialize_observable(obs)))
+        doc = json.loads(json.dumps(_spectral_doc(obs)))
         again = parse_observable(doc)
         assert np.array_equal(again.eigenvalues, obs.eigenvalues)
         assert np.array_equal(again.eigenvectors, obs.eigenvectors)
-        # canonical form is a fixed point of serialize
-        assert serialize_observable(again) == serialize_observable(obs)
+        # the parsed observable writes the same document again
+        assert _spectral_doc(again) == _spectral_doc(obs)
 
 
 def test_state_roundtrip():
@@ -881,7 +886,7 @@ def _tolerance_cases(tmp_path):
     the tolerance extreme enough to change that command's outcome."""
     near_x = np.array(PAULI_X, dtype=complex)
     near_x[0, 1] += 1e-7
-    skewed = serialize_observable(eigendecompose(PAULI_X))
+    skewed = _spectral_doc(eigendecompose(PAULI_X))
     skewed["spectral"]["eigenvectors"][0][0][0] += 1e-7
     generic = random_hermitian(3, np.random.default_rng(7))
     docs = {

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import moment_variance, searched_pair_variances
+from reference import dense_covariances, moment_variance, searched_pair_variances
 from sampling import sample_random_separable
 from vurkit import (DimensionMismatchError, QuantumState, Verdict, eigendecompose,
                     lur_test, optimize_alpha, wu_full_mub)
 from vurkit.core import hermitized
 from vurkit.fixtures import PAULI_Z, ket00, maximally_mixed, pauli3, pauli_pairs, singlet
-from vurkit.lur import _pair_variances
+from vurkit.lur import _covariances
 from vurkit.oracle import random_hermitian, sample_random_pure
 
 
@@ -132,16 +132,48 @@ def test_checked_matrices_match_their_decompositions(n_a, n_b, count, pure, seed
         assert abs(got - want) <= 1e-13 * abs(want) + 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_covariances_match_the_dense_joint_moments(n_a, n_b, count, pure, seed):
+    # the matrices a covariance-matrix criterion reads: each entry as the dense
+    # joint operators give it, Sigma_A and Sigma_B symmetric and positive
+    # semidefinite, and every C entry bounded by Cauchy-Schwarz
+    rng = np.random.default_rng(seed)
+    a_mats = [hermitized(random_hermitian(n_a, rng)) for _ in range(count)]
+    b_mats = [hermitized(random_hermitian(n_b, rng)) for _ in range(count)]
+    if pure:
+        rho = sample_random_pure(n_a * n_b, rng)
+    else:
+        g = rng.normal(size=(n_a * n_b, 2)) + 1j * rng.normal(size=(n_a * n_b, 2))
+        rho = QuantumState.density(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+    got = _covariances(a_mats, b_mats, rho)
+    want = dense_covariances([a.matrix for a in a_mats], [b.matrix for b in b_mats], rho.density_matrix())
+    for g_m, w_m in zip(got, want):
+        assert g_m.shape == (count, count)
+        assert np.all(np.abs(g_m - w_m) <= 1e-12 * np.maximum(1.0, np.abs(w_m)))
+    sigma_a, sigma_b, c = got
+    for sigma in (sigma_a, sigma_b):
+        scale = max(1.0, float(np.max(np.abs(sigma))))
+        assert np.max(np.abs(sigma - sigma.T)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(0.5 * (sigma + sigma.T))[0] >= -1e-12 * scale
+    bound = np.outer(np.diag(sigma_a), np.diag(sigma_b))
+    assert np.all(c ** 2 <= bound + 1e-12 * np.maximum(1.0, bound))
+
+
 @pytest.mark.parametrize("n_a, n_b", [(2, 2), (2, 3), (3, 2), (4, 4), (16, 16)])
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("pure", [True, False])
-def test_fixed_contraction_path_matches_the_searched_one_bit_for_bit(n_a, n_b, count, pure):
+def test_pair_variances_match_the_searched_contraction(n_a, n_b, count, pure):
     rng = np.random.default_rng([n_a, n_b, count, pure])
     a_side = [eigendecompose(random_hermitian(n_a, rng)) for _ in range(count)]
     b_side = [eigendecompose(random_hermitian(n_b, rng)) for _ in range(count)]
     rho = sample_random_pure(n_a * n_b, rng) if pure else sample_random_separable(n_a, n_b, rng)
-    got, want = _pair_variances(a_side, b_side, rho), searched_pair_variances(a_side, b_side, rho)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    got = lur_test(list(zip(a_side, b_side)), rho, u_a=0.0, u_b=0.0).pair_variances
+    want = searched_pair_variances(a_side, b_side, rho)
+    assert len(got) == count
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w)
 
 
 def test_lur_test_runs_no_contraction_path_search(monkeypatch):
@@ -150,9 +182,9 @@ def test_lur_test_runs_no_contraction_path_search(monkeypatch):
     for name in ("_greedy_path", "_optimal_path"):
         monkeypatch.setitem(np.einsum.__wrapped__.__globals__, name,
                             lambda *args: pytest.fail("contraction path searched"))
-    for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
+    for n_a, n_b, count in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (16, 16, 4)):
         rng = np.random.default_rng(n_a * n_b)
-        pairs = [(eigendecompose(random_hermitian(n_a, rng)), eigendecompose(random_hermitian(n_b, rng)))] * 2
+        pairs = [(eigendecompose(random_hermitian(n_a, rng)), eigendecompose(random_hermitian(n_b, rng)))] * count
         lur_test(pairs, sample_random_pure(n_a * n_b, rng), u_a=0.0, u_b=0.0)
 
 
