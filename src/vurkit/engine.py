@@ -128,34 +128,40 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
                 # g'' / (2 alpha g) = 2 alpha <d^2>_w - 1
                 curv = 2.0 * (a * (_column_sums(w) / s0)) - 1.0
                 del d, w
-                done = ~(lg - prev > tol) | (it == MAX_ASCENT_ITERS)
-                if done.any():
+                done = ~(lg - prev > tol)
+                if it == MAX_ASCENT_ITERS:
+                    done[:] = True
+                if finished := np.count_nonzero(done):
                     fin = cols[done]
                     beta[fin], log_g[fin], iters[fin], concave[fin] = b[done], lg[done], it, curv[done] <= 0.0
-                    live = ~done
-                    if not live.any():
+                    if finished == done.size:
                         break
+                    live = ~done
                     e = e.compress(live, axis=1)
                     cols, a, b, lg, shift, curv, gain = (x[live] for x in (cols, a, b, lg, shift, curv, gain))
                 # g' / |g''| = shift / |curv|: the Newton step where g is concave
                 # (never past it: the factor is at most 1 there), its mirror image
                 # where convex; where |curv| > 1 the mean-shift step is longer
-                factor = np.where(curv < 0.0, np.minimum(gain, 1.0), gain)
+                capped = np.minimum(gain, 1.0)
+                factor = np.where(curv < 0.0, capped, gain)
                 trial = np.minimum(np.maximum(b + factor * shift / np.minimum(np.abs(curv), 1.0), e[0]), e[-1])
                 rises = _log_gaussian_sum(e, a, trial)[0] > lg + tol
                 b = np.where(rises, trial, b + shift)
-                gain = np.where(rises, 2.0 * gain, 0.25 * np.minimum(gain, 1.0))
+                gain = np.where(rises, 2.0 * gain, 0.25 * capped)
                 prev = lg
     log_g = np.fmax(log_g, -np.inf)  # NaN -> -inf
     return beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape)
 
 
 def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, n) stack of a set's distinct ascending spectra and each
-    observable's row in it; -0.0 equals 0.0 here."""
+    """The (S, n) stack of a set's distinct ascending spectra, in lexicographic
+    order, and each observable's row in it; -0.0 equals 0.0 here, and a row
+    is the first of its equal spectra."""
     common_dim(observables)
-    stack, rows = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_inverse=True)
-    return stack, rows.ravel()
+    keys = [tuple(o.eigenvalues.tolist()) for o in observables]
+    distinct = sorted(dict.fromkeys(keys))
+    row = {k: i for i, k in enumerate(distinct)}
+    return np.array(distinct), np.array([row[k] for k in keys])
 
 
 def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
@@ -176,29 +182,28 @@ def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarra
     module docstring says on what grounds).
     """
     beta, log_g, iters, concave = _ascend(spectra, alphas)
-    pick = np.argmax(log_g, axis=2)[..., None]
+    shape = beta.shape[:2]
     # end points closer than a thousandth of the Gaussian width are one mode:
     # where two modes merge, starts on either side stop that far apart
     ends = np.sort(np.where(concave, beta, np.nan), axis=2)  # NaNs sort last and never count
-    modes = 1 + np.count_nonzero(np.diff(ends, axis=2) > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
-    beta = np.take_along_axis(beta, pick, axis=2)[..., 0]
-    # the ascent's last sum once more, now with the moments; errors as in _ascend
-    a = np.tile(alphas, spectra.shape[0])
+    modes = 1 + np.count_nonzero(ends[..., 1:] - ends[..., :-1] > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
+    beta = beta[np.arange(shape[0])[:, None], np.arange(shape[1]), np.argmax(log_g, axis=2)]
+    a = alphas[None].repeat(shape[0], axis=0).ravel()
+    # the ascent's last sum once more, now with the moments; errors as in
+    # _ascend, and a floor past the float range is inf, for the caller to
+    # refuse, and so may be its slopes; 2 nu2 = 1 where modes merge
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_m, d, w, s0, m = _log_gaussian_sum(np.repeat(spectra.T, alphas.size, axis=1), a, beta.ravel())
+        log_m, d, w, s0, m = _log_gaussian_sum(spectra.T.repeat(alphas.size, axis=1), a, beta.ravel())
         u = np.sqrt(a) * d
-        w = w * u * u
-        nu2, nu3, nu4 = np.stack([_column_sums(x) / s0 for x in (w, w * u, w * u * u)]).reshape(
-            (3, *beta.shape))
-    # summed in row order, so that a width's floor does not depend on the others;
-    # a floor past the float range is inf, for the caller to refuse, and so may
-    # be its slopes; 2 nu2 = 1 where modes merge
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        raw = (c - _column_sums(counts[:, None] * log_m.reshape(beta.shape))) / alphas
+        w *= u
+        # nu_j from w u^j, j = 2, 3, 4: one more product in place each
+        nu2, nu3, nu4 = [(_column_sums(np.multiply(w, u, out=w)) / s0).reshape(shape) for _ in range(3)]
+        # summed in row order, so that a width's floor does not depend on the others
+        raw = (c - _column_sums(counts[:, None] * log_m.reshape(shape))) / alphas
         slope = (counts @ nu2) / alphas - raw
         dnu2 = nu2 * nu2 - nu4 + 2.0 * nu3 * nu3 / (2.0 * nu2 - 1.0)
         curv = (counts @ dnu2) / alphas - slope
-    return raw, slope, curv, (beta, (s0 * np.exp(-m)).reshape(beta.shape), iters.max(axis=2), modes)
+    return raw, slope, curv, (beta, (s0 * np.exp(-m)).reshape(shape), iters.max(axis=2), modes)
 
 
 @dataclass(frozen=True)
@@ -315,7 +320,7 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
         """The rows t, raw, D, D' and alpha at each t = ln(alpha h^2)."""
         with np.errstate(over="ignore", divide="ignore"):
             alphas = np.exp(t) / (h * h)
-        if not np.all((alphas > 0.0) & (alphas < np.inf)):
+        if np.count_nonzero((alphas > 0.0) & (alphas < np.inf)) < alphas.size:
             raise ValueError(f"half-spread {h!r} is too {'large' if h > 1.0 else 'small'}: "
                              "the alpha search runs past the float range")
         raw, slope, curv, columns = _floors(stack, counts, c, alphas)

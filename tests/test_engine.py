@@ -447,12 +447,22 @@ def test_optimize_alpha_beats_a_dense_scan(spectra, u):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_stacks, st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.lists(
+           st.lists(st.one_of(_eigenvalue, st.just(-0.0)), min_size=n, max_size=n), min_size=1, max_size=4)),
+       st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
        st.floats(min_value=1e-2, max_value=1e2))
+@example([[0.0, 1.0]], [0, 4], 1.0)
 def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
-    # repeated and distinct spectra in any order: each observable's result
-    # must come from its own spectrum's row
-    obs = [SpectralObservable(np.sort(spectra[k % len(spectra)]), np.eye(len(spectra[0]))) for k in picks]
+    # repeated and distinct spectra in any order, and a pick from 4 on with
+    # the sign of its zeros flipped: each observable's result must come from
+    # its own spectrum's row
+    picked = [(np.sort(spectra[k % len(spectra)]), k >= 4) for k in picks]
+    obs = [SpectralObservable(np.where(e == 0.0, -e, e) if flip else e, np.eye(e.size)) for e, flip in picked]
+    # the rows and distinct spectra are np.unique's, bit for bit
+    stack, rows = engine._spectra(obs)
+    unique, inverse = np.unique(np.stack([o.eigenvalues for o in obs]), axis=0, return_inverse=True)
+    assert stack.tobytes() == unique.tobytes() and stack.shape == unique.shape
+    assert rows.tolist() == inverse.ravel().tolist()
     report = bound_at_alpha(obs, alpha, user_supplied(1.0))
     assert len(report.per_operator) == len(obs)
     for o, r in zip(obs, report.per_operator):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vurkit import (ConstantSource, QuantumState, RegimeError,
+from reference import min_entropy_sum
+from vurkit import (ConstantSource, QuantumState, RegimeError, SpectralObservable,
                     best_entropic_constant, de_vicente_analytic, eigendecompose,
                     maassen_uffink, measurement_distribution, optimize_alpha, overlap_stats,
                     select_constant, shannon_entropy, user_supplied, wu_full_mub,
@@ -147,6 +148,52 @@ def test_select_constant_in_dimension_one_matches_pairs():
     assert [k.source for k in selection.candidates] == [ConstantSource.PAIRWISE_MATCHING]
     assert selection.selected.value == 0.0
     assert optimize_alpha(observables, selection.selected).lower_bound == 0.0
+
+
+def _unbiased_triple(p: int):
+    """Three mutually unbiased bases in prime dimension p (computational,
+    Fourier, and the quadratic-phase basis w^(j^2 + j b) / sqrt p), each with
+    p equally spaced eigenvalues on [-1, 1]."""
+    j = np.arange(p)
+    phases = [np.outer(j, j), j[:, None] ** 2 + np.outer(j, j)]
+    bases = [np.eye(p)] + [np.exp(2j * np.pi * (k % p) / p) / math.sqrt(p) for k in phases]
+    return [SpectralObservable(np.linspace(-1.0, 1.0, p), basis) for basis in bases]
+
+
+def test_unbiased_bases_also_weigh_the_pairwise_matching():
+    # Wu's bound for three unbiased bases in dimension 31 is 3.139 nats, below
+    # the ln 31 that one unbiased pair already gives
+    selection = select_constant(_unbiased_triple(31))
+    assert selection.mutually_unbiased is True
+    wu, pairing = selection.candidates
+    assert (wu.source, pairing.source) == (ConstantSource.WU_MUB, ConstantSource.PAIRWISE_MATCHING)
+    assert wu.value == pytest.approx(3.13888263060762, abs=1e-12)
+    assert selection.selected is pairing and pairing.value == pytest.approx(math.log(31), abs=1e-12)
+    floors = [optimize_alpha(_unbiased_triple(31), k).lower_bound for k in (wu, pairing)]
+    assert floors[0] == pytest.approx(0.00633, abs=5e-6) and floors[1] == pytest.approx(0.00770, abs=5e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_candidate_is_below_the_entropy_sums_states_reach(n, m, seed):
+    # a state that reaches an entropy sum bounds every sound constant from above
+    rng = np.random.default_rng(seed)
+    observables = [eigendecompose(random_hermitian(n, rng)) for _ in range(m)]
+    reached = min_entropy_sum(observables, restarts=8, seed=seed)
+    for constant in select_constant(observables).candidates:
+        assert constant.value <= reached + 1e-9
+
+
+@pytest.mark.parametrize("make, minimum", [(pauli3, math.log(4)), (qutrit4, 4 * math.log(2))],
+                         ids=["pauli3", "qutrit4"])
+def test_fixture_candidates_are_below_the_entropy_sum_minimum(make, minimum):
+    # the reference reaches the known minima, which the unbiased-bases bound attains
+    observables = make()
+    reached = min_entropy_sum(observables, restarts=8, seed=0)
+    assert reached == pytest.approx(minimum, abs=1e-6)
+    for constant in select_constant(observables).candidates:
+        assert constant.value <= reached + 1e-9
 
 
 def _count_overlap_stats(monkeypatch) -> list:

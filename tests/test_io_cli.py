@@ -434,7 +434,8 @@ def test_cli_mub_tolerance_selects_constant(capsys):
     assert main(argv + ["--tol", "mub=1"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["mutually_unbiased"] is True
-    assert [k["source"] for k in payload["candidates"]] == ["wu_mub"]
+    # the pairing is weighed too, and selected only where it is larger
+    assert [k["source"] for k in payload["candidates"]] == ["wu_mub", "pairwise_matching"]
     assert payload["selected"] == payload["candidates"][0]
 
     assert main(["bound", "sigma-x", "sigma-z", "sigma-z", "--auto-C", "--alpha", "1",
