@@ -9,6 +9,7 @@ Exit codes: 2 parse failure, 3 dimension mismatch, 4 non-Hermitian input,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -24,8 +25,10 @@ from .oracle import OracleConfig, minimize_variance_sum
 
 
 def _parse_tolerances(items) -> Tolerances:
+    if not items:
+        return DEFAULT_TOLERANCES
     overrides = {}
-    for item in items or []:
+    for item in items:
         name, sep, value = item.partition("=")
         if not sep:
             raise FileFormatError(f"--tol expects NAME=VALUE, got {item!r}")
@@ -44,8 +47,11 @@ def _lookup(token: str, registry: dict, loader, tol: Tolerances):
     if token in registry:
         return registry[token]()
     path = Path(token)
-    if not path.exists():
-        raise FileFormatError(f"no such file or fixture: {token}")
+    try:
+        path.stat()
+    except (OSError, ValueError) as exc:  # the errors Path.exists() reads as no file; others make the name unreadable
+        missing = getattr(exc, "errno", errno.ENOENT) in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+        raise FileFormatError(f"no such file or fixture: {token}" if missing else f"cannot read {path}: {exc}") from exc
     return loader(path, tol)
 
 

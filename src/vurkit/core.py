@@ -17,6 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, InvalidStateError, NotHermitianError
 
+_EPS = float(np.finfo(float).eps)
 # how far a probability vector handed to shannon_entropy may sum away from 1
 _DISTRIBUTION_SUM_TOL = 1e-8
 
@@ -51,9 +52,9 @@ def check_spectrum(eigenvalues) -> np.ndarray:
     evals = np.asarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-d list")
-    if not np.all(np.isfinite(evals)):
+    if not np.isfinite(evals).all():
         raise ValueError("eigenvalues must be finite")
-    if np.any(evals[1:] < evals[:-1]):  # no np.diff: a difference can overflow
+    if (evals[1:] < evals[:-1]).any():  # no np.diff: a difference can overflow
         raise ValueError("eigenvalues must be in ascending order")
     if not math.isfinite(float(evals[-1]) - float(evals[0])):
         raise ValueError("eigenvalue spread a_n - a_1 must be a finite float")
@@ -65,7 +66,7 @@ def as_square_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite where both its parts are
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -115,7 +116,7 @@ class SpectralObservable:
 
     def orthonormality_defect(self) -> float:
         gram = self.eigenvectors.conj().T @ self.eigenvectors
-        return float(np.max(np.abs(gram - np.eye(self.dim))))
+        return float(np.abs(gram - np.eye(self.dim)).max())
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,10 @@ def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
     """The Hermitian part (m + m^H)/2 of a nonempty finite square matrix, refused where m departs from
     it by more than ``tol.hermiticity``: decomposed in m's place, it leaks no asymmetry into the guard."""
     arr = as_square_matrix(m)
-    defect = float(np.max(np.abs(arr - arr.conj().T)))
+    defect = float(np.abs(arr - (adjoint := arr.conj().T)).max())
     if defect > tol.hermiticity:
         raise NotHermitianError(f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.hermiticity:.1e}")
-    return HermitianMatrix(_readonly(0.5 * (arr + arr.conj().T)))
+    return HermitianMatrix(_readonly(0.5 * (arr + adjoint)))
 
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
@@ -149,8 +150,8 @@ def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservabl
     evals, evecs = np.linalg.eigh(herm)
     evecs = phase_fix_columns(evecs)
     # a correct eigh leaves a residual that grows with the matrix's scale
-    residual = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - herm)))
-    if residual > tol.reconstruction * max(1.0, float(np.max(np.abs(herm)))):
+    residual = float(np.abs((evecs * evals) @ evecs.conj().T - herm).max())
+    if residual > tol.reconstruction * max(1.0, float(np.abs(herm).max())):
         raise ValueError(f"eigendecomposition failed to reconstruct input (residual {residual:.3e})")
     return SpectralObservable(evals, evecs)
 
@@ -164,7 +165,7 @@ def _psd_certified(mat: np.ndarray, tol: float) -> bool:
     that; False leaves the decision to ``eigvalsh``."""
     n = mat.shape[0]
     shift = 0.5 * tol
-    rounding = (n + 1) * np.finfo(float).eps * float(np.abs(mat.diagonal().real).sum() + n * shift)
+    rounding = (n + 1) * _EPS * float(np.abs(mat.diagonal().real).sum() + n * shift)
     if shift < 8.0 * rounding:
         return False
     try:
@@ -190,7 +191,7 @@ class QuantumState:
         vec = np.asarray(amplitudes, dtype=complex)
         if vec.ndim != 1 or vec.size == 0:
             raise InvalidStateError(f"pure state must be a nonempty vector, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
+        if not np.isfinite(vec).all():
             raise InvalidStateError("amplitudes must be finite")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > tol.unit_norm:
@@ -200,10 +201,10 @@ class QuantumState:
     @classmethod
     def density(cls, rho, tol: Tolerances = DEFAULT_TOLERANCES) -> "QuantumState":
         mat = as_square_matrix(rho)
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
+        defect = float(np.abs(mat - mat.conj().T).max())
         if defect > tol.hermiticity:
             raise InvalidStateError(f"density matrix must be Hermitian (asymmetry {defect:.3e})")
-        trace = complex(np.trace(mat))
+        trace = complex(mat.trace())
         if abs(trace - 1.0) > tol.trace:
             raise InvalidStateError(f"density matrix must have unit trace, got {trace!r}")
         if not _psd_certified(mat, tol.density_eigenvalue):

@@ -121,7 +121,7 @@ def select_constant(observables,
     stats = {(i, j): overlap_stats(obs[i], obs[j]) for i in range(m) for j in range(i + 1, m)}
     overlaps = tuple((i, j, pair.c) for (i, j), pair in stats.items())
     # in dimension 1 every overlap is 1 = 1/sqrt(1), yet one basis is no set of unbiased ones
-    mub = dim >= 2 and all(np.max(np.abs(pair.overlap_matrix - 1.0 / math.sqrt(dim))) <= mub_tol
+    mub = dim >= 2 and all(np.abs(pair.overlap_matrix - 1.0 / math.sqrt(dim)).max() <= mub_tol
                            for pair in stats.values())
     if m == 2:
         c = min(overlaps[0][2], 1.0)

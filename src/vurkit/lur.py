@@ -44,7 +44,7 @@ def _covariances(a_side, b_side, rho: QuantumState) -> tuple[np.ndarray, np.ndar
     r = rho.density_matrix().reshape(n_a, n_b, n_a, n_b)
     rows, sigmas = [], []
     for side, reduced in ((a_side, r.trace(axis1=1, axis2=3)), (b_side, r.trace(axis1=0, axis2=2))):
-        m = np.stack([o.matrix for o in side])
+        m = np.array([o.matrix for o in side])
         m = m - (m.reshape(len(side), -1) @ reduced.T.ravel()).real[:, None, None] * np.eye(len(reduced))
         rows.append(m.transpose(0, 2, 1).reshape(len(side), -1))
         sigmas.append(((reduced @ m).reshape(len(side), -1) @ rows[-1].T).real)
@@ -70,7 +70,7 @@ def lur_test(pairs, rho: QuantumState, u_a: float, u_b: float, *,
         if not math.isfinite(u):
             raise ValueError(f"{name} must be finite, got {u!r}")
     sigma_a, sigma_b, c = _covariances(a_side, b_side, rho)
-    pair_variances = tuple((np.diag(sigma_a) + np.diag(sigma_b) + 2.0 * np.diag(c)).tolist())
+    pair_variances = tuple((sigma_a.diagonal() + sigma_b.diagonal() + 2.0 * c.diagonal()).tolist())
     lhs = sum(pair_variances)
     margin = lhs - (u_a + u_b)
     verdict = Verdict.ENTANGLED if margin < -margin_tol else Verdict.NOT_DETECTED

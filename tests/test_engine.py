@@ -250,6 +250,11 @@ def test_optimize_alpha_certifies_a_zero_floor(monkeypatch):
     # floor of at most 1e-16 h^2, where the peak lies past alpha ~ 1e400
     report = optimize_alpha([SpectralObservable(np.array([0.0, 1e-200, 1.0]), np.eye(3))], user_supplied(0.5))
     assert report.lower_bound == 0.0 and report.bracket is None and report.refine_steps == 0
+    # 1e-7 apart is past the window 2 delta = 2e-8 h (a window of 2e-6 h would take them for a double
+    # eigenvalue and certify floor 0): the search runs and brackets the peak near alpha ~ 3e14
+    report = optimize_alpha([SpectralObservable(np.array([0.0, 1e-7, 1.0]), np.eye(3))], user_supplied(0.5))
+    assert report.bracket is not None and 1e14 < report.bracket[0] < report.bracket[1] < 1e15
+    assert 0.0 < report.lower_bound < 1e-14
 
 
 def test_optimize_alpha_certifies_gell_mann_d4():

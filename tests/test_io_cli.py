@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import errno
 import gc
 import importlib
 import json
@@ -415,11 +417,12 @@ def test_cli_closed_pipe_exits_quietly():
     # the reader is gone before vurkit prints, as with `| head -1`
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-m", "vurkit", "demo", "--seed", "0", "--restarts", "4"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 1
+    # as a context manager, Popen closes the stderr pipe and waits for the child
+    with subprocess.Popen([sys.executable, "-m", "vurkit", "demo", "--seed", "0", "--restarts", "4"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
     assert err == ""  # no Traceback, no message
 
 
@@ -594,6 +597,48 @@ def test_cli_input_error_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def _os_error(code: int, name: str) -> str:
+    return f"[Errno {code}] {os.strerror(code)}: {name!r}"
+
+
+_LONG_NAME = "a" * 5000  # past any file system's limit on a name
+
+
+# each token's exact stderr line and exit code, with the working directory holding the files
+_INPUT_ERRORS = {
+    "missing": ("missing.json", 2, "no such file or fixture: missing.json"),
+    "nul-byte": ("a\0b", 2, "no such file or fixture: a\0b"),
+    "directory": ("./src/", 2, f"cannot read src: {_os_error(errno.EISDIR, 'src')}"),
+    "empty": ("", 2, f"cannot read .: {_os_error(errno.EISDIR, '.')}"),
+    "name-too-long": (_LONG_NAME, 2, f"cannot read {_LONG_NAME}: {_os_error(errno.ENAMETOOLONG, _LONG_NAME)}"),
+    "not-utf8": ("latin1.json", 2,
+                 "cannot read latin1.json: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+    "utf8-bom": ("bom.json", 2,
+                 "bom.json is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "malformed": ("malformed.json", 2, "matrix[0][1] must be a [re, im] pair, got [1.0]"),
+    "non-hermitian": ("nonherm.json", 4, "matrix is not Hermitian: max asymmetry 2.000e+00 exceeds 1.0e-10"),
+}
+
+
+_ARGV = {"bound": ["bound", "{}", "--C", "0", "--alpha", "1"],
+         "lur-pairs": ["lur", "--state", "ket00", "--pairs", "{}", "sigma-x", "--u-a", "1", "--u-b", "1"],
+         "lur-state": ["lur", "--state", "{}", "--pairs", "pauli-pairs", "--u-a", "1", "--u-b", "1"]}
+
+
+@pytest.mark.parametrize("command, case", [
+    *[(command, case) for command in ("bound", "lur-pairs") for case in _INPUT_ERRORS],
+    *[("lur-state", case) for case in _INPUT_ERRORS if case not in ("malformed", "non-hermitian")]])
+def test_cli_input_errors_keep_their_message_and_exit_code(tmp_path, monkeypatch, capsys, command, case):
+    token, code, message = _INPUT_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"matrix": [[[1.0, 0.0]]]}\xff')
+    (tmp_path / "bom.json").write_bytes(b'\xef\xbb\xbf{"matrix": [[[1.0, 0.0]]]}')
+    _order_files(tmp_path)
+    assert main([token if arg == "{}" else arg for arg in _ARGV[command]]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_exit_code_bad_json(tmp_path, capsys):
@@ -932,6 +977,21 @@ def test_cli_every_tolerance_takes_effect(tmp_path, capsys, name):
         return code, json.loads(out)["payload"] if out else None
 
     assert outcome(argv) != outcome(argv + ["--tol", f"{name}={value!r}"])
+
+
+def test_cli_without_tol_runs_on_the_pinned_defaults(monkeypatch, capsys):
+    # pinned here, as no other test reads an outcome that a moved default changes; mub is a soundness
+    # gate, and oracle_agreement and reconstruction decide what a run reports
+    assert dataclasses.asdict(Tolerances()) == {
+        "hermiticity": 1e-10, "orthonormality": 1e-10, "reconstruction": 1e-9, "unit_norm": 1e-10, "trace": 1e-10,
+        "density_eigenvalue": 1e-9, "mub": 1e-8, "lur_margin": 1e-9, "oracle_agreement": 1e-6}
+    from vurkit import cli
+    used, parse = [], cli._parse_tolerances
+    monkeypatch.setattr(cli, "_parse_tolerances", lambda items: used.append(parse(items)) or used[-1])
+    assert main(["entropic", "pauli3"]) == 0
+    assert main(["entropic", "pauli3", "--tol", "mub=1e-8"]) == 0
+    capsys.readouterr()
+    assert used[0] is DEFAULT_TOLERANCES and used[0] == used[1] == Tolerances()
 
 
 def test_cli_parser_keeps_no_state_between_calls(capsys):
