@@ -70,9 +70,12 @@ def _operator_matrices(observables) -> tuple[np.ndarray, np.ndarray]:
     """(k, 2n, 2n) real forms with x^H A x = z^T A z for z = [Re x, Im x], one
     per observable's ``matrix``, and the (2n, 2n) form S of the sum of their squares."""
     mats = np.stack([o.matrix for o in observables])
-    squares = (mats @ mats).sum(axis=0)
-    return (np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]),
-            np.block([[squares.real, -squares.imag], [squares.imag, squares.real]]))
+    n = mats.shape[-1]
+    forms, s = np.empty((len(mats), 2 * n, 2 * n)), np.empty((2 * n, 2 * n))
+    for form, a in ((forms, mats), (s, (mats @ mats).sum(axis=0))):  # [[Re, -Im], [Im, Re]]
+        form[..., :n, :n] = form[..., n:, n:] = a.real
+        form[..., n:, :n], form[..., :n, n:] = a.imag, -a.imag
+    return forms, s
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -87,32 +90,34 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 def _evaluate(forms, s, z: np.ndarray, order: int = 0):
     """Variance sum f(w) = sum_k |(A_k - q_k) w|^2, q_k = w^T A_k w (a sum of
     squares: no cancellation), at the unit rows w = z / |z| of the real (R, 2n)
-    block ``z``; from ``order`` 1 on also the gradient of f(z / |z|) in z, at
-    ``order`` 2 also the Riemannian Hessian P (grad^2 f - (w^T grad f) I) P, with
-    P projecting out w and the phase direction Jw (i x), along which f is constant,
-    and the (R, 2n, 2) basis [w, Jw].  Matmuls contract: einsum is ~2x slower here."""
+    block ``z``; at ``order`` 1 also the gradient of f(z / |z|) in z; at ``order`` 2,
+    in place of f, which a descent holds, the gradient, the Riemannian Hessian
+    P (grad^2 f - (w^T grad f) I) P, P projecting out w and the phase direction Jw
+    (i x), along which f is constant, and the (R, 2n, 2) basis [w, Jw]."""
     nz = _row_norms(z)
     w = z / nz
     aw = (forms @ w.T).transpose(2, 0, 1)  # (R, k, 2n): A_k w
     q = (aw @ w[:, :, None])[:, :, 0]
-    spread = aw - q[:, :, None] * w[:, None, :]
-    value = (spread * spread).sum(axis=(1, 2))
-    if not order:
-        return value
+    if order < 2:
+        spread = aw - q[:, :, None] * w[:, None, :]
+        value = np.add.reduce(spread * spread, axis=(1, 2))
+        if not order:
+            return value
     r, m = z.shape
     df = 2.0 * (w @ s) - 4.0 * (q[:, None, :] @ aw)[:, 0]
-    basis = np.stack([w, np.concatenate([-w[:, m // 2:], w[:, :m // 2]], axis=1)], axis=2)
+    basis = np.empty((r, m, 2))
+    basis[:, :, 0], basis[:, :m // 2, 1], basis[:, m // 2:, 1] = w, -w[:, m // 2:], w[:, :m // 2]
     basis_t = basis.transpose(0, 2, 1)
     grad = (df - ((df[:, None, :] @ basis) @ basis_t)[:, 0]) / nz
     if order == 1:
         return value, grad
     h = 2.0 * s - 8.0 * aw.transpose(0, 2, 1) @ aw - 4.0 * (q @ forms.reshape(len(forms), -1)).reshape(r, m, m)
-    h.reshape(r, -1)[:, ::m + 1] -= (w * df).sum(axis=1)[:, None]  # - (w^T df) I
+    h.reshape(r, -1)[:, ::m + 1] -= np.add.reduce(w * df, axis=1)[:, None]  # - (w^T df) I
     # P h P = h - B C^T - C B^T with C = h B - B (B^T h B) / 2, a rank-2 update
     hb = h @ basis
     c = hb - 0.5 * basis @ (basis_t @ hb)
     h -= basis @ c.transpose(0, 2, 1) + c @ basis_t
-    return value, grad, h, basis
+    return grad, h, basis
 
 
 def ambient_variance_sum(observables, x) -> float:
@@ -125,6 +130,17 @@ def ambient_variance_sum_gradient(observables, x) -> np.ndarray:
     (real, imaginary) coordinates of the vector."""
     z = _real(np.asarray(x, dtype=complex))[None, :]
     return _evaluate(*_operator_matrices(observables), z, order=1)[1][0]
+
+
+def _newton_direction(forms, s, z: np.ndarray):
+    """Gradient, saddle-free Newton direction and (R, 1) gradient norms at the unit rows ``z``."""
+    g, h, basis = _evaluate(forms, s, z, order=2)
+    lam, u = np.linalg.eigh(h)
+    g_norm = _row_norms(g)
+    floor = np.maximum(np.abs(lam), g_norm)
+    floor[floor == 0.0] = 1.0  # only where g = 0 exactly: a zero step, not 0 / 0
+    newton = ((g[:, None, :] @ u) / floor[:, None, :]) @ u.transpose(0, 2, 1)
+    return g, ((newton @ basis) @ basis.transpose(0, 2, 1) - newton)[:, 0], g_norm
 
 
 def _descend(forms, s, x0: np.ndarray, max_iters: int):
@@ -143,34 +159,27 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
     live = np.arange(len(z))
     block = max(1, (1 << 18) // (2 * n) ** 2)  # rows per Hessian stack: no (rows, 2n, 2n) array over 2 MB
     while live.size:
-        g, d, g_norm = np.empty((live.size, 2 * n)), np.empty((live.size, 2 * n)), np.empty((live.size, 1))
-        for i in range(0, live.size, block):
-            b = slice(i, i + block)
-            _, g[b], h, basis = _evaluate(forms, s, z[live[b]], order=2)
-            lam, u = np.linalg.eigh(h)
-            g_norm[b] = _row_norms(g[b])
-            floor = np.maximum(np.abs(lam), g_norm[b])
-            floor[floor == 0.0] = 1.0  # only where g = 0 exactly: a zero step, not 0 / 0
-            newton = ((g[b, None, :] @ u) / floor[:, None, :]) @ u.transpose(0, 2, 1)
-            d[b] = ((newton @ basis) @ basis.transpose(0, 2, 1) - newton)[:, 0]
-        decrement = -(g * d).sum(axis=1)
+        parts = [_newton_direction(forms, s, z[live[i:i + block]]) for i in range(0, live.size, block)]
+        g, d, g_norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        decrement = -np.add.reduce(g * d, axis=1)
         flat = decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live]))
         flat |= g_norm[:, 0] <= _GRAD_TOL
         stop[live[flat]] = STOP_REASONS.index("gradient")
-        step = np.ones(len(live))
-        trial = np.flatnonzero(~flat)
+        # every row still backtracking has been halved as often, so one step length serves them all
+        step, trial = 1.0, (~flat).nonzero()[0]
         while trial.size:
             rows = live[trial]
-            cand = z[rows] + step[trial, None] * d[trial]
+            cand = z[rows] + (d[trial] if step == 1.0 else step * d[trial])
             cand /= _row_norms(cand)
             fc = _evaluate(forms, s, cand)
-            ok = (fc <= f[rows] - _ARMIJO * step[trial] * decrement[trial]) & (fc < f[rows])
-            z[rows[ok]], f[rows[ok]] = cand[ok], fc[ok]
-            rejected = trial[~ok]
-            step[rejected] *= 0.5
-            underflow = step[rejected] < _STEP_TOL
-            stop[live[rejected[underflow]]] = STOP_REASONS.index("step_underflow")
-            trial = rejected[~underflow]
+            fr = f[rows]
+            ok = (fc <= fr - _ARMIJO * step * decrement[trial]) & (fc < fr)
+            rows = rows[ok]
+            z[rows], f[rows] = cand[ok], fc[ok]
+            trial, step = trial[~ok], 0.5 * step
+            if step < _STEP_TOL:
+                stop[live[trial]] = STOP_REASONS.index("step_underflow")
+                break
         live = live[stop[live] == STOP_REASONS.index("max_iters")]  # rows that took a step
         iters[live] += 1
         live = live[iters[live] < max_iters]

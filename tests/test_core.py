@@ -121,6 +121,7 @@ def test_phase_fix_columns_matches_per_column_reference():
         if k > 1:
             m[: n - 1, 0] = 0.0            # zero leading entries
             m[: n // 2, 1] *= 1e-13        # negligible leading entries
+            m[: n // 2, 2] *= 1e-9         # small leading entries, above 1e-12: still the pivot
             m[:, -1] = 0.0                 # an all-zero column
         got = phase_fix_columns(m)
         np.testing.assert_allclose(got, phase_fixed_columns(m), rtol=0.0, atol=1e-15)

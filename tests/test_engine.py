@@ -506,6 +506,9 @@ def test_optimize_alpha_at_a_mode_switch():
     assert report.refine_steps <= 30
     lo, hi = report.bracket
     assert math.log(hi / lo) <= 1e-8 and abs(math.log(report.alpha / lo)) <= 2e-8
+    # that evaluation gains 8.1e-10 relative over the better end of the bracket
+    ends = max(bound_at_alpha(obs, a, constant).raw_bound for a in (lo, hi))
+    assert report.raw_bound >= ends * (1 + 4e-10)
 
 
 @settings(max_examples=50, deadline=None)
