@@ -72,12 +72,12 @@ def as_square_matrix(m) -> np.ndarray:
 
 
 def phase_fix_columns(vectors: np.ndarray) -> np.ndarray:
-    """Rotate every column of a matrix, or of each matrix in a stack, so its first
-    component of modulus above 1e-12 is real positive; a column with none is left as it is."""
+    """Rotate every column of a matrix so its first component of modulus above
+    1e-12 is real positive; a column with none is left as it is."""
     fixed = np.array(vectors, dtype=complex)
     big = np.abs(fixed) > 1e-12
-    pivot = np.take_along_axis(fixed, np.argmax(big, axis=-2)[..., None, :], axis=-2)
-    pivot[~big.any(axis=-2, keepdims=True)] = 1.0
+    pivot = fixed[np.argmax(big, axis=0, keepdims=True), np.arange(fixed.shape[1])]  # (1, k): (k,) moves 1x1 bits
+    pivot[~big.any(axis=0, keepdims=True)] = 1.0
     return fixed * (np.abs(pivot) / pivot)
 
 
@@ -168,8 +168,10 @@ def _psd_certified(mat: np.ndarray, tol: float) -> bool:
     rounding = (n + 1) * _EPS * float(np.abs(mat.diagonal().real).sum() + n * shift)
     if shift < 8.0 * rounding:
         return False
+    shifted = mat.copy()
+    shifted.reshape(-1)[::n + 1] += shift
     try:
-        np.linalg.cholesky(mat + shift * np.eye(n))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

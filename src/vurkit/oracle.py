@@ -2,8 +2,8 @@
 two random ensembles random cases are drawn from, Haar pure states and
 Gaussian-ensemble Hermitian matrices.
 
-The restarts draw their start points from per-restart seed streams derived
-from one root seed, so a seed fixes every start point and every result.
+The restarts draw their start points in turn from one seeded stream, so a seed fixes
+every start point and every result, whatever the number of restarts that follow.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class OracleConfig:
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), least)
-        if self.restarts > sys.maxsize:  # SeedSequence.spawn takes a C ssize_t
+        if self.restarts > sys.maxsize:  # one clear refusal before a start block is allocated
             raise ValueError(f"restarts must not exceed {sys.maxsize}, got {self.restarts}")
 
 
@@ -191,15 +191,15 @@ def minimize_variance_sum(observables, config: OracleConfig = OracleConfig(), *,
     """Minimum of the variance sum over pure states by multi-start Newton descent, for
     ``SpectralObservable``s and checked ``HermitianMatrix`` values alike: only each ``matrix`` is read.
 
-    Every restart starts from its own derived seed stream, and all restarts
-    descend together as one block; the minimum goes to the lowest restart
-    index on ties, so the result is reproducible.  Restarts ending within
-    ``agreement_tol`` of the minimum count as agreeing.
+    Restart i starts from row i (real, then imaginary part) of one (restarts, 2, n) standard-normal
+    block from ``default_rng(seed)``, and all restarts descend together as one block; the minimum,
+    the best restart's and so an upper bound on the true one, goes to the lowest restart index on
+    ties, so the result is reproducible.  Restarts ending within ``agreement_tol`` of it agree.
     """
     obs = list(observables)
     dim = common_dim(obs)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
-    x0 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
+    starts = np.random.default_rng(config.seed).standard_normal((config.restarts, 2, dim))
+    x0 = starts[:, 0] + 1j * starts[:, 1]
     forms = _operator_matrices(obs)
     f, x, stop, iters = _descend(*forms, x0, config.max_iters)
 

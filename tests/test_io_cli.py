@@ -539,7 +539,7 @@ def test_cli_continuous_overflow_is_an_error(capsys):
 
 @pytest.mark.parametrize("command", ["oracle pauli3", "demo"])
 def test_cli_restarts_beyond_maxsize_is_an_error(capsys, command):
-    # refused by OracleConfig before SeedSequence.spawn, which takes a C ssize_t
+    # refused by OracleConfig with one message, before a start block is allocated
     assert main([*command.split(), "--restarts", str(10**20)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

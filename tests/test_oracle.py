@@ -50,6 +50,34 @@ def test_oracle_determinism_same_seed():
     assert np.array_equal(a.argmin_state.vector, b.argmin_state.vector)
 
 
+def test_start_rows_come_in_turn_from_one_seeded_generator(monkeypatch):
+    # restart i starts at row i of one default_rng(seed) standard-normal (R, 2, n) block, real part
+    # then imaginary part: the first k starts are the same bits whatever the number of restarts
+    import vurkit.oracle as oracle
+    descend, default_rng = oracle._descend, np.random.default_rng
+    starts, generators = [], []
+
+    def recording_descend(forms, s, x0, max_iters):
+        starts.append(x0.copy())
+        return descend(forms, s, x0, max_iters)
+
+    def counting_default_rng(*args):
+        generators.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(oracle, "_descend", recording_descend)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    for seed in (0, 7, 2**31 - 1):
+        for restarts in (1, 2, 5, 16):
+            generators.clear()
+            minimize_variance_sum(qutrit4(), OracleConfig(restarts=restarts, max_iters=1, seed=seed))
+            assert generators == [(seed,)]
+        rows = default_rng(seed).standard_normal((16, 2, 3))
+        assert starts[-1].tobytes() == (rows[:, 0] + 1j * rows[:, 1]).tobytes()
+        for x0 in starts[-4:-1]:
+            assert x0.tobytes() == starts[-1][:len(x0)].tobytes()
+
+
 def test_oracle_stop_counts():
     # the pauli3 variance sum is 2 on every state, so every restart starts flat
     flat = minimize_variance_sum(pauli3(), OracleConfig(restarts=16, seed=0))
@@ -222,9 +250,9 @@ def test_qutrit4_restarts_that_miss_end_at_local_minima():
     assert result.iterations <= 40
     assert result.minimum == pytest.approx(1.0, abs=1e-12)
 
-    # the oracle's start rows at seed 0, one seed stream per restart
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(64)]
-    x0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3) for rng in rngs])
+    # the oracle's start rows at seed 0: row i of one seeded (64, 2, 3) block, real then imaginary part
+    starts = np.random.default_rng(0).standard_normal((64, 2, 3))
+    x0 = starts[:, 0] + 1j * starts[:, 1]
     forms = _operator_matrices(qutrit4())
     final, x = _descend(*forms, x0, 2000)[:2]
     assert final.min() == result.minimum
@@ -281,7 +309,7 @@ def test_one_dimensional_observables_stop_flat_without_a_division_by_zero():
 
 
 @pytest.mark.parametrize("n, seed, minimum, agreeing, iterations",
-                         [(4, 1, 1.2568782124272315, 4, 12), (8, 2, 3.9748455920424406, 7, 15)])
+                         [(4, 1, 1.2568782124272315, 2, 15), (8, 2, 3.9748455920424406, 10, 16)])
 def test_benchmark_shaped_gue_triples_keep_their_descent(n, seed, minimum, agreeing, iterations):
     # shaped as the benchmark's random oracle jobs: a GUE triple, 12 restarts, a 250-step cap.
     # A change to the step that costs iterations or moves where restarts end fails here
@@ -359,7 +387,7 @@ def test_oracle_config_validation():
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
         OracleConfig(max_iters=0)
-    # beyond sys.maxsize SeedSequence.spawn overflows; refused before anything is allocated
+    # beyond sys.maxsize no start block could be indexed; refused with one message before anything is allocated
     with pytest.raises(ValueError, match="must not exceed"):
         OracleConfig(restarts=10**20)
     for n_samples, dims in ((0, (2,)), (2, ())):  # lemma_sweep's own domain
