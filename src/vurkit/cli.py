@@ -252,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimum of the variance sum over pure states")
     p.add_argument("observables", nargs="+", metavar="OBS")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=OracleConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=OracleConfig.max_iters)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lur", help="local-uncertainty separability test on a bipartite state")
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_continuous)
 
     p = sub.add_parser("demo", help="run the built-in showcases end to end")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed)
     p.add_argument("--restarts", type=int, default=16)
     p.set_defaults(func=cmd_demo)
 

@@ -18,7 +18,6 @@ from .core import QuantumState, check_integer, common_dim, phase_fix_columns
 
 _ARMIJO = 0.25  # share of the Newton decrement a step must gain; below 1/2, so full steps pass
 _GRAD_TOL = 1e-12
-_STEP_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 STOP_REASONS = ("gradient", "step_underflow", "max_iters")  # in the order of OracleResult.stops
@@ -150,8 +149,8 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
     negative curvature, stays bounded where it vanishes and tends to Newton's
     as g -> 0, less its parts along z and Jz, where the two null eigenvalues
     would blow up g's rounding; backtrack from step 1 (Armijo, f falling) and
-    normalize.  A row stops on ``gradient`` (|g| <= ``_GRAD_TOL`` or a Newton decrement
-    below rounding), ``step_underflow`` or ``max_iters``.  Returns values, rows, stops, steps."""
+    normalize.  A row stops on ``gradient`` (|g| <= ``_GRAD_TOL`` or a Newton decrement below the rounding
+    of f), ``step_underflow`` (no step left would gain more) or ``max_iters``.  Returns values, rows, stops, steps."""
     n = x0.shape[1]
     z = _real(x0) / np.linalg.norm(x0, axis=1, keepdims=True)
     f = _evaluate(forms, s, z)
@@ -162,7 +161,8 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
         parts = [_newton_direction(forms, s, z[live[i:i + block]]) for i in range(0, live.size, block)]
         g, d, g_norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         decrement = -np.add.reduce(g * d, axis=1)
-        flat = decrement <= 4.0 * _EPS * np.maximum(1.0, np.abs(f[live]))
+        rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(f[live]))  # no gain below it counts
+        flat = decrement <= rounding
         flat |= g_norm[:, 0] <= _GRAD_TOL
         stop[live[flat]] = STOP_REASONS.index("gradient")
         # every row still backtracking has been halved as often, so one step length serves them all
@@ -177,9 +177,9 @@ def _descend(forms, s, x0: np.ndarray, max_iters: int):
             rows = rows[ok]
             z[rows], f[rows] = cand[ok], fc[ok]
             trial, step = trial[~ok], 0.5 * step
-            if step < _STEP_TOL:
-                stop[live[trial]] = STOP_REASONS.index("step_underflow")
-                break
+            left = _ARMIJO * step * decrement[trial] > rounding[trial]  # else no step left can gain above rounding
+            stop[live[trial[~left]]] = STOP_REASONS.index("step_underflow")
+            trial = trial[left]
         live = live[stop[live] == STOP_REASONS.index("max_iters")]  # rows that took a step
         iters[live] += 1
         live = live[iters[live] < max_iters]

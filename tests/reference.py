@@ -222,10 +222,11 @@ def dense_evaluation(forms, z):
     return _dense_value(forms, z), proj @ grad, proj @ hess @ proj
 
 
-def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_tol=1e-12):
+def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12):
     """One restart of saddle-free Riemannian Newton descent on the unit sphere,
     written as a plain loop over dense matrices in the real coordinates
-    z = [Re x, Im x], with each square taken as a dense product.  Returns the
+    z = [Re x, Im x], with each square taken as a dense product.  Backtracking
+    ends once the next step's Armijo target is at most the rounding of f.  Returns the
     final variance sum."""
     forms = dense_forms(matrices)
 
@@ -240,10 +241,11 @@ def scalar_descent(matrices, x0, max_iters, armijo=0.25, grad_tol=1e-12, step_to
     for _ in range(max_iters):
         g, d = gradient_and_step(z)
         decrement = -(g @ d)
-        if np.linalg.norm(g) <= grad_tol or decrement <= 4.0 * np.finfo(float).eps * max(1.0, abs(f)):
+        rounding = 4.0 * np.finfo(float).eps * max(1.0, abs(f))
+        if np.linalg.norm(g) <= grad_tol or decrement <= rounding:
             break
         step = 1.0
-        while step >= step_tol:
+        while step == 1.0 or armijo * step * decrement > rounding:
             cand = z + step * d
             cand /= np.linalg.norm(cand)
             fc = _dense_value(forms, cand)

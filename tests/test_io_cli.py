@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import document_array, nested_document_array, one_matrix_eigendecompose
-from vurkit import (FileFormatError, InvalidStateError, Tolerances, eigendecompose, optimize_alpha,
-                    user_supplied)
+from vurkit import (FileFormatError, InvalidStateError, OracleConfig, Tolerances, eigendecompose,
+                    optimize_alpha, user_supplied)
 from vurkit.cli import main
 from vurkit.config import DEFAULT_TOLERANCES, with_overrides
 from vurkit.core import HermitianMatrix
@@ -574,6 +574,17 @@ def test_cli_demo(capsys):
     assert doc["seed"] == 0
     assert doc["payload"]["lur"]["singlet"]["verdict"] == "Entangled"
     assert doc["payload"]["pauli3"]["oracle"]["minimum"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_cli_oracle_and_demo_default_to_the_oracle_config(capsys):
+    # the parser takes its defaults from OracleConfig, so the echoed run is the library's default run
+    defaults = OracleConfig()
+    assert main(["oracle", "pauli3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"]["restarts"] == doc["payload"]["restarts"] == defaults.restarts
+    assert (doc["inputs"]["max_iters"], doc["seed"]) == (defaults.max_iters, defaults.seed)
+    assert main(["demo", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == defaults.seed
 
 
 def test_cli_exit_code_parse_failure(capsys):

@@ -308,6 +308,25 @@ def test_one_dimensional_observables_stop_flat_without_a_division_by_zero():
     assert minimize_variance_sum([one], OracleConfig(restarts=16, seed=0)).stops["gradient"] == 16
 
 
+def test_a_restart_at_its_minimum_stops_backtracking_at_the_rounding_of_f(monkeypatch):
+    # at these starts one restart ends with its Newton decrement just above the rounding of f, so
+    # every trial step fails.  Backtracking stops as soon as no step left has an Armijo target above
+    # that rounding; halving down to a fixed 1e-12 step floor would take 61 value evaluations, not 22
+    import vurkit.oracle as oracle
+    evaluate, orders = oracle._evaluate, []
+
+    def recording_evaluate(forms, s, z, order=0):
+        orders.append(order)
+        return evaluate(forms, s, z, order)
+
+    monkeypatch.setattr(oracle, "_evaluate", recording_evaluate)
+    rng = np.random.default_rng(11)
+    obs = [hermitized(random_hermitian(4, rng)) for _ in range(3)]
+    result = minimize_variance_sum(obs, OracleConfig(restarts=12, max_iters=250, seed=11))
+    assert result.stops == {"gradient": 11, "step_underflow": 1, "max_iters": 0}
+    assert orders.count(0) <= 22
+
+
 @pytest.mark.parametrize("n, seed, minimum, agreeing, iterations",
                          [(4, 1, 1.2568782124272315, 2, 15), (8, 2, 3.9748455920424406, 10, 16)])
 def test_benchmark_shaped_gue_triples_keep_their_descent(n, seed, minimum, agreeing, iterations):
