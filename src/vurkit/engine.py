@@ -12,18 +12,19 @@ The maxima of g are the modes of a homoscedastic Gaussian mixture, found by
 hill climbing from every eigenvalue, the mixture's centroids, as in
 Carreira-Perpinan's mode search (IEEE TPAMI 22(11), 2000); no proof that they
 reach the highest mode is claimed, but a property test checks them on
-adversarial spectra.  ``_ascend`` climbs from those starts for a whole
-vector of widths at once: Newton steps where g is concave and their mirror
-images where it is convex, scaled by a trust factor, or mean-shift steps where
-those do not raise ln g by more than the stop tolerance.  Its blocks are
-eigenvalue-major, one column per (spectrum, alpha, start).  ``_floors`` is
-the one reduction of its end points: each spectrum's argmax and mode count,
-g summed once more there for M and the moments of the offsets in units of
-the Gaussian width, and the raw floor with its first two derivatives in ln
+adversarial spectra.  ``_ascend`` climbs from those starts for every
+spectrum at each of its own widths at once: Newton steps where g is concave
+and their mirror images where it is convex, scaled by a trust factor, or
+mean-shift steps where those do not raise ln g by more than the stop
+tolerance.  Its blocks are eigenvalue-major, one column per (spectrum, width,
+start).  ``_modes`` reduces its end points per spectrum and width: argmax,
+mode count, and g summed once more there for M and the moments of the
+offsets in units of the Gaussian width.  ``_floors`` sums those over a set at
+the widths it shares into the raw floor and its first two derivatives in ln
 alpha.  A floor evaluation is one ``_floors`` call over a set's distinct
-spectra: ``bound_at_alpha`` makes one, ``inner_max`` one on a single
-spectrum, and ``optimize_alpha`` one per step of its search, reporting the
-best point evaluated.
+spectra: one in ``bound_at_alpha``, one per step of ``optimize_alpha``'s
+search, which reports the best point evaluated; ``inner_max`` makes one
+``_modes`` call.  No result reports a climb stopped by ``MAX_ASCENT_ITERS``.
 
 The floor has one peak in ln alpha: ln g is a log-sum-exp of functions affine
 in alpha, so ln M, its maximum over centers, is convex in alpha, F = C -
@@ -91,19 +92,20 @@ def _log_gaussian_sum(evals: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     return np.log(s0) - m, d, w, s0, m
 
 
-def _ascend(spectra: np.ndarray, alphas: np.ndarray):
-    """Climb g from every eigenvalue, for every row of the (S, n) stack of
-    ascending spectra and every alpha.  A trial step is taken only where it
-    raises ln g by more than the stop tolerance, else the mean-shift step, so
-    a climb ends after a mean-shift step, never on a point of equal value
-    across a symmetric maximum that a trial step rounded onto.
+def _ascend(spectra: np.ndarray, widths: np.ndarray):
+    """Climb g from every eigenvalue of each row of the (S, n) stack of
+    ascending spectra, at each of its own widths, the same row of the (S, W)
+    ``widths``.  A trial step is taken only where it raises ln g by more than
+    the stop tolerance, else the mean-shift step, so a climb ends after a
+    mean-shift step, never on a point of equal value across a symmetric
+    maximum that a trial step rounded onto.
 
-    Returns arrays of shape (S, len(alphas), n): the final beta, ln g there,
-    the iterations run, and whether the end point is a maximum (g'' <= 0)
-    rather than a minimum that a symmetric start sat on.
+    Returns arrays of shape (S, W, n): the final beta, ln g there, the
+    iterations run, and whether the end point is a maximum (g'' <= 0) rather
+    than a minimum that a symmetric start sat on.
     """
-    shape = (spectra.shape[0], alphas.size, spectra.shape[1])
-    beta = np.repeat(spectra[:, None, :], alphas.size, axis=1).ravel()
+    shape, alphas = widths.shape + spectra.shape[1:], widths.ravel()
+    beta = np.repeat(spectra[:, None, :], shape[1], axis=1).ravel()
     log_g = np.empty(beta.size)
     concave, iters = np.zeros(beta.size, dtype=bool), np.zeros(beta.size, dtype=int)
     tol = VALUE_TOL * max(1.0, math.log(spectra.shape[1]))
@@ -115,9 +117,9 @@ def _ascend(spectra: np.ndarray, alphas: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for first in range(0, beta.size, block):
             cols = np.arange(first, min(first + block, beta.size))
-            # each column carries its spectrum, its alpha and its beta; take and
+            # each column carries its spectrum, its width and its beta; take and
             # compress keep the blocks C-ordered, where a boolean index would not
-            e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2] % shape[1]], beta[cols]
+            e, a, b = columns.take(cols // (shape[1] * shape[2]), axis=1), alphas[cols // shape[2]], beta[cols]
             prev, gain = np.full(cols.size, -np.inf), np.ones(cols.size)
             for it in range(1, MAX_ASCENT_ITERS + 1):
                 lg, d, w, s0, _ = _log_gaussian_sum(e, a, b)
@@ -164,46 +166,51 @@ def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
     return np.array(distinct), np.array([row[k] for k in keys])
 
 
-def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
-    """One kernel call over the (S, n) stack of distinct spectra, spectrum k
-    counted c_k times.  Returns the raw floor (C - sum_k c_k ln M_k) / alpha at
-    each alpha, M_k = g(beta*) at spectrum k's argmax beta*; its slope D =
-    d raw / dt in t = ln alpha and D' = dD / dt; and the per-spectrum columns
-    (beta*, M, the ascent iterations of the slowest start, the number of
-    distinct maxima (modes) the starts reached), each of shape (S, len(alphas)).
+def _modes(spectra: np.ndarray, widths: np.ndarray):
+    """The maximum M = g(beta*) of each row of the (S, n) stack of distinct
+    spectra at each of its own widths, the same row of the (S, W) ``widths``:
+    ln M, nu2, dnu2 = d nu2 / dt - nu2 in t = ln alpha, and the per-spectrum
+    columns (beta*, M, the ascent iterations of the slowest start, the number
+    of distinct maxima (modes) the starts reached), each of shape (S, W).
 
-    D and D' are exact from the moments nu_j = <u^j>_w, j = 2, 3, 4, of the
-    offsets u = sqrt(alpha) (a - beta*) in units of the Gaussian width, which
-    do not scale with the spectra: d ln M / dt = -nu2 (envelope theorem) and
-    d nu2 / dt - nu2 = nu2^2 - nu4 + 2 nu3^2 / (2 nu2 - 1), the last term from
-    beta*'s drift.
-
+    nu_j = <u^j>_w, j = 2, 3, 4, are the moments of the offsets u =
+    sqrt(alpha) (a - beta*) in units of the Gaussian width, which do not
+    scale with the spectra: d ln M / dt = -nu2 (envelope theorem) and dnu2 =
+    nu2^2 - nu4 + 2 nu3^2 / (2 nu2 - 1), the last term from beta*'s drift.
     The best end point of the climbs is taken as the global maximum (the
     module docstring says on what grounds).
     """
-    beta, log_g, iters, concave = _ascend(spectra, alphas)
-    shape = beta.shape[:2]
+    beta, log_g, iters, concave = _ascend(spectra, widths)
+    shape, a = widths.shape, widths.ravel()
     # end points closer than a thousandth of the Gaussian width are one mode:
     # where two modes merge, starts on either side stop that far apart
     ends = np.sort(np.where(concave, beta, np.nan), axis=2)  # NaNs sort last and never count
-    modes = 1 + np.count_nonzero(ends[..., 1:] - ends[..., :-1] > 1e-3 / np.sqrt(alphas)[:, None], axis=2)
+    modes = 1 + np.count_nonzero(ends[..., 1:] - ends[..., :-1] > 1e-3 / np.sqrt(widths)[..., None], axis=2)
     beta = beta[np.arange(shape[0])[:, None], np.arange(shape[1]), np.argmax(log_g, axis=2)]
-    a = alphas[None].repeat(shape[0], axis=0).ravel()
-    # the ascent's last sum once more, now with the moments; errors as in
-    # _ascend, and a floor past the float range is inf, for the caller to
-    # refuse, and so may be its slopes; 2 nu2 = 1 where modes merge
+    # the ascent's last sum once more, now with the moments; errors as in _ascend; 2 nu2 = 1 where modes merge
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_m, d, w, s0, m = _log_gaussian_sum(spectra.T.repeat(alphas.size, axis=1), a, beta.ravel())
+        log_m, d, w, s0, m = _log_gaussian_sum(spectra.T.repeat(shape[1], axis=1), a, beta.ravel())
         u = np.sqrt(a) * d
         w *= u
         # nu_j from w u^j, j = 2, 3, 4: one more product in place each
         nu2, nu3, nu4 = [(_column_sums(np.multiply(w, u, out=w)) / s0).reshape(shape) for _ in range(3)]
-        # summed in row order, so that a width's floor does not depend on the others
-        raw = (c - _column_sums(counts[:, None] * log_m.reshape(shape))) / alphas
-        slope = (counts @ nu2) / alphas - raw
         dnu2 = nu2 * nu2 - nu4 + 2.0 * nu3 * nu3 / (2.0 * nu2 - 1.0)
+    return log_m.reshape(shape), nu2, dnu2, (beta, (s0 * np.exp(-m)).reshape(shape), iters.max(axis=2), modes)
+
+
+def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
+    """``_modes`` of the (S, n) stack of distinct spectra at the widths
+    ``alphas`` they share, spectrum k counted c_k times: the raw floor (C -
+    sum_k c_k ln M_k) / alpha at each alpha, its slope D = d raw / dt in t =
+    ln alpha and D' = dD / dt, and ``_modes``'s per-spectrum columns."""
+    log_m, nu2, dnu2, columns = _modes(spectra, alphas[None].repeat(spectra.shape[0], axis=0))
+    # a floor past the float range is inf, for the caller to refuse, and so may be its slopes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # summed in row order, so that a width's floor does not depend on the others
+        raw = (c - _column_sums(counts[:, None] * log_m)) / alphas
+        slope = (counts @ nu2) / alphas - raw
         curv = (counts @ dnu2) / alphas - slope
-    return raw, slope, curv, (beta, (s0 * np.exp(-m)).reshape(shape), iters.max(axis=2), modes)
+    return raw, slope, curv, columns
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,11 @@ class InnerMaxResult:
 
 def _inner_results(rows, columns, j: int) -> tuple[InnerMaxResult, ...]:
     """One ``InnerMaxResult`` per entry of ``rows`` at the j-th width, the i-th
-    from row ``rows[i]`` of the per-spectrum columns of ``_floors``."""
+    from row ``rows[i]`` of the per-spectrum columns of ``_modes``; a climb
+    stopped by ``MAX_ASCENT_ITERS`` may end below its mode, and is refused."""
     beta, g, iters, modes = (x[:, j] for x in columns)
+    if iters.max() >= MAX_ASCENT_ITERS:
+        raise ValueError(f"a mode search ran to its cap of {MAX_ASCENT_ITERS} iterations: M may lie below the maximum")
     return tuple(InnerMaxResult(beta_star=float(beta[r]), value=float(g[r]),
                                 iterations=int(iters[r]), modes=int(modes[r])) for r in rows)
 
@@ -231,7 +241,7 @@ def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = check_spectrum(eigenvalues)
-    return _inner_results([0], _floors(evals[None], np.ones(1), 0.0, np.array([a]))[3], 0)[0]
+    return _inner_results([0], _modes(evals[None], np.array([[a]]))[3], 0)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,

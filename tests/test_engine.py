@@ -15,6 +15,7 @@ from vurkit import (DimensionMismatchError, InvalidAlphaError, InvalidStateError
                     shannon_variance_bound, state_dependent_bound, user_supplied, variance,
                     wu_full_mub)
 from vurkit import engine
+from vurkit.cli import main
 from vurkit.engine import VALUE_TOL, _floors
 from vurkit.fixtures import PAULI_X, PAULI_Z, maximally_mixed, pauli3, qutrit4, qutrit4_matrices
 from vurkit.oracle import (OracleConfig, minimize_variance_sum, random_hermitian,
@@ -378,6 +379,25 @@ def test_one_kernel_call_per_floor_evaluation(monkeypatch, observables):
     report = optimize_alpha(observables, user_supplied(1.0))
     # the grid and each refine step; the report reuses the best evaluation
     assert len(calls) == report.refine_steps + 1
+    # inner_max's one call reads the maximum alone, with no floor
+    calls.clear()
+    monkeypatch.setattr(engine, "_floors", lambda *args: pytest.fail("inner_max summed a floor"))
+    inner_max(observables[0].eigenvalues, 1.92)
+    assert len(calls) == 1
+
+
+def test_a_climb_stopped_by_the_cap_is_refused(monkeypatch, capsys):
+    # a climb the cap stops may end below its mode, so M is low and the floor
+    # above what the lemma proves; the cap is read at call time
+    monkeypatch.setattr(engine, "MAX_ASCENT_ITERS", 1)
+    constant = user_supplied(1.0)
+    for call in (lambda: inner_max(pauli3()[0].eigenvalues, 0.597), lambda: bound_at_alpha(pauli3(), 0.597, constant),
+                 lambda: optimize_alpha(pauli3(), constant)):
+        with pytest.raises(ValueError, match="cap of 1 iterations"):
+            call()
+    assert main(["bound", "pauli3", "--C", "1", "--alpha", "0.597"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap of 1 iterations" in captured.err
 
 
 @pytest.mark.parametrize("spectra", [
@@ -527,19 +547,27 @@ def test_optimize_alpha_reports_its_own_evaluation(spectra, u):
     lambda n: st.lists(st.lists(_eigenvalue, min_size=n, max_size=n), min_size=1, max_size=3)))
 def test_ascent_columns_do_not_depend_on_the_blocks(spectra):
     # enough widths for several blocks of the smallest size; each column's
-    # climb must not see which other columns share its block
+    # climb must not see which other columns share its block, with the rows
+    # at shared widths or each at its own
     stack = np.sort(np.array(spectra), axis=1)
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     assume(h > 1e-3)
-    widths = -(-1000 // stack.size)
-    alphas = np.geomspace(1e-3, 1e4, widths) / (h * h)
-    runs = []
-    for elements in (1, 1 << 30):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "BLOCK_ELEMENTS", elements)
-            runs.append(engine._ascend(stack, alphas))
-    for small, large in zip(*runs):
-        np.testing.assert_array_equal(small, large)
+    alphas = np.geomspace(1e-3, 1e4, -(-1000 // stack.size)) / (h * h)
+    own = np.array([np.roll(alphas, k) for k in range(len(stack))])
+    for widths in (alphas[None].repeat(len(stack), axis=0), own):
+        runs = []
+        for elements in (1, 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "BLOCK_ELEMENTS", elements)
+                runs.append(engine._ascend(stack, widths))
+        for small, large in zip(*runs):
+            np.testing.assert_array_equal(small, large)
+    # so each row's maxima are those of the row alone at its own widths
+    log_m, nu2, dnu2, columns = engine._modes(stack, own)
+    for k in range(len(stack)):
+        alone = engine._modes(stack[k:k + 1], own[k:k + 1])
+        for whole, row in zip((log_m, nu2, dnu2, *columns), (*alone[:3], *alone[3])):
+            np.testing.assert_array_equal(whole[k:k + 1], row)
 
 
 # spectra of n = 2-40 eigenvalues: free, with repeats, or two-valued
@@ -647,7 +675,7 @@ def test_eigenvalue_starts_reach_the_highest_mode(eigs, product):
     # of the Gaussian width apart counting as one; a shallow mode that no
     # eigenvalue climbs to can go uncounted
     width = 1e-3 / math.sqrt(alpha)
-    beta, _, _, concave = engine._ascend(evals[None], np.array([alpha]))
+    beta, _, _, concave = engine._ascend(evals[None], np.array([[alpha]]))
     assert all(np.min(np.abs(centers - b)) <= width for b in beta[concave])
     assert 1 <= result.modes <= 1 + np.count_nonzero(np.diff(centers) > width)
 
@@ -672,7 +700,7 @@ def test_ascent_climbs_one_start_where_ln_g_is_concave(monkeypatch):
     monkeypatch.setattr(engine, "_ascend", lambda *args: calls.append(args) or ascend(*args))
     optimize_alpha(observables, user_supplied(1.0))
     stack, alphas = calls[0]
-    assert alphas.size == 17
+    assert alphas.shape == (3, 17)
     columns, kernel = [], engine._log_gaussian_sum
     monkeypatch.setattr(engine, "_log_gaussian_sum", lambda e, a, b: columns.append(b.size) or kernel(e, a, b))
     iters = ascend(stack, alphas)[2]
