@@ -2,8 +2,9 @@
 
 Inputs are UTF-8 JSON files or built-in fixture names.  Every randomized
 command takes and echoes a seed, so published numbers are reproducible.
-Exit codes: 2 parse failure, 3 dimension mismatch, 4 non-Hermitian input,
-5 invalid state, 6 bad alpha.
+Exit codes: 1 any other rejected input, and output cut off by its reader,
+2 parse failure, 3 dimension mismatch, 4 non-Hermitian input, 5 invalid
+state, 6 bad alpha.
 """
 
 from __future__ import annotations

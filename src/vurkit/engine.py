@@ -21,10 +21,12 @@ start).  ``_modes`` reduces its end points per spectrum and width: argmax,
 mode count, and g summed once more there for M and the moments of the
 offsets in units of the Gaussian width.  ``_floors`` sums those over a set at
 the widths it shares into the raw floor and its first two derivatives in ln
-alpha.  A floor evaluation is one ``_floors`` call over a set's distinct
-spectra: one in ``bound_at_alpha``, one per step of ``optimize_alpha``'s
-search, which reports the best point evaluated; ``inner_max`` makes one
-``_modes`` call.  No result reports a climb stopped by ``MAX_ASCENT_ITERS``.
+alpha, one row per observable, each width's terms in ascending order, so that
+no floor depends on the order of the observables.  A floor evaluation is one
+``_floors`` call: one in ``bound_at_alpha``, one per step of
+``optimize_alpha``'s search, which reports the best point evaluated;
+``inner_max`` makes one ``_modes`` call.  No result reports a climb stopped
+by ``MAX_ASCENT_ITERS``.
 
 The floor has one peak in ln alpha: ln g is a log-sum-exp of functions affine
 in alpha, so ln M, its maximum over centers, is convex in alpha, F = C -
@@ -155,20 +157,15 @@ def _ascend(spectra: np.ndarray, widths: np.ndarray):
     return beta.reshape(shape), log_g.reshape(shape), iters.reshape(shape), concave.reshape(shape)
 
 
-def _spectra(observables: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, n) stack of a set's distinct ascending spectra, in lexicographic
-    order, and each observable's row in it; -0.0 equals 0.0 here, and a row
-    is the first of its equal spectra."""
+def _spectra(observables: list) -> np.ndarray:
+    """The (m, n) stack of a set's ascending spectra, row i observable i's."""
     common_dim(observables)
-    keys = [tuple(o.eigenvalues.tolist()) for o in observables]
-    distinct = sorted(dict.fromkeys(keys))
-    row = {k: i for i, k in enumerate(distinct)}
-    return np.array(distinct), np.array([row[k] for k in keys])
+    return np.array([o.eigenvalues for o in observables])
 
 
 def _modes(spectra: np.ndarray, widths: np.ndarray):
-    """The maximum M = g(beta*) of each row of the (S, n) stack of distinct
-    spectra at each of its own widths, the same row of the (S, W) ``widths``:
+    """The maximum M = g(beta*) of each row of the (S, n) stack of spectra at
+    each of its own widths, the same row of the (S, W) ``widths``:
     ln M, nu2, dnu2 = d nu2 / dt - nu2 in t = ln alpha, and the per-spectrum
     columns (beta*, M, the ascent iterations of the slowest start, the number
     of distinct maxima (modes) the starts reached), each of shape (S, W).
@@ -198,18 +195,20 @@ def _modes(spectra: np.ndarray, widths: np.ndarray):
     return log_m.reshape(shape), nu2, dnu2, (beta, (s0 * np.exp(-m)).reshape(shape), iters.max(axis=2), modes)
 
 
-def _floors(spectra: np.ndarray, counts: np.ndarray, c: float, alphas: np.ndarray):
-    """``_modes`` of the (S, n) stack of distinct spectra at the widths
-    ``alphas`` they share, spectrum k counted c_k times: the raw floor (C -
-    sum_k c_k ln M_k) / alpha at each alpha, its slope D = d raw / dt in t =
-    ln alpha and D' = dD / dt, and ``_modes``'s per-spectrum columns."""
+def _floors(spectra: np.ndarray, c: float, alphas: np.ndarray):
+    """``_modes`` of the (m, n) stack of a set's spectra at the widths
+    ``alphas`` they share: the raw floor (C - sum_k ln M_k) / alpha at each
+    alpha, its slope D = d raw / dt in t = ln alpha and D' = dD / dt, and
+    ``_modes``'s per-observable columns."""
     log_m, nu2, dnu2, columns = _modes(spectra, alphas[None].repeat(spectra.shape[0], axis=0))
     # a floor past the float range is inf, for the caller to refuse, and so may be its slopes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # summed in row order, so that a width's floor does not depend on the others
-        raw = (c - _column_sums(counts[:, None] * log_m)) / alphas
-        slope = (counts @ nu2) / alphas - raw
-        curv = (counts @ dnu2) / alphas - slope
+        # each width's terms summed in ascending order, so that its floor depends
+        # neither on the other widths nor on the order of the observables
+        log_m, nu2, dnu2 = (_column_sums(np.sort(x, axis=0)) for x in (log_m, nu2, dnu2))
+        raw = (c - log_m) / alphas
+        slope = nu2 / alphas - raw
+        curv = dnu2 / alphas - slope
     return raw, slope, curv, columns
 
 
@@ -226,22 +225,22 @@ class InnerMaxResult:
     modes: int
 
 
-def _inner_results(rows, columns, j: int) -> tuple[InnerMaxResult, ...]:
-    """One ``InnerMaxResult`` per entry of ``rows`` at the j-th width, the i-th
-    from row ``rows[i]`` of the per-spectrum columns of ``_modes``; a climb
-    stopped by ``MAX_ASCENT_ITERS`` may end below its mode, and is refused."""
+def _inner_results(columns, j: int) -> tuple[InnerMaxResult, ...]:
+    """One ``InnerMaxResult`` per row of the per-spectrum columns of ``_modes``
+    at the j-th width; a climb stopped by ``MAX_ASCENT_ITERS`` may end below
+    its mode, and is refused."""
     beta, g, iters, modes = (x[:, j] for x in columns)
     if iters.max() >= MAX_ASCENT_ITERS:
         raise ValueError(f"a mode search ran to its cap of {MAX_ASCENT_ITERS} iterations: M may lie below the maximum")
-    return tuple(InnerMaxResult(beta_star=float(beta[r]), value=float(g[r]),
-                                iterations=int(iters[r]), modes=int(modes[r])) for r in rows)
+    return tuple(InnerMaxResult(beta_star=float(b), value=float(v), iterations=int(i), modes=int(k))
+                 for b, v, i, k in zip(beta, g, iters, modes))
 
 
 def inner_max(eigenvalues, alpha: float) -> InnerMaxResult:
     """Global maximum of the Gaussian sum over centers in [a_1, a_n]."""
     a = _check_alpha(alpha)
     evals = check_spectrum(eigenvalues)
-    return _inner_results([0], _modes(evals[None], np.array([[a]]))[3], 0)[0]
+    return _inner_results(_modes(evals[None], np.array([[a]]))[3], 0)[0]
 
 
 def state_dependent_bound(observables, state: QuantumState, alpha: float,
@@ -253,9 +252,9 @@ def state_dependent_bound(observables, state: QuantumState, alpha: float,
     """
     a = _check_alpha(alpha)
     obs = list(observables)
-    common_dim(obs)
+    stack = _spectra(obs)
     means = np.array([expectation(o, state) for o in obs])
-    log_g = _log_gaussian_sum(np.stack([o.eigenvalues for o in obs], axis=1), a, means)[0]
+    log_g = _log_gaussian_sum(stack.T, a, means)[0]
     return (constant.value - float(log_g.sum())) / a
 
 
@@ -279,12 +278,11 @@ class BoundReport:
     refine_steps: int = 0
 
 
-def _report(rows, a: float, constant: EntropicConstant, raw, columns, j: int, **search) -> BoundReport:
-    """The j-th of the floors ``raw``, at width ``a``; observable i reads row
-    ``rows[i]`` of the per-spectrum columns, and ``search`` sets
-    ``optimize_alpha``'s fields."""
+def _report(a: float, constant: EntropicConstant, raw, columns, j: int, **search) -> BoundReport:
+    """The j-th of the floors ``raw``, at width ``a``, with the per-observable
+    columns; ``search`` sets ``optimize_alpha``'s fields."""
     raw = float(raw[j])
-    return BoundReport(alpha=a, constant=constant, per_operator=_inner_results(rows, columns, j),
+    return BoundReport(alpha=a, constant=constant, per_operator=_inner_results(columns, j),
                        raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0, **search)
 
 
@@ -295,11 +293,10 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
     the raw value is kept for diagnostics.
     """
     a = _check_alpha(alpha)
-    stack, rows = _spectra(list(observables))
-    raw, _, _, columns = _floors(stack, np.bincount(rows), constant.value, np.array([a]))
+    raw, _, _, columns = _floors(_spectra(list(observables)), constant.value, np.array([a]))
     if not math.isfinite(raw[0]):
         raise InvalidAlphaError(f"alpha {alpha!r} is too small: the floor runs past the float range")
-    return _report(rows, a, constant, raw, columns, 0)
+    return _report(a, constant, raw, columns, 0)
 
 
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
@@ -320,35 +317,35 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     one evaluation where its ends' tangent lines meet.  The report is the best
     point evaluated.
     """
-    stack, rows = _spectra(list(observables))
-    counts = np.bincount(rows)
+    stack = _spectra(list(observables))
     c = constant.value
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
     found = []  # (raw, alphas, *columns) of every evaluation
 
     def evaluate(t):
-        """The rows t, raw, D, D' and alpha at each t = ln(alpha h^2)."""
+        """The stack of t, raw, D, D' and alpha at each t = ln(alpha h^2)."""
         with np.errstate(over="ignore", divide="ignore"):
             alphas = np.exp(t) / (h * h)
         if np.count_nonzero((alphas > 0.0) & (alphas < np.inf)) < alphas.size:
             raise ValueError(f"half-spread {h!r} is too {'large' if h > 1.0 else 'small'}: "
                              "the alpha search runs past the float range")
-        raw, slope, curv, columns = _floors(stack, counts, c, alphas)
+        raw, slope, curv, columns = _floors(stack, c, alphas)
         found.append((raw, alphas, *columns))
         return np.stack([t, raw, slope, curv, alphas])
 
     def report(bracket):
         raw, alphas, *columns = (np.concatenate(x, axis=-1) for x in zip(*found))
         best = int(np.argmax(raw))
-        return _report(rows, float(alphas[best]), constant, raw, columns, best,
+        return _report(float(alphas[best]), constant, raw, columns, best,
                        bracket=bracket, refine_steps=len(found) - 1)
 
     # m_k: the most eigenvalues of spectrum k within 2 delta = 2e-8 h of one another
     near = [(np.searchsorted(r, r + 2e-8 * h, side="right") - np.arange(r.size)).max() for r in stack]
-    if c <= counts @ np.log(near):
+    # exactly rounded, so that the order of the observables cannot move C across it
+    if c <= math.fsum(np.log(near)):
         evaluate(np.zeros(1))
         return report(None)
-    if c >= (top := float(counts.sum() * math.log(stack.shape[1]))):
+    if c >= (top := stack.shape[0] * math.log(stack.shape[1])):
         raise RegimeError(f"entropy constant {c!r} is not below sum_k ln n = {top!r}: the floor grows without bound")
     step = math.log(1e4) / 16
     # centred on the lattice point nearest alpha h^2 = (n - 1)^2, a Gaussian as wide as the mean spacing
@@ -361,7 +358,7 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     before = last = math.inf  # the lengths of the step before last and of the last step
     while True:
         t, _, d, curv, _ = point
-        lo, hi = (point, hi) if d >= 0.0 else (lo, point)  # a NaN slope counts as falling
+        lo, hi = (point, hi) if d >= 0.0 else (lo, point)  # a NaN slope is taken as falling
         newton = t - d / curv if -np.inf < curv < 0.0 else np.nan
         # point is an end of the bracket, so a step that rounds onto it still stops here
         if lo[0] <= newton <= hi[0] and abs(newton - t) <= LOG_ALPHA_TOL:

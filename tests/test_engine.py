@@ -314,8 +314,8 @@ def test_optimize_alpha_stops_on_a_newton_step_that_rounds_onto_the_bracket(monk
     constant = wu_full_mub(2)
     report, floors = optimize_alpha(pauli3(), constant), engine._floors
 
-    def tiny(stack, counts, c, alphas):
-        raw, slope, curv, columns = floors(stack, counts, c, alphas)
+    def tiny(stack, c, alphas):
+        raw, slope, curv, columns = floors(stack, c, alphas)
         return raw, np.where(alphas == report.alpha, 2.0 ** -60, slope), curv, columns
 
     monkeypatch.setattr(engine, "_floors", tiny)
@@ -330,11 +330,11 @@ def test_optimize_alpha_bisects_newton_steps_that_alternate(monkeypatch):
     # as on either side of a real kink, so within 1e-6 of t* they overshoot
     star, floors = 0.3, engine._floors
 
-    def jump(stack, counts, c, alphas):
+    def jump(stack, c, alphas):
         x = np.log(alphas) - star  # h = 1
         size = 0.1 + np.abs(x)
         return (1.0 - 0.1 * np.abs(x) - 0.5 * x * x, -np.sign(x) * size,
-                -size / (1.9 * np.maximum(np.abs(x), 1e-6)), floors(stack, counts, c, alphas)[3])
+                -size / (1.9 * np.maximum(np.abs(x), 1e-6)), floors(stack, c, alphas)[3])
 
     monkeypatch.setattr(engine, "_floors", jump)
     report = optimize_alpha([eigendecompose(PAULI_Z)], user_supplied(0.5))
@@ -409,12 +409,11 @@ def test_floor_slopes_match_central_differences(spectra):
     # D = d raw / d ln alpha and D' = dD / d ln alpha at points where the
     # argmax stays on one mode
     stack = np.array(spectra)
-    counts = np.ones(len(spectra))
     logs = np.log([0.3, 0.597, 1.7, 4.0, 11.0])
-    raw, slope, curv, _ = _floors(stack, counts, 1.2, np.exp(logs))
+    raw, slope, curv, _ = _floors(stack, 1.2, np.exp(logs))
 
     def central(h):
-        up, down = (_floors(stack, counts, 1.2, np.exp(logs + s)) for s in (h, -h))
+        up, down = (_floors(stack, 1.2, np.exp(logs + s)) for s in (h, -h))
         return (up[0] - down[0]) / (2 * h), (up[1] - down[1]) / (2 * h)
 
     # Richardson-extrapolated, with steps large enough that the argmax's
@@ -428,9 +427,9 @@ def _dense_scan_gain(observables, constant, report, widths=4000):
     """How far the best raw floor on a log scan of alpha h^2 over [1e-4, 1e6]
     (h the largest half-spread of the spectra) lies above the optimized one,
     relative to the size of the floor's terms."""
-    stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
+    stack = np.stack([o.eigenvalues for o in observables])
     h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
-    best = float(np.max(_floors(stack, counts, constant.value, np.geomspace(1e-4, 1e6, widths) / (h * h))[0]))
+    best = float(np.max(_floors(stack, constant.value, np.geomspace(1e-4, 1e6, widths) / (h * h))[0]))
     terms = abs(constant.value) + sum(math.log(r.value) for r in report.per_operator)
     return (best - report.raw_bound) / (abs(report.raw_bound) + terms / report.alpha)
 
@@ -466,14 +465,24 @@ def test_optimize_alpha_beats_a_dense_scan(spectra, u):
     assert _dense_scan_gain(obs, constant, report) <= 1e-12
     lo, hi = report.bracket
     assert lo <= hi and math.log(hi / lo) <= 1.2
-    stack, counts = np.unique(np.stack([o.eigenvalues for o in obs]), axis=0, return_counts=True)
-    _, slope, _, _ = _floors(stack, counts, constant.value, np.array([lo, hi]))
+    _, slope, _, _ = _floors(np.stack([o.eigenvalues for o in obs]), constant.value, np.array([lo, hi]))
     assert slope[0] >= 0.0 >= slope[1]
 
 
+def _picked(spectra, picks):
+    """An observable of the sorted ``spectra[k % len(spectra)]`` for each pick
+    k, with the sign of its zeros flipped from k = 4 on."""
+    picked = [(np.sort(spectra[k % len(spectra)]), k >= 4) for k in picks]
+    return [SpectralObservable(np.where(e == 0.0, -e, e) if flip else e, np.eye(e.size)) for e, flip in picked]
+
+
+def _with_zeros(sizes, count):
+    return sizes.flatmap(lambda n: st.lists(st.lists(st.one_of(_eigenvalue, st.just(-0.0)), min_size=n, max_size=n),
+                                            min_size=1, max_size=count))
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.lists(
-           st.lists(st.one_of(_eigenvalue, st.just(-0.0)), min_size=n, max_size=n), min_size=1, max_size=4)),
+@given(_with_zeros(st.integers(min_value=1, max_value=5), 4),
        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
        st.floats(min_value=1e-2, max_value=1e2))
 @example([[0.0, 1.0]], [0, 4], 1.0)
@@ -481,17 +490,28 @@ def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
     # repeated and distinct spectra in any order, and a pick from 4 on with
     # the sign of its zeros flipped: each observable's result must come from
     # its own spectrum's row
-    picked = [(np.sort(spectra[k % len(spectra)]), k >= 4) for k in picks]
-    obs = [SpectralObservable(np.where(e == 0.0, -e, e) if flip else e, np.eye(e.size)) for e, flip in picked]
-    # the rows and distinct spectra are np.unique's, bit for bit
-    stack, rows = engine._spectra(obs)
-    unique, inverse = np.unique(np.stack([o.eigenvalues for o in obs]), axis=0, return_inverse=True)
-    assert stack.tobytes() == unique.tobytes() and stack.shape == unique.shape
-    assert rows.tolist() == inverse.ravel().tolist()
+    obs = _picked(spectra, picks)
     report = bound_at_alpha(obs, alpha, user_supplied(1.0))
     assert len(report.per_operator) == len(obs)
     for o, r in zip(obs, report.per_operator):
         assert r == inner_max(o.eigenvalues, alpha)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_with_zeros(st.integers(min_value=2, max_value=8), 5),
+       st.lists(st.integers(min_value=0, max_value=7), min_size=2, max_size=5).flatmap(
+           lambda picks: st.tuples(st.just(picks), st.permutations(range(len(picks))))),
+       st.one_of(st.just(0.0), _between), st.floats(min_value=1e-2, max_value=1e2))
+@example([[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]], ([0, 1, 4], [2, 1, 0]), 0.5, 1.0)
+def test_floors_do_not_depend_on_the_order_of_the_observables(spectra, picks_order, u, alpha):
+    # repeated spectra, some with -0.0 for 0.0, and a constant at sum_k ln m_k
+    # (a certified 0) or between it and sum_k ln n: any order of the set gives
+    # the same bits, with per_operator in that order
+    picks, order = picks_order
+    obs, constant = _searched([o.eigenvalues for o in _picked(spectra, picks)], u)
+    for run in (lambda s: optimize_alpha(s, constant), lambda s: bound_at_alpha(s, alpha, constant)):
+        report, again = run(obs), run([obs[i] for i in order])
+        assert repr(again) == repr(replace(report, per_operator=tuple(report.per_operator[i] for i in order)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -513,8 +533,7 @@ def test_optimize_alpha_at_a_mode_switch():
     constant = user_supplied(0.85)
     report = optimize_alpha(obs, constant)
     t = math.log(report.alpha)
-    _, slope, _, _ = _floors(np.array([obs[0].eigenvalues]), np.ones(1), 0.85,
-                             np.exp([t - 1e-6, t + 1e-6]))
+    _, slope, _, _ = _floors(np.array([obs[0].eigenvalues]), 0.85, np.exp([t - 1e-6, t + 1e-6]))
     assert slope[0] > 1e-3 * report.raw_bound and slope[1] < -1e-3 * report.raw_bound
     assert _dense_scan_gain(obs, constant, report) <= 1e-12
     # nothing within a few bracket widths of the optimum is higher either
@@ -726,8 +745,8 @@ def test_gue32_floors_beyond_the_old_range(seed, skip, count, floor, places):
     assert report.lower_bound == pytest.approx(floor, abs=0.5 * 10.0 ** -places)
     assert _dense_scan_gain(observables, constant, report, widths=1000) <= 1e-12
     # a scan 1e-5 apart in ln alpha around the optimum comes within 1e-9 of it
-    stack, counts = np.unique(np.stack([o.eigenvalues for o in observables]), axis=0, return_counts=True)
-    near = _floors(stack, counts, constant.value, report.alpha * np.exp(np.linspace(-1e-3, 1e-3, 200)))[0]
+    stack = np.stack([o.eigenvalues for o in observables])
+    near = _floors(stack, constant.value, report.alpha * np.exp(np.linspace(-1e-3, 1e-3, 200)))[0]
     assert -1e-9 <= near.max() / report.raw_bound - 1.0 <= 1e-12
 
 
@@ -756,22 +775,21 @@ def test_optimize_alpha_rescaled_pauli_triple(scale):
     assert abs(report.refine_steps - optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps) <= 1
 
 
-def test_optimize_alpha_deduplicates_equal_spectra():
+def test_optimize_alpha_equal_spectra_give_the_decomposed_floor():
     constant = wu_full_mub(3)
     # the solver's middle eigenvalues differ in the last bits, so three of
     # these four spectra are distinct; the fixture's one exact spectrum,
-    # shared by all four (a -0.0 against 0.0 still counts as equal), is
-    # maximized once
+    # shared by all four, one with a -0.0 for its 0.0, gives the same floor
     observables = [eigendecompose(m) for m in qutrit4_matrices()]
     report = optimize_alpha(observables, constant)
     shared = qutrit4()
     negzero = shared[1].eigenvalues.copy()
     negzero[1] = -0.0
     shared[1] = SpectralObservable(negzero, shared[1].eigenvectors)
-    deduped = optimize_alpha(shared, constant)
-    assert deduped.lower_bound == pytest.approx(report.lower_bound, rel=1e-12)
-    again = bound_at_alpha(shared, deduped.alpha, constant)
-    assert again.lower_bound == pytest.approx(deduped.lower_bound, rel=1e-12)
+    exact = optimize_alpha(shared, constant)
+    assert exact.lower_bound == pytest.approx(report.lower_bound, rel=1e-12)
+    again = bound_at_alpha(shared, exact.alpha, constant)
+    assert again.lower_bound == pytest.approx(exact.lower_bound, rel=1e-12)
 
 
 def _random_set(spectra, seed):
