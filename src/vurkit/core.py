@@ -61,16 +61,6 @@ def check_spectrum(eigenvalues) -> np.ndarray:
     return evals
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Coerce input to an n-by-n complex array with finite entries."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # a complex entry is finite where both its parts are
-        raise ValueError("matrix entries must be finite")
-    return arr
-
-
 def phase_fix_columns(vectors: np.ndarray) -> np.ndarray:
     """Rotate every column of a matrix so its first component of modulus above
     1e-12 is real positive; a column with none is left as it is."""
@@ -132,13 +122,21 @@ class HermitianMatrix:
 
 
 def hermitized(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """The Hermitian part (m + m^H)/2 of a nonempty finite square matrix, refused where m departs from
-    it by more than ``tol.hermiticity``: decomposed in m's place, it leaks no asymmetry into the guard."""
-    arr = as_square_matrix(m)
+    """The read-only Hermitian part (m + m^H)/2 of a nonempty finite square matrix, refused where m departs from it
+    by more than ``tol.hermiticity``: the one gate for observables' and densities' matrices; a Hermitian m as it is."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # a complex entry is finite where both its parts are
+        raise ValueError("matrix entries must be finite")
     defect = float(np.abs(arr - (adjoint := arr.conj().T)).max())
     if defect > tol.hermiticity:
         raise NotHermitianError(f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.hermiticity:.1e}")
-    return HermitianMatrix(_readonly(0.5 * (arr + adjoint)))
+    try:
+        with np.errstate(over="raise"):  # entries near the float limit: m + m^H would hold inf
+            return HermitianMatrix(_readonly(0.5 * (arr + adjoint)))
+    except FloatingPointError:
+        raise ValueError("matrix's Hermitian part runs past the float range") from None
 
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservable:
@@ -158,7 +156,8 @@ def eigendecompose(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralObservabl
 
 def _psd_certified(mat: np.ndarray, tol: float) -> bool:
     """True when a Cholesky factor of ``mat + (tol/2) I`` proves that the
-    smallest eigenvalue of Hermitian ``mat`` is at least -tol.  A factor that
+    smallest eigenvalue of ``mat``, an exactly Hermitian matrix such as the
+    part that ``hermitized`` returns, is at least -tol.  A factor that
     completes is exact for the matrix plus some E with ||E||_2 below about
     (n+1) eps tr(mat + (tol/2) I) (Higham, Accuracy and Stability of Numerical
     Algorithms, Thm 10.3), so it certifies only where tol/2 is at least 8 times
@@ -202,19 +201,19 @@ class QuantumState:
 
     @classmethod
     def density(cls, rho, tol: Tolerances = DEFAULT_TOLERANCES) -> "QuantumState":
-        mat = as_square_matrix(rho)
-        defect = float(np.abs(mat - mat.conj().T).max())
-        if defect > tol.hermiticity:
-            raise InvalidStateError(f"density matrix must be Hermitian (asymmetry {defect:.3e})")
+        """``hermitized(rho, tol).matrix``, stored as it is once that Hermitian part has unit trace and no
+        eigenvalue below ``-tol.density_eigenvalue``; a failed check raises ``InvalidStateError``."""
+        try:
+            mat = hermitized(rho, tol).matrix
+        except NotHermitianError as exc:
+            raise InvalidStateError(f"density matrix must be Hermitian ({exc})") from None
         trace = complex(mat.trace())
         if abs(trace - 1.0) > tol.trace:
             raise InvalidStateError(f"density matrix must have unit trace, got {trace!r}")
-        if not _psd_certified(mat, tol.density_eigenvalue):
-            smallest = float(np.linalg.eigvalsh(mat)[0])
-            if smallest < -tol.density_eigenvalue:
-                raise InvalidStateError(f"density matrix must be positive semidefinite "
-                                        f"(smallest eigenvalue {smallest:.3e})")
-        return cls(matrix=_readonly(mat.copy()))
+        low = tol.density_eigenvalue
+        if not _psd_certified(mat, low) and (least := float(np.linalg.eigvalsh(mat)[0])) < -low:
+            raise InvalidStateError(f"density matrix must be positive semidefinite (smallest eigenvalue {least:.3e})")
+        return cls(matrix=mat)
 
     @property
     def is_pure(self) -> bool:

@@ -29,19 +29,20 @@ no floor depends on the order of the observables.  A floor evaluation is one
 by ``MAX_ASCENT_ITERS``.
 
 The floor has one peak in ln alpha: ln g is a log-sum-exp of functions affine
-in alpha, so ln M, its maximum over centers, is convex in alpha, F = C -
-sum_k ln M_k is concave, and F / alpha is quasi-concave (Boyd and
-Vandenberghe, Convex Optimization, 2004, sections 3.1.5 and 3.2.3).  Its ends
-are known: M_k <= n, so C >= sum_k ln n is false and the floor grows without
-bound as alpha -> 0; M_k >= m_k e^(-alpha delta^2), m_k the most eigenvalues
-within 2 delta of one another, so C <= sum_k ln m_k leaves a floor of at most
-sum_k delta^2.  The floor of s A is s^2 times that of A, at alpha / s^2, so
+in alpha, so ln M, its maximum over centers, is convex in alpha, F = C - sum_k
+ln M_k is concave, and F / alpha is quasi-concave (Boyd and Vandenberghe,
+Convex Optimization, 2004, sections 3.1.5 and 3.2.3).  Its ends are known:
+M_k <= n, so C >= sum_k ln n is false and the floor grows without bound as
+alpha -> 0; M_k >= m_k e^(-alpha delta^2), m_k the most eigenvalues within 2
+delta of one another, so C <= sum_k ln m_k leaves a floor of at most sum_k
+delta^2.  ``_ends`` tests the second, then refuses the first, at a fixed width
+as in the search.  The floor of s A is s^2 times that of A, at alpha / s^2, so
 ``optimize_alpha`` searches t = ln(alpha h^2), h the largest half-spread of
 the spectra, where its steps do not depend on the scale.  Its first grid is
 centred near alpha h^2 = (n - 1)^2, a Gaussian as wide as the mean spacing of
 n eigenvalues, and its refine loop is Newton's on D with Brent's safeguard
-(Algorithms for Minimization without Derivatives, 1973): a Newton step
-longer than half the step before last is replaced by a bisection.
+(Algorithms for Minimization without Derivatives, 1973): a Newton step longer
+than half the step before last is replaced by a bisection.
 """
 
 from __future__ import annotations
@@ -286,14 +287,26 @@ def _report(a: float, constant: EntropicConstant, raw, columns, j: int, **search
                        raw_bound=raw, lower_bound=max(0.0, raw), clamped=raw < 0.0, **search)
 
 
-def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> BoundReport:
-    """State-independent variance-sum floor at a fixed width parameter.
+def _ends(stack: np.ndarray, c: float) -> tuple[float, bool]:
+    """h, the largest half-spread of a stack of spectra (1 if all are degenerate), and whether C <= sum_k ln m_k,
+    delta = 1e-8 h, certifies a floor of 0; where it does not, C >= sum_k ln n, false, raises ``RegimeError``."""
+    h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
+    near = [(np.searchsorted(r, r + 2e-8 * h, side="right") - np.arange(r.size)).max() for r in stack]
+    if c <= math.fsum(np.log(near)):  # exactly rounded: the order of the observables cannot move C across it
+        return h, True
+    if c >= (top := stack.shape[0] * math.log(stack.shape[1])):
+        raise RegimeError(f"entropy constant {c!r} is not below sum_k ln n = {top!r}: the floor grows without bound")
+    return h, False
 
-    Variances are nonnegative, so a negative raw value is clamped to zero;
-    the raw value is kept for diagnostics.
-    """
+
+def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> BoundReport:
+    """State-independent variance-sum floor at a fixed width parameter, still
+    evaluated where C <= sum_k ln m_k certifies 0, and refused where C >=
+    sum_k ln n (``_ends``).  Variances are nonnegative, so a negative raw
+    value is clamped to zero; the raw value is kept for diagnostics."""
     a = _check_alpha(alpha)
-    raw, _, _, columns = _floors(_spectra(list(observables)), constant.value, np.array([a]))
+    _ends(stack := _spectra(list(observables)), constant.value)
+    raw, _, _, columns = _floors(stack, constant.value, np.array([a]))
     if not math.isfinite(raw[0]):
         raise InvalidAlphaError(f"alpha {alpha!r} is too small: the floor runs past the float range")
     return _report(a, constant, raw, columns, 0)
@@ -302,8 +315,7 @@ def bound_at_alpha(observables, alpha: float, constant: EntropicConstant) -> Bou
 def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     """Best variance-sum floor over the width parameter (module docstring).
 
-    C >= sum_k ln n raises ``RegimeError``.  C <= sum_k ln m_k, with delta =
-    1e-8 h (h the largest half-spread, 1 if all spectra are degenerate), gets
+    ``_ends`` refuses C >= sum_k ln n; C <= sum_k ln m_k, delta = 1e-8 h, gets
     floor 0 from one kernel call at t = 0, and no bracket.  Otherwise 17 widths
     of the lattice t_k = ln 1e-2 + k step, step = ln(1e4) / 16, from k =
     round(2 ln(n - 1) / step) on, so centred near alpha h^2 = (n - 1)^2 (alpha
@@ -319,7 +331,7 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
     """
     stack = _spectra(list(observables))
     c = constant.value
-    h = 0.5 * float(np.max(stack[:, -1] - stack[:, 0])) or 1.0
+    h, zero = _ends(stack, c)
     found = []  # (raw, alphas, *columns) of every evaluation
 
     def evaluate(t):
@@ -339,14 +351,9 @@ def optimize_alpha(observables, constant: EntropicConstant) -> BoundReport:
         return _report(float(alphas[best]), constant, raw, columns, best,
                        bracket=bracket, refine_steps=len(found) - 1)
 
-    # m_k: the most eigenvalues of spectrum k within 2 delta = 2e-8 h of one another
-    near = [(np.searchsorted(r, r + 2e-8 * h, side="right") - np.arange(r.size)).max() for r in stack]
-    # exactly rounded, so that the order of the observables cannot move C across it
-    if c <= math.fsum(np.log(near)):
+    if zero:
         evaluate(np.zeros(1))
         return report(None)
-    if c >= (top := stack.shape[0] * math.log(stack.shape[1])):
-        raise RegimeError(f"entropy constant {c!r} is not below sum_k ln n = {top!r}: the floor grows without bound")
     step = math.log(1e4) / 16
     # centred on the lattice point nearest alpha h^2 = (n - 1)^2, a Gaussian as wide as the mean spacing
     first = round(2.0 * math.log(stack.shape[1] - 1) / step)

@@ -340,6 +340,44 @@ def test_density_certificate_skips_eigvalsh(monkeypatch):
     assert QuantumState.density(rho).dim == 16
 
 
+# asymmetric by 1e-4; its Hermitian part has eigenvalue -5e-5, its lower triangle none below 0
+NEAR_HERMITIAN = np.kron([[0.5, 0.5 + 1e-4], [0.5, 0.5]], np.diag([1.0, 0.0]))
+
+
+def test_density_certifies_its_hermitian_part():
+    loose = with_overrides(DEFAULT_TOLERANCES, {"hermiticity": 1e-3})
+    with pytest.raises(InvalidStateError, match=re.escape("positive semidefinite (smallest eigenvalue -5.000e-05)")):
+        QuantumState.density(NEAR_HERMITIAN, loose)
+    with pytest.raises(InvalidStateError, match="^density matrix must be Hermitian"):
+        QuantumState.density(NEAR_HERMITIAN)
+    # entries near the float limit: the Hermitian part would hold inf, which no certificate may pass
+    with pytest.raises(ValueError, match="float range"):
+        QuantumState.density([[0.5, 1e308], [1e308, 0.5]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))), st.integers(0, 2**32 - 1),
+       st.sampled_from([DEFAULT_TOLERANCES.hermiticity, 1e-3]), st.floats(0.0, 0.99))
+def test_density_stores_the_hermitized_part(size, seed, hermiticity, skew):
+    # a random rank-r density, exactly Hermitian, is stored as given; plus an anti-Hermitian
+    # perturbation of asymmetry skew x tol.hermiticity, as hermitized's part: bit for bit, read-only
+    n, rank = size
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(n)
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    rho = (u * weights) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    tol = with_overrides(DEFAULT_TOLERANCES, {"hermiticity": hermiticity})
+    assert QuantumState.density(rho, tol).matrix.tobytes() == rho.tobytes()
+    k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k -= k.conj().T  # rho + s k departs from its adjoint by 2 s k
+    bumped = rho + (0.5 * skew * hermiticity / np.abs(k).max()) * k
+    stored = QuantumState.density(bumped, tol).matrix
+    assert not stored.flags.writeable
+    assert stored.tobytes() == hermitized(bumped, tol).matrix.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-300, 1e-12, 1e-9]),
@@ -347,6 +385,7 @@ def test_density_certificate_skips_eigvalsh(monkeypatch):
 def test_density_verdict_is_the_eigvalsh_rule(size, seed, tol, depth):
     # a random rank-r density, one null direction pushed to -depth x tol
     # (1e-15 at tol 0): the certificate may only speed up eigvalsh's verdict
+    # on the Hermitian part, which is what is stored and certified
     n, rank = size
     rng = np.random.default_rng(seed)
     weights = np.zeros(n)
@@ -365,7 +404,7 @@ def test_density_verdict_is_the_eigvalsh_rule(size, seed, tol, depth):
         accepted = False
     else:
         accepted = True
-    assert accepted == (float(np.linalg.eigvalsh(rho)[0]) >= -tol)
+    assert accepted == (float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]) >= -tol)
 
 
 @settings(max_examples=200, deadline=None)

@@ -293,6 +293,17 @@ def test_optimize_alpha_refuses_a_false_constant(observables, n):
     assert optimize_alpha(observables, user_supplied(0.99 * top)).lower_bound > 0.0
 
 
+@pytest.mark.parametrize("observables, n", [([eigendecompose(PAULI_Z)], 2), (pauli3, 2), (qutrit4, 3)])
+def test_bound_at_alpha_refuses_a_false_constant(observables, n):
+    # at a fixed width too: the floor there is finite, but no state's variances reach it
+    observables = observables() if callable(observables) else observables
+    top = len(observables) * math.log(n)
+    for c in (top, 1.0 + top):
+        with pytest.raises(RegimeError, match=f"{top!r}"):
+            bound_at_alpha(observables, 0.3, user_supplied(c))
+    assert bound_at_alpha(observables, 0.3, user_supplied(0.99 * top)).raw_bound > 0.0
+
+
 def test_optimize_alpha_refines_fixtures_in_few_steps():
     assert optimize_alpha(pauli3(), wu_full_mub(2)).refine_steps == 3
     assert optimize_alpha(qutrit4(), wu_full_mub(3)).refine_steps == 2
@@ -491,7 +502,7 @@ def test_bound_at_alpha_rows_match_inner_max(spectra, picks, alpha):
     # the sign of its zeros flipped: each observable's result must come from
     # its own spectrum's row
     obs = _picked(spectra, picks)
-    report = bound_at_alpha(obs, alpha, user_supplied(1.0))
+    report = bound_at_alpha(obs, alpha, user_supplied(0.0))
     assert len(report.per_operator) == len(obs)
     for o, r in zip(obs, report.per_operator):
         assert r == inner_max(o.eigenvalues, alpha)
@@ -515,11 +526,12 @@ def test_floors_do_not_depend_on_the_order_of_the_observables(spectra, picks_ord
 
 
 @settings(max_examples=30, deadline=None)
-@given(_stacks, st.floats(min_value=1e-2, max_value=1e2), st.floats(min_value=0.0, max_value=3.0))
-def test_bound_at_alpha_raw_is_the_reported_sums(spectra, alpha, c):
+@given(_stacks, st.floats(min_value=1e-2, max_value=1e2), st.floats(min_value=0.0, max_value=0.99))
+def test_bound_at_alpha_raw_is_the_reported_sums(spectra, alpha, u):
     # the raw floor is (C - sum_k ln M_k) / alpha of the M values it reports,
-    # to within a few ulps of the size of its terms
+    # to within a few ulps of the size of its terms, for C a fraction u of sum_k ln n
     obs = [SpectralObservable(np.sort(e), np.eye(len(e))) for e in spectra]
+    c = u * len(obs) * math.log(obs[0].dim)
     report = bound_at_alpha(obs, alpha, user_supplied(c))
     terms = [math.log(r.value) for r in report.per_operator]
     size = (c + sum(abs(t) + 1.0 for t in terms)) / alpha

@@ -495,6 +495,17 @@ def test_cli_lur_fixture_state(capsys):
     assert doc["payload"]["pair_variances"] == pytest.approx([2.0, 2.0, 0.0], abs=1e-12)
 
 
+def test_cli_lur_refuses_a_density_whose_hermitian_part_is_not_psd(tmp_path, capsys):
+    # asymmetric by 1e-4, within hermiticity=1e-3, but its Hermitian part has eigenvalue -5e-5
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(_density_doc(np.kron([[0.5, 0.5 + 1e-4], [0.5, 0.5]], np.diag([1.0, 0.0])))))
+    assert main(["lur", "--state", str(path), "--pairs", "pauli-pairs", "--u-a", "1", "--u-b", "1",
+                 "--tol", "hermiticity=1e-3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive semidefinite (smallest eigenvalue -5.000e-05)" in captured.err
+
+
 def test_cli_lur_explicit_floors(capsys):
     code = main(["lur", "--state", "mixed2", "--pairs", "sigma-x", "sigma-x",
                  "sigma-y", "sigma-y", "sigma-z", "sigma-z", "--u-a", "1.7", "--u-b", "1.7"])
@@ -843,12 +854,12 @@ def test_cli_tolerance_override(tmp_path, capsys):
     near[0, 1] += 1e-8
     path = tmp_path / "near.json"
     path.write_text(json.dumps(_matrix_doc(near)))
-    assert main(["bound", str(path), "--C", "1", "--alpha", "1"]) == 4
+    assert main(["bound", str(path), "--C", "0.5", "--alpha", "1"]) == 4
     capsys.readouterr()
-    assert main(["bound", str(path), "--C", "1", "--alpha", "1",
+    assert main(["bound", str(path), "--C", "0.5", "--alpha", "1",
                  "--tol", "hermiticity=1e-6"]) == 0
     capsys.readouterr()
-    assert main(["bound", str(path), "--C", "1", "--alpha", "1",
+    assert main(["bound", str(path), "--C", "0.5", "--alpha", "1",
                  "--tol", "bogus=1"]) == 2
 
 
